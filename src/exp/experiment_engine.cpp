@@ -15,6 +15,7 @@
 #include "core/config_io.h"
 #include "obs/json_lite.h"
 #include "sim/errors.h"
+#include "sim/json_escape.h"
 #include "snap/serializer.h"
 
 namespace dscoh {
@@ -306,38 +307,6 @@ makeSweepJobs(const std::vector<std::string>& codes,
 }
 
 namespace {
-
-std::string jsonEscape(const std::string& s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x",
-                              static_cast<unsigned>(c));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 /// The per-job object shared by writeResultsJson() and journalLine(),
 /// WITHOUT the closing brace (the journal appends resume-only fields).

@@ -18,7 +18,6 @@ inline constexpr int kExitUsage = 2;    ///< bad CLI flag or config file
 inline constexpr int kExitDeadlock = 3; ///< --max-idle-ticks watchdog tripped
 inline constexpr int kExitIo = 4;       ///< snapshot/results file I/O failure
 inline constexpr int kExitOracle = 5;   ///< coherence/functional violation
-inline constexpr int kExitShed = 6;     ///< service shed the request (retry)
 inline constexpr int kExitDegraded = 7; ///< service is degraded (read-only)
 
 /// The no-progress watchdog fired: no event executed for the idle budget

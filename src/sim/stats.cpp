@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "sim/json_escape.h"
+
 namespace dscoh {
 
 void Histogram::sample(std::uint64_t v)
@@ -139,43 +141,27 @@ void StatRegistry::dump(std::ostream& os) const
     }
 }
 
-namespace {
-
-std::string jsonEscapeName(const std::string& s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
-}
-
-} // namespace
-
 void StatRegistry::dumpJson(std::ostream& os,
                             const std::string& extraMember) const
 {
     os << "{\n  \"schema\": \"dscoh-stats-v1\",\n  \"counters\": {";
     bool first = true;
     for (const auto& [name, c] : counters_) {
-        os << (first ? "\n" : ",\n") << "    \"" << jsonEscapeName(name)
+        os << (first ? "\n" : ",\n") << "    \"" << jsonEscape(name)
            << "\": " << c->value();
         first = false;
     }
     os << (first ? "" : "\n  ") << "},\n  \"scalars\": {";
     first = true;
     for (const auto& [name, s] : scalars_) {
-        os << (first ? "\n" : ",\n") << "    \"" << jsonEscapeName(name)
+        os << (first ? "\n" : ",\n") << "    \"" << jsonEscape(name)
            << "\": " << s->value();
         first = false;
     }
     os << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
     first = true;
     for (const auto& [name, h] : histograms_) {
-        os << (first ? "\n" : ",\n") << "    \"" << jsonEscapeName(name)
+        os << (first ? "\n" : ",\n") << "    \"" << jsonEscape(name)
            << "\": {\"samples\": " << h->samples()
            << ", \"mean\": " << h->mean() << ", \"min\": " << h->min()
            << ", \"max\": " << h->max()

@@ -11,25 +11,21 @@ std::string fail(const std::string& error)
     return "{\"ok\": false, \"error\": \"" + jsonEscape(error) + "\"}";
 }
 
-/// Rejection reply for a shed/degraded submit: machine-readable flags so
-/// clients can tell "back off and retry" from "your request is broken".
+/// Rejection reply for a submit: a degraded service says so in a
+/// machine-readable flag, so clients can tell "the disk is sick" from
+/// "your request is broken".
 std::string failSubmit(const std::string& error, const SubmitInfo& info)
 {
-    std::string reply =
-        "{\"ok\": false, \"error\": \"" + jsonEscape(error) + "\"";
-    if (info.shed) {
-        reply += ", \"shed\": true, \"retryAfterMs\": " +
-                 std::to_string(info.retryAfterMs);
-    }
-    if (info.degraded)
-        reply += ", \"degraded\": true";
-    return reply + "}";
+    if (!info.degraded)
+        return fail(error);
+    return "{\"ok\": false, \"error\": \"" + jsonEscape(error) +
+           "\", \"degraded\": true}";
 }
 
 /// True when @p line is clean wire input: bounded and free of NUL /
 /// non-whitespace control bytes. The socket reader enforces this per byte
 /// (LineFramer); re-checking here keeps the guarantee for embedded callers
-/// (tests, spool-style line sources) that bypass the framer.
+/// (tests) that bypass the framer.
 bool validLine(const std::string& line, std::string* error)
 {
     if (line.size() > kMaxProtocolLineBytes) {

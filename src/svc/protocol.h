@@ -8,18 +8,17 @@
 //   {"op": "ping"}                      -> {"ok": true, "schema": "dscoh-svc-v1", "workers": N}
 //   {"op": "submit", "request": "..."}  -> {"ok": true, "id": "r000001", "dir": "<stateDir>/jobs/r000001"}
 //       ("request" is a rendered SweepRequest object as a JSON string —
-//        the same document renderRequestJson() produces / spool files hold)
+//        the same document renderRequestJson() produces)
 //   {"op": "status", "id": "r000001"}   -> {"ok": true, "status": {<dscoh-progress-v2>}}
 //   {"op": "list"}                      -> {"ok": true, "list": {<dscoh-svc-list-v1>}}
 //   {"op": "cancel", "id": "r000001"}   -> {"ok": true, "id": "r000001"}
-//   {"op": "stats"}                     -> {"ok": true, "stats": {<dscoh-svc-stats-v1>}}
+//   {"op": "stats"}                     -> {"ok": true, "stats": {<dscoh-svc-stats-v2>}}
 //   {"op": "drain"}                     -> {"ok": true}   (blocks until idle)
 //   {"op": "shutdown"}                  -> {"ok": true}   (server exits after replying)
 //
-// Overload/degraded rejections are distinguishable from client errors:
-// a shed submit reply carries "shed": true and "retryAfterMs": N (back off
-// and retry the identical request); a storage-degraded reply carries
-// "degraded": true (the service is read-only until its disk recovers).
+// A storage-degraded submit rejection is distinguishable from a client
+// error: its reply carries "degraded": true (the service is read-only
+// until its disk recovers).
 //
 // The handler is a pure function of (service, line) so protocol tests need
 // no sockets; the socket server is a thin line pump around it.

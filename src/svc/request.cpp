@@ -1,6 +1,7 @@
 #include "svc/request.h"
 
-#include <cstdio>
+#include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "core/config_io.h"
@@ -8,37 +9,17 @@
 
 namespace dscoh::svc {
 
-std::string jsonEscape(const std::string& s)
+namespace {
+
+/// True when @p v is a number with no fractional part inside [lo, hi], so
+/// the cast to the field's integer type is exact and defined.
+bool integerIn(const jsonlite::Value& v, double lo, double hi)
 {
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x",
-                              static_cast<unsigned>(c));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
+    return v.isNumber() && v.number == std::trunc(v.number) &&
+           v.number >= lo && v.number <= hi;
 }
+
+} // namespace
 
 std::string renderRequestJson(const SweepRequest& r)
 {
@@ -55,10 +36,7 @@ std::string renderRequestJson(const SweepRequest& r)
     os << "], \"modes\": [";
     for (std::size_t i = 0; i < r.modes.size(); ++i)
         os << (i == 0 ? "" : ", ") << "\"" << to_string(r.modes[i]) << "\"";
-    os << "], \"config\": \"" << jsonEscape(r.configText) << "\"";
-    if (r.deadlineMs != 0)
-        os << ", \"deadlineMs\": " << r.deadlineMs;
-    os << "}";
+    os << "], \"config\": \"" << jsonEscape(r.configText) << "\"}";
     return os.str();
 }
 
@@ -88,15 +66,18 @@ bool parseRequestJson(const std::string& text, SweepRequest* out,
         r.tenant = t->string;
     }
     if (const jsonlite::Value* p = v->get("priority"); p != nullptr) {
-        if (!p->isNumber()) {
-            *error = "request field 'priority' must be a number";
+        if (!integerIn(*p, std::numeric_limits<int>::min(),
+                       std::numeric_limits<int>::max())) {
+            *error = "request field 'priority' must be an integer in "
+                     "[-2147483648, 2147483647]";
             return false;
         }
         r.priority = static_cast<int>(p->number);
     }
     if (const jsonlite::Value* w = v->get("weight"); w != nullptr) {
-        if (!w->isNumber() || w->number < 1.0) {
-            *error = "request field 'weight' must be a number >= 1";
+        if (!integerIn(*w, 1, std::numeric_limits<unsigned>::max())) {
+            *error = "request field 'weight' must be an integer in "
+                     "[1, 4294967295]";
             return false;
         }
         r.weight = static_cast<unsigned>(w->number);
@@ -154,13 +135,6 @@ bool parseRequestJson(const std::string& text, SweepRequest* out,
                 return false;
             }
         }
-    }
-    if (const jsonlite::Value* d = v->get("deadlineMs"); d != nullptr) {
-        if (!d->isNumber() || d->number < 0.0) {
-            *error = "request field 'deadlineMs' must be a number >= 0";
-            return false;
-        }
-        r.deadlineMs = static_cast<std::uint64_t>(d->number);
     }
     if (const jsonlite::Value* cfg = v->get("config"); cfg != nullptr) {
         if (!cfg->isString()) {

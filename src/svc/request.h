@@ -9,15 +9,15 @@
 // between embedded and daemon execution.
 //
 // Requests travel as single-line JSON — over the dscoh-svc-v1 socket
-// protocol, in spool files, and embedded in the service's write-ahead
-// journal — so render/parse round-trip exactly.
+// protocol and embedded in the service's write-ahead journal — so
+// render/parse round-trip exactly.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "exp/experiment_engine.h"
+#include "sim/json_escape.h"
 
 namespace dscoh::svc {
 
@@ -39,18 +39,15 @@ struct SweepRequest {
     /// "key = value" config lines applied over the Table I defaults
     /// (core/config_io); empty = defaults.
     std::string configText;
-    /// Wall-clock budget from admission, milliseconds; past it the service
-    /// cancels the request (queued jobs dropped, running jobs told to stop
-    /// via their cooperative cancel flag). 0 = no deadline.
-    std::uint64_t deadlineMs = 0;
 };
 
 /// One line of JSON (no trailing newline), deterministic field order;
 /// parseRequestJson() round-trips it exactly.
 std::string renderRequestJson(const SweepRequest& r);
 
-/// Parses a request object (from a client, a spool file, or the WAL).
-/// Unknown fields are ignored; a malformed document or field fails with a
+/// Parses a request object (from a client or the WAL). Unknown fields are
+/// ignored; a malformed document or field (including a priority or weight
+/// that is fractional or outside its integer type) fails with a
 /// deterministic message in @p error. Does NOT validate codes/config —
 /// expandJobs() does, so admission can reject with a precise reason.
 bool parseRequestJson(const std::string& text, SweepRequest* out,
@@ -62,7 +59,7 @@ bool parseRequestJson(const std::string& text, SweepRequest* out,
 bool expandJobs(const SweepRequest& r, std::vector<ExperimentJob>* jobs,
                 std::string* error);
 
-/// Escapes @p s for embedding in a JSON string literal.
-std::string jsonEscape(const std::string& s);
+/// The shared escaper (sim/json_escape.h), also spelled svc::jsonEscape.
+using dscoh::jsonEscape;
 
 } // namespace dscoh::svc

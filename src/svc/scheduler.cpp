@@ -13,12 +13,6 @@ bool FairScheduler::enqueue(const std::string& requestId,
         *error = "request expands to zero jobs";
         return false;
     }
-    if (maxQueuedJobs_ != 0 && queuedJobs_ + jobCount > maxQueuedJobs_) {
-        *error = "queue full (" + std::to_string(queuedJobs_) + " queued, " +
-                 std::to_string(jobCount) + " requested, limit " +
-                 std::to_string(maxQueuedJobs_) + ")";
-        return false;
-    }
 
     auto [it, inserted] = tenants_.try_emplace(tenant);
     Tenant& t = it->second;
@@ -46,17 +40,9 @@ bool FairScheduler::enqueue(const std::string& requestId,
 
 std::optional<JobUnit> FairScheduler::next()
 {
-    return next(nullptr);
-}
-
-std::optional<JobUnit> FairScheduler::next(
-    const std::function<bool(const std::string& tenant)>& eligible)
-{
     Tenant* best = nullptr;
     for (auto& [name, t] : tenants_) {
         if (t.requests.empty())
-            continue;
-        if (eligible && !eligible(name))
             continue;
         // Map iteration is name-ordered, so strict < makes the name the
         // deterministic tie-break.

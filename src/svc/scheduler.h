@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -37,17 +36,8 @@ struct JobUnit {
 
 class FairScheduler {
 public:
-    /// @p maxQueuedJobs bounds the TOTAL queued-but-undispatched jobs
-    /// across all tenants (the service's backpressure limit); 0 means
-    /// unbounded.
-    explicit FairScheduler(std::size_t maxQueuedJobs = 0)
-        : maxQueuedJobs_(maxQueuedJobs)
-    {
-    }
-
     /// Admits @p jobCount job units for a request. Fails (false + @p error)
-    /// when admission would exceed the queue bound; the queue is left
-    /// untouched, so the caller can reject the request outright.
+    /// for a request with no jobs; the queue is left untouched.
     bool enqueue(const std::string& requestId, const std::string& tenant,
                  int priority, unsigned weight, std::size_t jobCount,
                  std::string* error);
@@ -55,14 +45,6 @@ public:
     /// Pops the next unit under the fairness policy, or nullopt when no
     /// work is queued. Never blocks.
     std::optional<JobUnit> next();
-
-    /// Like next(), but only tenants for which @p eligible returns true
-    /// compete. The service's memory-budget gate: a tenant whose running
-    /// jobs exhaust its byte budget is passed over (its virtual time does
-    /// not advance, so it loses no share — the work just waits). A null
-    /// predicate admits everyone.
-    std::optional<JobUnit>
-    next(const std::function<bool(const std::string& tenant)>& eligible);
 
     /// Drops every still-queued unit of @p requestId; units already handed
     /// out by next() are the caller's problem (they run to completion).
@@ -103,7 +85,6 @@ private:
         }
     };
 
-    std::size_t maxQueuedJobs_ = 0;
     std::size_t queuedJobs_ = 0;
     std::uint64_t nextSeq_ = 0;
     /// Virtual time of the most recent dispatch; idle tenants re-enter here.

@@ -122,8 +122,7 @@ int serveSocket(SweepService& svc, const ServerOptions& options,
         const int ready = ::poll(&pfd, 1, options.pollMs);
         if (ready < 0 && errno != EINTR)
             break;
-        svc.scanSpool();
-        svc.tick(); // deadlines expire / degraded probe, even while idle
+        svc.tick(); // degraded-storage probe, even while idle
         if (ready <= 0 || (pfd.revents & POLLIN) == 0)
             continue;
 

@@ -1,11 +1,10 @@
 // Unix-domain socket front end for the sweep service.
 //
-// serveSocket() is the daemon's main loop: it listens on a stream socket,
-// pumps dscoh-svc-v1 lines through handleRequestLine(), and between
-// connections scans the spool directory so file-drop submission works with
-// no client at all. Connections are handled one at a time — the protocol
-// is strictly one-line-in / one-line-out, clients connect per call, and a
-// short receive timeout bounds how long a stalled peer can hold the loop.
+// serveSocket() is the daemon's main loop: it listens on a stream socket
+// and pumps dscoh-svc-v1 lines through handleRequestLine(). Connections
+// are handled one at a time — the protocol is strictly one-line-in /
+// one-line-out, clients connect per call, and a short receive timeout
+// bounds how long a stalled peer can hold the loop.
 #pragma once
 
 #include <atomic>
@@ -17,8 +16,8 @@ namespace dscoh::svc {
 
 struct ServerOptions {
     std::string socketPath;
-    /// poll() timeout between accepts; each timeout runs a spool scan and
-    /// a service tick (deadline expiry, degraded-storage probe).
+    /// poll() timeout between accepts; each timeout runs a service tick
+    /// (the degraded-storage probe).
     int pollMs = 500;
     /// Idle timeout between lines (a silent client gets dropped).
     int recvTimeoutMs = 30000;

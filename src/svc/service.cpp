@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 
 #include "core/config_io.h"
@@ -16,16 +15,6 @@ namespace fs = std::filesystem;
 namespace dscoh::svc {
 
 namespace {
-
-std::string readWholeFile(const std::string& path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return {};
-    std::ostringstream os;
-    os << in.rdbuf();
-    return os.str();
-}
 
 /// Strips the trailing newline renderProgressJson() appends, for embedding
 /// progress documents inside larger JSON values.
@@ -51,27 +40,6 @@ void histogramJson(std::ostringstream& os, const char* name,
     os << buf;
 }
 
-/// Modelled peak footprint of one job of the request: the largest
-/// sum-of-arrays across its jobs (jobs run one at a time per unit, so the
-/// per-tenant budget gates on per-job, not per-request, bytes).
-std::uint64_t maxJobBytes(const std::vector<ExperimentJob>& jobs)
-{
-    std::uint64_t worst = 0;
-    for (const ExperimentJob& j : jobs) {
-        const Workload* w = j.workload;
-        if (w == nullptr) {
-            if (!WorkloadRegistry::instance().has(j.code))
-                continue;
-            w = &WorkloadRegistry::instance().get(j.code);
-        }
-        std::uint64_t total = 0;
-        for (const ArraySpec& a : w->arrays(j.size))
-            total += a.bytes;
-        worst = std::max(worst, total);
-    }
-    return worst;
-}
-
 } // namespace
 
 SweepService::SweepService(const ServiceOptions& options) : opts_(options)
@@ -79,14 +47,13 @@ SweepService::SweepService(const ServiceOptions& options) : opts_(options)
     if (opts_.stateDir.empty())
         throw std::runtime_error("sweep service: stateDir is required");
     std::error_code ec;
-    for (const std::string sub : {"", "/jobs", "/cache", "/spool"}) {
+    for (const std::string sub : {"", "/jobs", "/cache"}) {
         fs::create_directories(opts_.stateDir + sub, ec);
         if (ec)
             throw std::runtime_error("sweep service: cannot create " +
                                      opts_.stateDir + sub + ": " +
                                      ec.message());
     }
-    sched_ = FairScheduler(opts_.maxQueuedJobs);
     {
         const std::lock_guard<std::mutex> lock(mu_);
         recover();
@@ -130,22 +97,6 @@ void SweepService::degradeLocked(const std::string& reason)
         return;
     degraded_ = true;
     degradedReason_ = reason;
-}
-
-std::uint64_t SweepService::retryAfterMsLocked() const
-{
-    // Backlog drain estimate: queued+running jobs x mean job latency over
-    // the worker pool. With no samples yet there is nothing to extrapolate
-    // from, so suggest the floor.
-    const std::uint64_t backlog = sched_.queuedJobs() + inflight_;
-    const unsigned pool = std::max(1u, engine_ ? engine_->threads() : 1u);
-    const double meanMs =
-        jobLatencyMs_.samples() != 0 ? std::max(1.0, jobLatencyMs_.mean())
-                                     : 0.0;
-    const double est = static_cast<double>(backlog) * meanMs /
-                       static_cast<double>(pool);
-    return std::clamp<std::uint64_t>(static_cast<std::uint64_t>(est), 250,
-                                     60000);
 }
 
 void SweepService::recover()
@@ -228,11 +179,6 @@ bool SweepService::submit(SweepRequest r, std::string* idOut,
     }
     if (stop_ || draining_) {
         *error = "service is shutting down";
-        ++shedSubmits_;
-        if (info != nullptr) {
-            info->shed = true;
-            info->retryAfterMs = retryAfterMsLocked();
-        }
         return false;
     }
     r.id.clear(); // ids are assigned here, never by the client
@@ -259,7 +205,6 @@ bool SweepService::admitLocked(SweepRequest r, bool fromWal,
     for (const ExperimentJob& j : rs.jobs)
         rs.hashes.push_back(configHashOf(j.config));
     rs.results.resize(rs.jobs.size());
-    rs.jobMemBytes = maxJobBytes(rs.jobs);
 
     // Anything this request's journal already covers (recovery, or a crash
     // straight after the last job) is replayed, not re-simulated.
@@ -272,28 +217,14 @@ bool SweepService::admitLocked(SweepRequest r, bool fromWal,
     rs.remaining = pending.size();
     rs.req = r;
     rs.admittedAt = std::chrono::steady_clock::now();
-    const std::uint64_t deadline =
-        r.deadlineMs != 0 ? r.deadlineMs : opts_.defaultDeadlineMs;
-    if (deadline != 0)
-        rs.deadlineAt = rs.admittedAt + std::chrono::milliseconds(deadline);
     rs.cancelFlag = std::make_shared<std::atomic<bool>>(false);
 
-    if (!pending.empty()) {
-        if (!sched_.enqueue(id, r.tenant, r.priority, r.weight,
-                            pending.size(), error)) {
-            // Backpressure: nothing recorded. This is load shedding, not a
-            // client error — tell the client when to come back.
-            ++shedSubmits_;
-            if (info != nullptr) {
-                info->shed = true;
-                info->retryAfterMs = retryAfterMsLocked();
-            }
-            return false;
-        }
-        // enqueue() numbers units 0..n-1; map them back to job indices.
-        // FairScheduler hands out unit k for this request exactly once, so
-        // unit k IS pending[k].
-    }
+    // enqueue() numbers this request's units 0..n-1; pullNext() maps unit
+    // k back to pending[k].
+    if (!pending.empty() &&
+        !sched_.enqueue(id, r.tenant, r.priority, r.weight, pending.size(),
+                        error))
+        return false;
 
     std::error_code ec;
     fs::create_directories(requestDir(id), ec);
@@ -339,18 +270,7 @@ std::optional<ResidentEngine::Admitted> SweepService::pullNext()
     for (;;) {
         if (stop_)
             return std::nullopt;
-        // Memory-budget gate: a tenant whose running jobs exhaust its byte
-        // budget is skipped (soft — an idle tenant always gets one job, so
-        // a single job bigger than the whole budget still runs).
-        const auto eligible = [this](const std::string& tenant) {
-            if (opts_.tenantMemBudgetBytes == 0)
-                return true;
-            const auto it = tenantRunningBytes_.find(tenant);
-            const std::uint64_t running =
-                it == tenantRunningBytes_.end() ? 0 : it->second;
-            return running == 0 || running < opts_.tenantMemBudgetBytes;
-        };
-        if (std::optional<JobUnit> unit = sched_.next(eligible)) {
+        if (std::optional<JobUnit> unit = sched_.next()) {
             auto it = requests_.find(unit->requestId);
             if (it == requests_.end())
                 continue; // cancelled between enqueue and dispatch
@@ -375,17 +295,13 @@ std::optional<ResidentEngine::Admitted> SweepService::pullNext()
                 }
             }
             ++inflight_;
-            tenantRunningBytes_[rs.req.tenant] += rs.jobMemBytes;
 
             ResidentEngine::Admitted a;
             a.job = rs.jobs[jobIndex];
             a.configHash = rs.hashes[jobIndex];
-            a.options.snapDir = requestDir(unit->requestId);
             a.options.produceCacheDir = opts_.stateDir + "/cache";
             a.options.forkProduce = opts_.forkProduce;
             a.options.produceCacheMaxBytes = opts_.cacheMaxBytes;
-            a.options.jobCheckpoint = opts_.jobCheckpoints;
-            a.options.resumeCheckpoint = opts_.jobCheckpoints;
             a.options.cancel = rs.cancelFlag.get();
             const std::string id = unit->requestId;
             a.done = [this, id, jobIndex](ExperimentResult&& r) {
@@ -408,13 +324,6 @@ void SweepService::onJobDone(const std::string& id, std::size_t jobIndex,
         return;
     }
     RequestState& rs = it->second;
-    auto tenantBytes = tenantRunningBytes_.find(rs.req.tenant);
-    if (tenantBytes != tenantRunningBytes_.end()) {
-        tenantBytes->second -=
-            std::min(tenantBytes->second, rs.jobMemBytes);
-        if (tenantBytes->second == 0)
-            tenantRunningBytes_.erase(tenantBytes);
-    }
 
     jobLatencyMs_.sample(static_cast<std::uint64_t>(r.wallSeconds * 1e3));
     if (opts_.forkProduce) {
@@ -495,25 +404,6 @@ void SweepService::finishLocked(const std::string& id, RequestState& rs)
     }
 }
 
-void SweepService::cancelLocked(const std::string& id, RequestState& rs)
-{
-    const std::size_t dropped = sched_.cancel(id);
-    rs.remaining -= dropped;
-    rs.state = "cancelled";
-    if (rs.cancelFlag)
-        rs.cancelFlag->store(true, std::memory_order_relaxed);
-    if (rs.remaining == 0)
-        finishLocked(id, rs); // nothing in flight: terminal now
-    else {
-        try {
-            publishStatusLocked(id, rs); // in-flight jobs stop, then terminal
-        } catch (const snap::SnapError& e) {
-            degradeLocked(e.what());
-        }
-    }
-    cv_.notify_all();
-}
-
 bool SweepService::cancel(const std::string& id, std::string* error)
 {
     const std::lock_guard<std::mutex> lock(mu_);
@@ -528,27 +418,25 @@ bool SweepService::cancel(const std::string& id, std::string* error)
         *error = "request " + id + " is already " + rs.state;
         return false;
     }
-    cancelLocked(id, rs);
+    rs.remaining -= sched_.cancel(id);
+    rs.state = "cancelled";
+    rs.cancelFlag->store(true, std::memory_order_relaxed);
+    if (rs.remaining == 0)
+        finishLocked(id, rs); // nothing in flight: terminal now
+    else {
+        try {
+            publishStatusLocked(id, rs); // in-flight jobs stop, then terminal
+        } catch (const snap::SnapError& e) {
+            degradeLocked(e.what());
+        }
+    }
+    cv_.notify_all();
     return true;
 }
 
 void SweepService::tick()
 {
     const std::lock_guard<std::mutex> lock(mu_);
-    const auto now = std::chrono::steady_clock::now();
-
-    // Deadline sweep: a request past its wall-clock budget is cancelled
-    // exactly like a client cancel (queued jobs dropped, running jobs
-    // flagged down).
-    for (auto& [id, rs] : requests_) {
-        if (!rs.deadlineAt || now < *rs.deadlineAt)
-            continue;
-        if (rs.state != "queued" && rs.state != "running")
-            continue;
-        ++deadlineCancels_;
-        cancelLocked(id, rs);
-    }
-
     if (!degraded_)
         return;
     // Storage probe: one small atomic write through the full hardened
@@ -645,7 +533,7 @@ std::string SweepService::statsJson() const
             ++cancelled;
     }
     std::ostringstream os;
-    os << "{\"schema\": \"dscoh-svc-stats-v1\", \"queuedJobs\": "
+    os << "{\"schema\": \"dscoh-svc-stats-v2\", \"queuedJobs\": "
        << sched_.queuedJobs() << ", \"runningJobs\": " << inflight_
        << ", \"workers\": " << (engine_ ? engine_->threads() : 0)
        << ", \"degraded\": " << (degraded_ ? "true" : "false");
@@ -658,20 +546,15 @@ std::string SweepService::statsJson() const
        << ", \"cancelled\": " << cancelled << "}"
        << ", \"produceCache\": {\"hits\": " << cacheHits_
        << ", \"misses\": " << cacheMisses_ << "}"
-       << ", \"overload\": {\"shedSubmits\": " << shedSubmits_
-       << ", \"degradedRejects\": " << degradedRejects_
-       << ", \"deadlineCancels\": " << deadlineCancels_
-       << ", \"retryAfterMs\": " << retryAfterMsLocked() << "}";
+       << ", \"overload\": {\"degradedRejects\": " << degradedRejects_
+       << "}";
     os << ", \"tenants\": [";
     bool first = true;
     for (const FairScheduler::TenantShare& s : sched_.shares()) {
-        const auto rb = tenantRunningBytes_.find(s.tenant);
         os << (first ? "" : ", ") << "{\"tenant\": \""
            << jsonEscape(s.tenant) << "\", \"weight\": " << s.weight
            << ", \"queued\": " << s.queued
-           << ", \"dispatched\": " << s.dispatched
-           << ", \"runningBytes\": "
-           << (rb == tenantRunningBytes_.end() ? 0 : rb->second) << "}";
+           << ", \"dispatched\": " << s.dispatched << "}";
         first = false;
     }
     os << "], ";
@@ -700,96 +583,6 @@ void SweepService::beginShutdown()
     const std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
     cv_.notify_all();
-}
-
-std::size_t SweepService::scanSpool()
-{
-    const std::string spool = opts_.stateDir + "/spool";
-    std::vector<std::string> files;
-    std::vector<std::string> quarantined;
-    std::error_code ec;
-    for (const fs::directory_entry& e : fs::directory_iterator(spool, ec)) {
-        const std::string name = e.path().filename().string();
-        if (name.size() > 5 &&
-            name.compare(name.size() - 5, 5, ".json") == 0)
-            files.push_back(e.path().string());
-        else if (name.size() > 9 &&
-                 name.compare(name.size() - 9, 9, ".rejected") == 0)
-            quarantined.push_back(e.path().string());
-    }
-    std::sort(files.begin(), files.end());
-
-    // Self-heal quarantine notes: the .error beside a .rejected is written
-    // best-effort at quarantine time, so a crash right there can leave a
-    // rejected file with no explanation. The original reason died with
-    // that process; repair with a generic note so the quarantine contract
-    // (.rejected implies .error) holds across crashes.
-    for (const std::string& rej : quarantined) {
-        const std::string errPath =
-            rej.substr(0, rej.size() - 9) + ".error";
-        if (fs::exists(errPath, ec))
-            continue;
-        try {
-            snap::atomicWriteFile(errPath,
-                                  "quarantined (reason lost to a crash)\n");
-        } catch (const snap::SnapError&) {
-            // Still advisory; a later healthy scan repairs it.
-        }
-    }
-
-    std::size_t admitted = 0;
-    std::map<std::string, std::pair<std::uint64_t, unsigned>> stillAging;
-    for (const std::string& path : files) {
-        const std::string contents = readWholeFile(path);
-        // A writer mid-copy leaves a file without its terminal newline (or
-        // empty). Give it spoolQuarantineScans unchanged scans to finish
-        // before quarantining — losing a request to a slow cp would
-        // violate "no accepted request lost", and absorbing a prefix would
-        // be worse.
-        if (contents.empty() || contents.back() != '\n') {
-            auto [size, scans] = spoolAging_.count(path) != 0
-                                     ? spoolAging_[path]
-                                     : std::make_pair(std::uint64_t{0}, 0u);
-            if (contents.size() != size)
-                scans = 0; // still growing: restart the clock
-            ++scans;
-            if (scans <= opts_.spoolQuarantineScans) {
-                stillAging[path] = {contents.size(), scans};
-                continue;
-            }
-            fs::rename(path, path + ".rejected", ec);
-            try {
-                snap::atomicWriteFile(path + ".error",
-                                      contents.empty()
-                                          ? "empty file\n"
-                                          : "incomplete submission (no "
-                                            "terminal newline)\n");
-            } catch (const snap::SnapError&) {
-                // Quarantine note is advisory; the rename already happened.
-            }
-            continue;
-        }
-        SweepRequest r;
-        std::string id, error;
-        SubmitInfo info;
-        const bool ok = parseRequestJson(contents, &r, &error) &&
-                        submit(std::move(r), &id, &error, &info);
-        if (ok) {
-            ++admitted;
-            fs::remove(path, ec);
-        } else if (info.shed || info.degraded) {
-            // Transient rejection: leave the file for a later scan rather
-            // than quarantining a perfectly good request.
-        } else {
-            fs::rename(path, path + ".rejected", ec);
-            try {
-                snap::atomicWriteFile(path + ".error", error + "\n");
-            } catch (const snap::SnapError&) {
-            }
-        }
-    }
-    spoolAging_ = std::move(stillAging);
-    return admitted;
 }
 
 } // namespace dscoh::svc

@@ -2,12 +2,11 @@
 // ExperimentEngine.
 //
 // SweepService owns everything between "a tenant submitted a request" and
-// "that request's results.json is published": admission (expansion +
-// bounded-queue backpressure + overload shedding), scheduling
-// (FairScheduler, per-job granularity, per-tenant memory budgets),
-// execution (ResidentEngine worker pool with cooperative cancellation),
-// the shared produce-phase snapshot cache, per-request crash journals, and
-// a CRC-framed service write-ahead journal so a SIGKILLed daemon restarts
+// "that request's results.json is published": admission (expansion into
+// jobs), scheduling (FairScheduler, per-job granularity), execution
+// (ResidentEngine worker pool with cooperative cancellation), the shared
+// produce-phase snapshot cache, per-request crash journals, and a
+// CRC-framed service write-ahead journal so a SIGKILLed daemon restarts
 // into exactly the queue it was killed with.
 //
 // Durability contract (the PR 9 keystone, now storage-fault hardened):
@@ -24,31 +23,28 @@
 //      every request with no terminal record.
 //   2. Each request has its own completed-job journal (jobs/<id>/journal,
 //      the PR 4 format, durably appended); recovery replays it so finished
-//      jobs are never re-simulated, and in-flight jobs restart from their
-//      rolling phase checkpoint.
+//      jobs are never re-simulated; only the jobs a crash interrupted
+//      run again.
 //   3. Engine determinism (results in submission order, bit-identical
-//      across thread counts, restore-determinism for checkpoints) makes
-//      the replayed+resumed result stream identical to the uninterrupted
-//      one.
+//      across thread counts, restore-determinism for cached produce
+//      snapshots) makes the replayed+re-run result stream identical to the
+//      uninterrupted one.
 //
-// Overload & failure behaviour: a persistent storage failure (ENOSPC,
-// repeated EIO) flips the service DEGRADED instead of crashing it —
-// submits are rejected with a "degraded" reply, status/list/stats keep
-// answering from memory, and a periodic storage probe (tick()) restores
-// full service (including any publication the failure interrupted) once
-// the disk recovers. Queue-full and draining rejections carry an explicit
-// retry-after hint sized from the live job-latency histogram.
+// Failure behaviour: a persistent storage failure (ENOSPC, repeated EIO)
+// flips the service DEGRADED instead of crashing it — submits are rejected
+// with a "degraded" reply, status/list/stats keep answering from memory,
+// and a periodic storage probe (tick()) restores full service (including
+// any publication the failure interrupted) once the disk recovers.
 //
 // State directory layout:
 //   <stateDir>/svc.journal        service WAL (CRC-framed JSON lines)
 //   <stateDir>/jobs/<id>/         per-request: request.json, journal,
 //                                 status.json, results.json
 //   <stateDir>/cache/             shared produce-phase snapshot cache
-//   <stateDir>/spool/             drop-a-file request intake
 //
 // Thread safety: every public method is safe to call from any thread
-// (protocol handler, spool scanner, tests); internal state is guarded by
-// one mutex, and job execution happens outside it on the worker pool.
+// (protocol handler, tests); internal state is guarded by one mutex, and
+// job execution happens outside it on the worker pool.
 #pragma once
 
 #include <atomic>
@@ -74,43 +70,16 @@ struct ServiceOptions {
     std::string stateDir;
     /// Worker threads (0 = hardware concurrency).
     unsigned workers = 0;
-    /// Backpressure: max queued-but-undispatched jobs across all tenants
-    /// (0 = unbounded). Submits that would exceed it are shed with a
-    /// retry-after hint.
-    std::size_t maxQueuedJobs = 0;
     /// Share the CPU produce phase across tenants through the cache dir.
     bool forkProduce = true;
     /// Byte budget for that cache (0 = unbounded), LRU-evicted.
     std::uint64_t cacheMaxBytes = 0;
-    /// Per-job produce checkpoints inside each request dir. The WAL plus
-    /// the per-request journal already resume at job granularity; this
-    /// only saves re-running the one job a crash interrupted, at a
-    /// snapshot write per job — too slow to be the default.
-    bool jobCheckpoints = false;
-    /// Soft per-tenant in-flight memory budget, bytes (0 = unbounded): a
-    /// tenant whose RUNNING jobs' modelled footprints reach it is passed
-    /// over by the scheduler until one finishes. Soft: a tenant with
-    /// nothing running always gets one job, so an oversized single job
-    /// still executes rather than wedging.
-    std::uint64_t tenantMemBudgetBytes = 0;
-    /// Deadline applied to requests that do not carry their own (ms,
-    /// 0 = none). Past its deadline a request is cancelled: queued jobs
-    /// dropped, running jobs stopped through their cancel flag.
-    std::uint64_t defaultDeadlineMs = 0;
-    /// Spool scans an incomplete file (empty, or no terminal newline) must
-    /// survive unchanged before it is quarantined as ".rejected" — gives a
-    /// slow writer time to finish.
-    unsigned spoolQuarantineScans = 3;
 };
 
-/// Why (and how) a submit was rejected, for protocol replies and clients.
+/// Why a submit was rejected, for protocol replies and clients.
 struct SubmitInfo {
-    /// Load shedding (queue full / draining): same request later is fine.
-    bool shed = false;
     /// Storage-degraded: writes are failing, service is read-only.
     bool degraded = false;
-    /// When shed: suggested client backoff, from live service latency.
-    std::uint64_t retryAfterMs = 0;
 };
 
 class SweepService {
@@ -129,10 +98,9 @@ public:
 
     /// Admits a request: validates (expandJobs), assigns the next id,
     /// journals it, queues its jobs. On success returns true and fills
-    /// @p r.id (also echoed via @p idOut). Rejections (bad request, queue
-    /// full, degraded, draining) leave the service untouched; when
-    /// @p info is non-null it says whether the rejection was shedding or
-    /// degradation and what backoff to suggest.
+    /// @p r.id (also echoed via @p idOut). Rejections (bad request,
+    /// degraded, draining, shutting down) leave the service untouched;
+    /// when @p info is non-null it says whether the disk was to blame.
     bool submit(SweepRequest r, std::string* idOut, std::string* error,
                 SubmitInfo* info = nullptr);
 
@@ -152,13 +120,13 @@ public:
     bool cancel(const std::string& id, std::string* error);
 
     /// Service counters: queue depth, per-tenant shares, produce-cache
-    /// hits, job/request latency histograms, overload/degraded state
-    /// (dscoh-svc-stats-v1).
+    /// hits, job/request latency histograms, degraded state
+    /// (dscoh-svc-stats-v2).
     std::string statsJson() const;
 
     /// Periodic maintenance, called from the server's poll loop (and
-    /// tests): expires request deadlines, probes the disk while degraded
-    /// and, on recovery, finishes publications the failure interrupted.
+    /// tests): probes the disk while degraded and, on recovery, finishes
+    /// publications the failure interrupted.
     void tick();
 
     /// True while storage writes are failing (submits rejected).
@@ -172,14 +140,6 @@ public:
     /// remain journaled for the next start). Returns immediately; the
     /// destructor joins the pool.
     void beginShutdown();
-
-    /// Scans <stateDir>/spool for "*.json" request files (sorted by name),
-    /// submitting each and deleting it; malformed/rejected files are
-    /// renamed "<name>.rejected" with the reason in "<name>.error".
-    /// Incomplete files (empty, or missing the terminal newline) are given
-    /// spoolQuarantineScans scans to finish before the same quarantine.
-    /// Returns the number of requests admitted.
-    std::size_t scanSpool();
 
     /// The request directory for @p id (where results.json lands).
     std::string requestDir(const std::string& id) const;
@@ -199,14 +159,9 @@ private:
         /// queued | running | done | failed | cancelled
         std::string state = "queued";
         std::chrono::steady_clock::time_point admittedAt;
-        /// Deadline expiry (when the request or options set one).
-        std::optional<std::chrono::steady_clock::time_point> deadlineAt;
-        /// Raised on cancel/deadline; running jobs poll it between slices.
+        /// Raised on cancel; running jobs poll it between slices.
         /// shared_ptr: workers outlive the map entry on late completion.
         std::shared_ptr<std::atomic<bool>> cancelFlag;
-        /// Modelled peak footprint of one job (max over the request's
-        /// jobs), for the tenant memory budget.
-        std::uint64_t jobMemBytes = 0;
         /// Terminal work (publish + WAL + journal disposal) is owed but
         /// failed on a degraded disk; retried by tick() on recovery.
         bool finishPending = false;
@@ -229,10 +184,6 @@ private:
     void walAppendLocked(const std::string& payload);
     /// Flips the service degraded (idempotent). Assumes @p mu_ is held.
     void degradeLocked(const std::string& reason);
-    /// Suggested client backoff from queue depth and live job latency.
-    std::uint64_t retryAfterMsLocked() const;
-    /// Cancel core shared by client cancels and deadline expiry.
-    void cancelLocked(const std::string& id, RequestState& rs);
     std::optional<ResidentEngine::Admitted> pullNext();
     void onJobDone(const std::string& id, std::size_t jobIndex,
                    ExperimentResult&& r);
@@ -247,15 +198,9 @@ private:
     std::size_t inflight_ = 0;
     FairScheduler sched_;
     std::map<std::string, RequestState> requests_;
-    /// Modelled bytes of each tenant's RUNNING jobs (memory budget gate).
-    std::map<std::string, std::uint64_t> tenantRunningBytes_;
     bool degraded_ = false;
     std::string degradedReason_;
-    std::uint64_t shedSubmits_ = 0;    ///< submits rejected for load
-    std::uint64_t deadlineCancels_ = 0;
     std::uint64_t degradedRejects_ = 0;
-    /// Incomplete spool files: name -> (last size, unchanged-scan count).
-    std::map<std::string, std::pair<std::uint64_t, unsigned>> spoolAging_;
     std::uint64_t cacheHits_ = 0;
     std::uint64_t cacheMisses_ = 0;
     Histogram jobLatencyMs_{100, 64};     ///< per-job wall ms

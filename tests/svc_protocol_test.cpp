@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "obs/json_lite.h"
 #include "svc/protocol.h"
@@ -89,6 +90,14 @@ TEST(SweepRequestJson, DefaultsAndAliasesApply)
     ASSERT_EQ(r.modes.size(), 2u);
     EXPECT_EQ(r.modes[0], CoherenceMode::kCcsm);
     EXPECT_EQ(r.modes[1], CoherenceMode::kDirectStore);
+
+    // Older WALs embed requests with a "deadlineMs" member; it is ignored
+    // like any unknown field, so those requests still replay.
+    ASSERT_TRUE(parseRequestJson("{\"tenant\": \"alice\", \"deadlineMs\": 5}",
+                                 &r, &error))
+        << error;
+    EXPECT_EQ(r.tenant, "alice");
+    EXPECT_EQ(renderRequestJson(r).find("deadlineMs"), std::string::npos);
 }
 
 TEST(SweepRequestJson, RejectsMalformedFields)
@@ -100,6 +109,27 @@ TEST(SweepRequestJson, RejectsMalformedFields)
     EXPECT_FALSE(parseRequestJson("{\"weight\": 0}", &r, &error));
     EXPECT_FALSE(parseRequestJson("{\"modes\": [\"warp\"]}", &r, &error));
     EXPECT_FALSE(parseRequestJson("{\"tenant\": \"\"}", &r, &error));
+
+    // Numbers must fit the field's integer type exactly: no fractions, no
+    // values the cast would overflow.
+    EXPECT_FALSE(parseRequestJson("{\"priority\": 1e300}", &r, &error));
+    EXPECT_EQ(error, "request field 'priority' must be an integer in "
+                     "[-2147483648, 2147483647]");
+    EXPECT_FALSE(parseRequestJson("{\"priority\": -1e300}", &r, &error));
+    EXPECT_FALSE(parseRequestJson("{\"priority\": 2.5}", &r, &error));
+    EXPECT_FALSE(parseRequestJson("{\"priority\": 2147483648}", &r, &error));
+    EXPECT_FALSE(parseRequestJson("{\"weight\": 1e10}", &r, &error));
+    EXPECT_EQ(error,
+              "request field 'weight' must be an integer in [1, 4294967295]");
+    EXPECT_FALSE(parseRequestJson("{\"weight\": 2.5}", &r, &error));
+    EXPECT_FALSE(parseRequestJson("{\"weight\": 4294967296}", &r, &error));
+
+    // The extremes themselves are fine.
+    ASSERT_TRUE(parseRequestJson(
+        "{\"priority\": -2147483648, \"weight\": 4294967295}", &r, &error))
+        << error;
+    EXPECT_EQ(r.priority, -2147483647 - 1);
+    EXPECT_EQ(r.weight, 4294967295u);
 }
 
 TEST(SweepRequestJson, ExpandJobsMatchesMakeSweepJobs)
@@ -206,50 +236,44 @@ TEST(Protocol, SubmitStatusListLifecycle)
     EXPECT_FALSE(okOf(parseOrDie(handleRequestLine(
         svc, "{\"op\": \"cancel\", \"id\": \"" + id + "\"}", nullptr))));
 
-    const jsonlite::ValuePtr stats = parseOrDie(
+    const jsonlite::ValuePtr reply = parseOrDie(
         handleRequestLine(svc, "{\"op\": \"stats\"}", nullptr));
-    ASSERT_TRUE(okOf(stats));
-    EXPECT_EQ(stats->get("stats")->get("schema")->string,
-              "dscoh-svc-stats-v1");
-    EXPECT_EQ(stats->get("stats")->get("requests")->get("done")->asUint(),
-              1u);
+    ASSERT_TRUE(okOf(reply));
+    const jsonlite::Value* stats = reply->get("stats");
+    ASSERT_NE(stats, nullptr);
+    EXPECT_EQ(stats->get("schema")->string, "dscoh-svc-stats-v2");
+    EXPECT_EQ(stats->get("requests")->get("done")->asUint(), 1u);
+    // perfbench's probe reads the produce-cache counters.
+    const jsonlite::Value* cache = stats->get("produceCache");
+    ASSERT_NE(cache, nullptr);
+    ASSERT_NE(cache->get("hits"), nullptr);
+    ASSERT_NE(cache->get("misses"), nullptr);
+    EXPECT_EQ(cache->get("hits")->asUint() + cache->get("misses")->asUint(),
+              2u);
+    // The v2 member set, exactly.
+    const auto keysOf = [](const jsonlite::Value& v) {
+        std::vector<std::string> keys;
+        for (const auto& [key, member] : v.object)
+            keys.push_back(key);
+        return keys;
+    };
+    EXPECT_EQ(keysOf(*stats),
+              (std::vector<std::string>{
+                  "degraded", "jobLatencyMs", "overload", "produceCache",
+                  "queuedJobs", "requestLatencyMs", "requests", "runningJobs",
+                  "schema", "tenants", "workers"}));
+    EXPECT_EQ(keysOf(*stats->get("overload")),
+              (std::vector<std::string>{"degradedRejects"}));
+    const jsonlite::Value* tenants = stats->get("tenants");
+    ASSERT_EQ(tenants->array.size(), 1u);
+    EXPECT_EQ(keysOf(*tenants->array[0]),
+              (std::vector<std::string>{"dispatched", "queued", "tenant",
+                                        "weight"}));
 
     bool shutdown = false;
     EXPECT_TRUE(okOf(parseOrDie(
         handleRequestLine(svc, "{\"op\": \"shutdown\"}", &shutdown))));
     EXPECT_TRUE(shutdown);
-}
-
-TEST(Protocol, SpoolScanAdmitsAndRejectsFiles)
-{
-    ScratchDir dir("svc_proto_spool");
-    ServiceOptions opts;
-    opts.stateDir = dir.path();
-    opts.workers = 2;
-    SweepService svc(opts);
-
-    SweepRequest good;
-    good.tenant = "spooler";
-    good.codes = {"VA"};
-    {
-        std::ofstream out(dir.path() + "/spool/aa-good.json");
-        out << renderRequestJson(good) << "\n";
-    }
-    {
-        std::ofstream out(dir.path() + "/spool/bb-bad.json");
-        out << "{\"codes\": [\"NOPE\"]}\n";
-    }
-    EXPECT_EQ(svc.scanSpool(), 1u);
-    // The good file is consumed; the bad one is renamed with a reason.
-    EXPECT_FALSE(std::ifstream(dir.path() + "/spool/aa-good.json").good());
-    EXPECT_TRUE(
-        std::ifstream(dir.path() + "/spool/bb-bad.json.rejected").good());
-    EXPECT_TRUE(
-        std::ifstream(dir.path() + "/spool/bb-bad.json.error").good());
-    svc.drain();
-    std::string status, error;
-    ASSERT_TRUE(svc.statusJson("r000001", &status, &error)) << error;
-    EXPECT_NE(status.find("spooler"), std::string::npos);
 }
 
 TEST(Protocol, OversizedLineIsRejectedWithAnError)
@@ -285,34 +309,6 @@ TEST(Protocol, ControlBytesAreRejectedWithAnError)
     EXPECT_FALSE(okOf(v));
     EXPECT_NE(v->get("error")->string.find("control byte"),
               std::string::npos);
-}
-
-TEST(Protocol, ShedSubmitReplyCarriesRetryAfter)
-{
-    ScratchDir dir("svc_proto_shed");
-    ServiceOptions opts;
-    opts.stateDir = dir.path();
-    opts.workers = 1;
-    opts.maxQueuedJobs = 1; // a two-job request is over the queue budget
-    SweepService svc(opts);
-
-    SweepRequest r;
-    r.codes = {"VA", "BL"};
-    r.modes = {CoherenceMode::kCcsm};
-    bool shutdown = false;
-    const std::string reply = handleRequestLine(
-        svc,
-        "{\"op\": \"submit\", \"request\": \"" +
-            jsonEscape(renderRequestJson(r)) + "\"}",
-        &shutdown);
-    const jsonlite::ValuePtr v = parseOrDie(reply);
-    EXPECT_FALSE(okOf(v));
-    // Machine-readable overload marker: shed flag plus a backoff hint, so
-    // shell clients can retry without parsing the error text.
-    ASSERT_NE(v->get("shed"), nullptr);
-    EXPECT_TRUE(v->get("shed")->boolean);
-    ASSERT_NE(v->get("retryAfterMs"), nullptr);
-    EXPECT_GE(v->get("retryAfterMs")->asUint(), 250u);
 }
 
 TEST(LineFramer, FramesLinesAndStripsCrlf)

@@ -101,23 +101,6 @@ TEST(FairScheduler, IdleTenantDoesNotBankCredit)
     EXPECT_EQ(firstFour["rb"], 2);
 }
 
-TEST(FairScheduler, BoundedQueueRejectsWholeRequests)
-{
-    FairScheduler s(5);
-    std::string error;
-    ASSERT_TRUE(s.enqueue("r1", "a", 0, 1, 3, &error));
-    // 3 queued; another 3 would make 6 > 5 — rejected atomically.
-    EXPECT_FALSE(s.enqueue("r2", "b", 0, 1, 3, &error));
-    EXPECT_NE(error.find("queue full"), std::string::npos);
-    EXPECT_EQ(s.queuedJobs(), 3u);
-    // A request that fits is still admitted.
-    ASSERT_TRUE(s.enqueue("r3", "b", 0, 1, 2, &error));
-    EXPECT_EQ(s.queuedJobs(), 5u);
-    // Draining frees capacity.
-    ASSERT_TRUE(s.next().has_value());
-    ASSERT_TRUE(s.enqueue("r4", "c", 0, 1, 1, &error));
-}
-
 TEST(FairScheduler, ZeroJobRequestsAreRejected)
 {
     FairScheduler s;
@@ -151,37 +134,6 @@ TEST(FairScheduler, SharesReportQueueAndDispatchCounts)
     EXPECT_EQ(shares[0].weight, 2u);
     EXPECT_EQ(shares[0].queued + shares[1].queued, 3u);
     EXPECT_EQ(shares[0].dispatched + shares[1].dispatched, 1u);
-}
-
-TEST(FairScheduler, PredicateSkipsIneligibleTenantWithoutCostingItShare)
-{
-    FairScheduler s;
-    std::string error;
-    ASSERT_TRUE(s.enqueue("ra", "alice", 0, 1, 4, &error));
-    ASSERT_TRUE(s.enqueue("rb", "bob", 0, 1, 4, &error));
-
-    // While alice is over budget only bob's units dispatch...
-    const auto onlyBob = [](const std::string& t) { return t == "bob"; };
-    for (int i = 0; i < 2; ++i) {
-        const std::optional<JobUnit> u = s.next(onlyBob);
-        ASSERT_TRUE(u.has_value());
-        EXPECT_EQ(u->requestId, "rb");
-    }
-    // ...and nothing dispatches when nobody is eligible, without losing
-    // the queued work.
-    EXPECT_FALSE(s.next([](const std::string&) { return false; }).has_value());
-    EXPECT_EQ(s.queuedJobs(), 6u);
-
-    // Once alice is eligible again she was not charged for the skipped
-    // rounds: her backlog drains first until virtual times equalize.
-    std::map<std::string, int> nextFour;
-    for (int i = 0; i < 4; ++i) {
-        const std::optional<JobUnit> u = s.next();
-        ASSERT_TRUE(u.has_value());
-        ++nextFour[u->requestId];
-    }
-    EXPECT_EQ(nextFour["ra"], 3);
-    EXPECT_EQ(nextFour["rb"], 1);
 }
 
 } // namespace

@@ -292,45 +292,26 @@ TEST(SweepService, CancelDropsQueuedWorkAndPublishesNoResults)
               std::string::npos);
 }
 
-TEST(SweepService, BackpressureRejectsOversizedRequests)
+TEST(SweepService, SubmitAfterShutdownLeavesNoTrace)
 {
-    ScratchDir dir("svc_e2e_backpressure");
+    ScratchDir dir("svc_e2e_shutdown_submit");
     ServiceOptions opts;
     opts.stateDir = dir.path();
     opts.workers = 1;
-    opts.maxQueuedJobs = 1;
     SweepService svc(opts);
+    svc.beginShutdown();
 
     SweepRequest req;
-    req.codes = {"VA"}; // expands to 2 jobs > the 1-job queue bound
-    std::string id, error;
-    EXPECT_FALSE(svc.submit(req, &id, &error));
-    EXPECT_NE(error.find("queue full"), std::string::npos);
-    // Nothing was admitted: no WAL line, no request dir.
-    EXPECT_EQ(slurp(dir.path() + "/svc.journal").find("accepted"),
-              std::string::npos);
-}
-
-TEST(SweepService, ShedSubmitReportsRetryAfter)
-{
-    ScratchDir dir("svc_e2e_shed");
-    ServiceOptions opts;
-    opts.stateDir = dir.path();
-    opts.workers = 1;
-    opts.maxQueuedJobs = 1;
-    SweepService svc(opts);
-
-    SweepRequest req;
-    req.codes = {"VA"}; // 2 jobs > the 1-job queue bound
+    req.codes = {"VA"};
     std::string id, error;
     SubmitInfo info;
     EXPECT_FALSE(svc.submit(req, &id, &error, &info));
-    EXPECT_TRUE(info.shed);
-    EXPECT_FALSE(info.degraded);
-    EXPECT_GE(info.retryAfterMs, 250u);
-    EXPECT_LE(info.retryAfterMs, 60000u);
-    EXPECT_NE(svc.statsJson().find("\"shedSubmits\": 1"),
+    EXPECT_EQ(error, "service is shutting down");
+    EXPECT_FALSE(info.degraded); // a plain rejection, not a sick disk
+    // Nothing was admitted: no WAL line, no request dir.
+    EXPECT_EQ(slurp(dir.path() + "/svc.journal").find("accepted"),
               std::string::npos);
+    EXPECT_TRUE(fs::is_empty(dir.path() + "/jobs"));
 }
 
 TEST(SweepService, DegradedStorageRejectsThenRecovers)
@@ -377,65 +358,6 @@ TEST(SweepService, DegradedStorageRejectsThenRecovers)
     ASSERT_TRUE(svc.submit(req, &id, &error, &info)) << error;
     waitTerminal(svc, id);
     EXPECT_EQ(stateOf(svc, id), "done");
-}
-
-TEST(SweepService, DeadlineExpiryCancelsAQueuedRequest)
-{
-    ScratchDir dir("svc_e2e_deadline");
-    ServiceOptions opts;
-    opts.stateDir = dir.path();
-    opts.workers = 1;
-    SweepService svc(opts);
-
-    // Fill the single worker with a higher-priority request of the same
-    // tenant, so the deadlined one is still queued when its budget ends.
-    SweepRequest big;
-    big.tenant = "alice";
-    big.priority = 1;
-    big.codes = {"VA", "NN", "BP", "BL"};
-    std::string bigId, id, error;
-    ASSERT_TRUE(svc.submit(big, &bigId, &error)) << error;
-
-    SweepRequest doomed;
-    doomed.tenant = "alice";
-    doomed.priority = 0;
-    doomed.codes = {"VA"};
-    doomed.modes = {CoherenceMode::kCcsm};
-    doomed.deadlineMs = 1;
-    ASSERT_TRUE(svc.submit(doomed, &id, &error)) << error;
-
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    svc.tick(); // the deadline sweep runs here, not on a worker
-    EXPECT_EQ(stateOf(svc, id), "cancelled");
-    EXPECT_FALSE(fs::exists(svc.requestDir(id) + "/results.json"));
-    EXPECT_NE(svc.statsJson().find("\"deadlineCancels\": 1"),
-              std::string::npos);
-
-    waitTerminal(svc, bigId);
-    EXPECT_EQ(stateOf(svc, bigId), "done"); // bystander unharmed
-}
-
-TEST(SweepService, TenantMemoryBudgetThrottlesWithoutWedging)
-{
-    ScratchDir dir("svc_e2e_membudget");
-    ServiceOptions opts;
-    opts.stateDir = dir.path();
-    opts.workers = 2;
-    // A budget smaller than any single job: the soft cap still lets an
-    // idle tenant run one job at a time, so everything completes.
-    opts.tenantMemBudgetBytes = 1;
-    SweepService svc(opts);
-
-    SweepRequest req;
-    req.tenant = "alice";
-    req.codes = {"VA", "BL"};
-    std::string id, error;
-    ASSERT_TRUE(svc.submit(req, &id, &error)) << error;
-    waitTerminal(svc, id);
-    EXPECT_EQ(stateOf(svc, id), "done");
-    // All in-flight accounting unwound.
-    EXPECT_NE(svc.statsJson().find("\"runningBytes\": 0"),
-              std::string::npos);
 }
 
 } // namespace

@@ -57,6 +57,14 @@ struct EvalCase {
     std::uint64_t expected;
 };
 
+// gtest_discover_tests names each case by its printed parameter. Without
+// this printer gtest dumps the raw bytes, so the name would carry the
+// address of the string literal and change with every run.
+void PrintTo(const EvalCase& c, std::ostream* os)
+{
+    *os << c.expr << " = " << c.expected;
+}
+
 class SizeEval : public ::testing::TestWithParam<EvalCase> {};
 
 TEST_P(SizeEval, Evaluates)

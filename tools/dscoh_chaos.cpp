@@ -5,12 +5,12 @@
 //
 // Drives a real dscoh_svc daemon (fork/exec, its own process) through a
 // seeded schedule of interleaved operations — submits over the socket,
-// spool file drops (including deliberately incomplete ones), status polls,
-// cancels, SIGKILLs with restart — while the daemon runs with storage-fault
-// injection armed (--iofault): torn writes, ENOSPC, EIO, fsync failures,
-// and crash-before/after-rename, each incarnation on its own derived seed
-// with a fault cap so restarts always make progress. A final incarnation
-// runs fault-free, drains the queue, and shuts down cleanly.
+// status polls, cancels, SIGKILLs with restart — while the daemon runs with
+// storage-fault injection armed (--iofault): torn writes, ENOSPC, EIO,
+// fsync failures, and crash-before/after-rename, each incarnation on its
+// own derived seed with a fault cap so restarts always make progress. A
+// final incarnation runs fault-free, drains the queue, and shuts down
+// cleanly.
 //
 // Then the harness audits the wreckage:
 //
@@ -25,14 +25,10 @@
 //      byte-identical to an in-process fault-free reference run of the
 //      same request. "failed" terminals are chaos failures (every request
 //      the driver submits is valid).
-//   5. Spool hygiene: every complete spool drop is consumed (admitted);
-//      every deliberately incomplete drop is quarantined as .rejected with
-//      a .error note.
 //
 // Exit 0 when every invariant holds, 1 otherwise. The whole run is
 // deterministic in --seed: the op schedule, request shapes, and each
 // incarnation's fault schedule all derive from it.
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -210,10 +206,7 @@ private:
 struct ChaosLedger {
     std::set<std::string> okIds;       ///< submit replies with ok: true
     std::size_t lostSubmitReplies = 0; ///< submits whose reply never came
-    std::vector<std::string> goodSpoolFiles;
-    std::vector<std::string> badSpoolFiles;
     std::size_t restarts = 0;  ///< SIGKILLs + crash-fault deaths
-    std::size_t shed = 0;      ///< submits rejected with shed: true
     std::size_t degraded = 0;  ///< submits rejected with degraded: true
 };
 
@@ -238,8 +231,6 @@ svc::SweepRequest makeRequest(Rng& rng)
     r.codes = {kCodes[rng.below(4)]};
     r.modes = {rng.below(2) == 0 ? CoherenceMode::kCcsm
                                  : CoherenceMode::kDirectStore};
-    if (rng.below(8) == 0)
-        r.deadlineMs = 30000; // long: usually finishes, occasionally expires
     return r;
 }
 
@@ -282,11 +273,10 @@ void runSchedule(Daemon& daemon, const ChaosOptions& opts,
 {
     Rng rng(opts.seed);
     std::vector<std::string> knownIds;
-    unsigned spoolCounter = 0;
 
     for (std::uint64_t op = 0; op < opts.ops; ++op) {
         const std::uint64_t dice = rng.below(100);
-        if (dice < 40) {
+        if (dice < 50) {
             // Socket submit.
             const svc::SweepRequest r = makeRequest(rng);
             const std::string line =
@@ -305,37 +295,9 @@ void runSchedule(Daemon& daemon, const ChaosOptions& opts,
                     ledger.okIds.insert(id->string);
                     knownIds.push_back(id->string);
                 }
-            } else if (const jsonlite::Value* shed = v->get("shed");
-                       shed != nullptr && shed->boolean) {
-                ++ledger.shed;
             } else if (const jsonlite::Value* deg = v->get("degraded");
                        deg != nullptr && deg->boolean) {
                 ++ledger.degraded;
-            }
-        } else if (dice < 50) {
-            // Spool drop — mostly complete (atomic tmp+rename), sometimes
-            // deliberately broken to exercise quarantine.
-            const std::string base = opts.stateDir + "/spool/chaos-" +
-                                     std::to_string(spoolCounter++);
-            if (rng.below(4) == 0) {
-                // Incomplete: empty, or missing the terminal newline.
-                std::ofstream out(base + ".json", std::ios::binary);
-                if (rng.below(2) == 0) {
-                    svc::SweepRequest r = makeRequest(rng);
-                    r.tenant = "spool";
-                    out << svc::renderRequestJson(r); // no '\n'
-                }
-                out.close();
-                ledger.badSpoolFiles.push_back(base + ".json");
-            } else {
-                svc::SweepRequest r = makeRequest(rng);
-                r.tenant = "spool";
-                std::ofstream out(base + ".tmp", std::ios::binary);
-                out << svc::renderRequestJson(r) << "\n";
-                out.close();
-                std::rename((base + ".tmp").c_str(),
-                            (base + ".json").c_str());
-                ledger.goodSpoolFiles.push_back(base + ".json");
             }
         } else if (dice < 62 && !knownIds.empty()) {
             // Status poll of a random past request (terminal ids answer
@@ -363,31 +325,6 @@ void runSchedule(Daemon& daemon, const ChaosOptions& opts,
             sleepMs(5 + static_cast<unsigned>(rng.below(35)));
         }
     }
-}
-
-/// Waits until the spool holds no live .json files (everything admitted or
-/// quarantined). The daemon scans on every poll tick.
-bool awaitSpoolClean(const std::string& stateDir, Daemon& daemon,
-                     ChaosLedger& ledger)
-{
-    for (int i = 0; i < 600; ++i) {
-        bool live = false;
-        for (const std::string& f : ledger.goodSpoolFiles)
-            live = live || fileExists(f);
-        for (const std::string& f : ledger.badSpoolFiles)
-            live = live || fileExists(f);
-        if (!live)
-            return true;
-        // Keep the daemon honest: a crash here must still be survived.
-        if (!daemon.aliveNow()) {
-            ++ledger.restarts;
-            if (!daemon.start(false))
-                return false;
-        }
-        (void)stateDir;
-        sleepMs(100);
-    }
-    return false;
 }
 
 /// Fault-free reference results for one accepted request, cached across
@@ -476,16 +413,13 @@ int audit(const ChaosOptions& opts, const ChaosLedger& ledger)
                  " times");
 
     // 2. Ghost accepts (reply lost to a crash) are bounded by the submits
-    //    whose replies the driver never saw. Spool intake is at-least-once
-    //    by design (a kill between WAL append and file removal re-admits
-    //    the file), so spool-tenant ghosts are unbounded but harmless.
-    std::size_t socketGhosts = 0;
+    //    whose replies never arrived.
+    std::size_t ghosts = 0;
     for (const auto& [id, req] : acceptedReq)
-        if (req.tenant != "spool" && ledger.okIds.count(id) == 0)
-            ++socketGhosts;
-    if (socketGhosts > ledger.lostSubmitReplies)
-        fail(std::to_string(socketGhosts) +
-             " unacknowledged socket accepts but only " +
+        if (ledger.okIds.count(id) == 0)
+            ++ghosts;
+    if (ghosts > ledger.lostSubmitReplies)
+        fail(std::to_string(ghosts) + " unacknowledged accepts but only " +
              std::to_string(ledger.lostSubmitReplies) +
              " submits lost their reply");
 
@@ -539,24 +473,11 @@ int audit(const ChaosOptions& opts, const ChaosLedger& ledger)
             ++compared;
     }
 
-    // 5. Spool hygiene.
-    for (const std::string& f : ledger.goodSpoolFiles) {
-        if (fileExists(f))
-            fail("complete spool drop " + f + " was never consumed");
-        if (fileExists(f + ".rejected"))
-            fail("complete spool drop " + f + " was quarantined");
-    }
-    for (const std::string& f : ledger.badSpoolFiles) {
-        if (!fileExists(f + ".rejected") || !fileExists(f + ".error"))
-            fail("incomplete spool drop " + f +
-                 " was not quarantined as .rejected + .error");
-    }
-
     std::cout << "dscoh_chaos: seed " << opts.seed << ", " << opts.ops
               << " ops, " << ledger.restarts << " daemon restarts, "
               << acceptedCount.size() << " accepted ("
-              << ledger.okIds.size() << " acked, " << ledger.shed
-              << " shed, " << ledger.degraded << " degraded-rejected), "
+              << ledger.okIds.size() << " acked, " << ledger.degraded
+              << " degraded-rejected), "
               << compared << " results byte-verified, " << failures
               << " invariant violations\n";
     return failures == 0 ? kExitOk : kExitFailure;
@@ -611,7 +532,6 @@ int main(int argc, char** argv)
         return kExitUsage;
     }
     ::mkdir(opts.stateDir.c_str(), 0755);
-    ::mkdir((opts.stateDir + "/spool").c_str(), 0755);
 
     Daemon daemon(opts.svcPath, opts.stateDir, opts.seed);
     if (!daemon.start(true)) {
@@ -630,16 +550,11 @@ int main(int argc, char** argv)
     runSchedule(daemon, opts, ledger);
 
     // Final incarnation: fault-free. Kill whatever is running the hard
-    // way, recover, let the spool drain, finish every queued job, and
-    // shut down voluntarily.
+    // way, recover, finish every queued job, and shut down voluntarily.
     daemon.kill();
     ++ledger.restarts;
     if (!daemon.start(false)) {
         std::cerr << "dscoh_chaos: fault-free restart failed\n";
-        return kExitFailure;
-    }
-    if (!awaitSpoolClean(opts.stateDir, daemon, ledger)) {
-        std::cerr << "dscoh_chaos: spool never drained\n";
         return kExitFailure;
     }
     {

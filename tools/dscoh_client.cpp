@@ -10,10 +10,12 @@
 //   dscoh_client --socket S list | stats | drain | shutdown
 //
 // submit prints the assigned request id and directory; --watch then polls
-// until the request is terminal (exit 0 done, 1 failed/cancelled). watch
-// does the same for an existing id. All other commands print the daemon's
-// reply document.
+// until the request is terminal (exit 0 done, 1 failed/cancelled) and the
+// results are in <dir>/results.json. watch does the same for an existing
+// id. All other commands print the daemon's reply document. A daemon
+// error exits 1, or 7 when the daemon is degraded (storage failing).
 #include <chrono>
+#include <climits>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -54,6 +56,18 @@ std::vector<std::string> splitCommas(const std::string& s)
     return out;
 }
 
+/// Parses all of @p text as a decimal int; false on junk or overflow.
+bool parseInt(const std::string& text, int* out)
+{
+    try {
+        std::size_t used = 0;
+        *out = std::stoi(text, &used, 10);
+        return used == text.size();
+    } catch (const std::exception&) {
+        return false;
+    }
+}
+
 /// One round trip; exits on transport failure, returns the parsed reply.
 jsonlite::ValuePtr call(const svc::SvcClient& client,
                         const std::string& line, std::string* rawReply)
@@ -76,18 +90,8 @@ jsonlite::ValuePtr call(const svc::SvcClient& client,
                   << (err != nullptr && err->isString() ? err->string
                                                         : reply)
                   << "\n";
-        // Overload/degraded rejections get their own exit codes so shell
-        // callers can implement backoff without parsing the reply.
-        if (const jsonlite::Value* shed = v->get("shed");
-            shed != nullptr && shed->kind == jsonlite::Kind::kBool &&
-            shed->boolean) {
-            if (const jsonlite::Value* retry = v->get("retryAfterMs");
-                retry != nullptr && retry->isNumber())
-                std::cerr << "dscoh_client: retry after "
-                          << static_cast<std::uint64_t>(retry->number)
-                          << " ms\n";
-            std::exit(kExitShed);
-        }
+        // A degraded daemon gets its own exit code so shell callers can
+        // tell a sick disk from a bad request without parsing the reply.
         if (const jsonlite::Value* deg = v->get("degraded");
             deg != nullptr && deg->kind == jsonlite::Kind::kBool &&
             deg->boolean)
@@ -154,7 +158,6 @@ int main(int argc, char** argv)
     std::string modesText;
     std::string configFile;
     std::string requestFile;
-    std::uint64_t deadlineMs = 0;
     bool watchFlag = false;
 
     cli::OptionParser parser(
@@ -179,10 +182,6 @@ int main(int argc, char** argv)
     parser.addString("request",
                      "submit: raw request JSON file (overrides other flags)",
                      &requestFile);
-    parser.addUint("deadline-ms",
-                   "submit: cancel the request if not finished in this many "
-                   "ms (0 = no deadline)",
-                   &deadlineMs);
     parser.addFlag("watch", "submit: poll until the request is terminal",
                    &watchFlag);
     if (!parser.parse(argc, argv, std::cerr))
@@ -243,8 +242,16 @@ int main(int argc, char** argv)
     } else {
         svc::SweepRequest r;
         r.tenant = tenant;
-        r.priority = static_cast<int>(std::strtol(priorityText.c_str(),
-                                                  nullptr, 10));
+        if (!parseInt(priorityText, &r.priority)) {
+            std::cerr << "dscoh_client: --priority must be an integer, got '"
+                      << priorityText << "'\n";
+            return kExitUsage;
+        }
+        if (weight == 0 || weight > UINT_MAX) {
+            std::cerr << "dscoh_client: --weight must be in [1, " << UINT_MAX
+                      << "]\n";
+            return kExitUsage;
+        }
         r.weight = static_cast<unsigned>(weight);
         if (sizeText != "small" && sizeText != "big") {
             std::cerr << "dscoh_client: --size must be small or big\n";
@@ -270,7 +277,6 @@ int main(int argc, char** argv)
             std::cerr << "dscoh_client: " << error << "\n";
             return kExitUsage;
         }
-        r.deadlineMs = deadlineMs;
         requestJson = svc::renderRequestJson(r);
     }
 

@@ -2,8 +2,7 @@
 //
 // Runs the ExperimentEngine resident, accepting sweep requests from any
 // number of tenants over a Unix-domain socket (dscoh-svc-v1, see
-// src/svc/protocol.h) and from a spool directory
-// (<state>/spool/*.json, for environments with no socket access). Work is
+// src/svc/protocol.h; dscoh_client is the command-line client). Work is
 // shared fairly across tenants, the CPU produce phase is deduplicated
 // through a shared snapshot cache, and a write-ahead journal makes the
 // queue survive SIGKILL: restart the daemon on the same --state dir and
@@ -40,45 +39,27 @@ int main(int argc, char** argv)
     std::string stateDir;
     std::string socketPath;
     std::string jobsText;
-    std::uint64_t maxQueuedJobs = 0;
     std::uint64_t cacheMaxMb = 0;
-    std::uint64_t tenantMemBudgetMb = 0;
-    std::uint64_t defaultDeadlineMs = 0;
     bool noForkProduce = false;
-    bool jobCheckpoints = false;
     std::string ioFaultSpec;
 
     cli::OptionParser parser(
         "dscoh_svc",
-        "Persistent multi-tenant sweep daemon (dscoh-svc-v1 socket + spool "
-        "intake). State, results, and the recovery journal live under "
-        "--state; kill it any way you like and restart on the same dir.");
+        "Persistent multi-tenant sweep daemon (dscoh-svc-v1 socket). "
+        "State, results, and the recovery journal live under --state; kill "
+        "it any way you like and restart on the same dir.");
     parser.addString("state", "state directory (required; created if absent)",
                      &stateDir);
     parser.addString("socket",
                      "socket path (default: <state>/svc.sock)", &socketPath);
     parser.addString("jobs", "worker threads (default: DSCOH_JOBS or all cores)",
                      &jobsText);
-    parser.addUint("max-queued-jobs",
-                   "backpressure: max queued jobs across tenants (0 = unbounded)",
-                   &maxQueuedJobs);
     parser.addUint("cache-max-mb",
                    "produce-phase snapshot cache budget in MiB (0 = unbounded)",
                    &cacheMaxMb);
     parser.addFlag("no-fork-produce",
                    "disable the shared produce-phase snapshot cache",
                    &noForkProduce);
-    parser.addFlag("job-checkpoints",
-                   "write per-job produce checkpoints (resumes the one job "
-                   "a crash interrupted, at a snapshot write per job)",
-                   &jobCheckpoints);
-    parser.addUint("tenant-mem-budget-mb",
-                   "soft per-tenant in-flight memory budget in MiB "
-                   "(0 = unbounded)",
-                   &tenantMemBudgetMb);
-    parser.addUint("default-deadline-ms",
-                   "deadline for requests that carry none, ms (0 = none)",
-                   &defaultDeadlineMs);
     parser.addString("iofault",
                      "storage-fault injection spec (key=value[,...]: "
                      "torn-write-ppm, enospc-ppm, eio-ppm, fsync-fail-ppm, "
@@ -115,12 +96,8 @@ int main(int argc, char** argv)
     svc::ServiceOptions opts;
     opts.stateDir = stateDir;
     opts.workers = workers;
-    opts.maxQueuedJobs = maxQueuedJobs;
     opts.forkProduce = !noForkProduce;
     opts.cacheMaxBytes = cacheMaxMb * 1024 * 1024;
-    opts.jobCheckpoints = jobCheckpoints;
-    opts.tenantMemBudgetBytes = tenantMemBudgetMb * 1024 * 1024;
-    opts.defaultDeadlineMs = defaultDeadlineMs;
 
     try {
         svc::SweepService service(opts);

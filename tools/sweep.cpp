@@ -25,31 +25,21 @@
 // document the sweep service serves for its requests), so a poller never
 // reads a torn document.
 //
-// --server SOCKET turns the tool into a thin client of a running
-// dscoh_svc daemon: the same sweep is submitted as one request (tenant,
-// priority and fair-share weight settable), progress is relayed, and the
-// daemon's results.json — byte-identical to embedded execution — is
-// copied to --json and printed as the usual table.
+// To run the same sweep on a dscoh_svc daemon instead, submit it with
+// `dscoh_client submit --watch`; the daemon publishes a byte-identical
+// results.json in the request's directory.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cli/options.h"
-#include "core/config_io.h"
 #include "exp/experiment_engine.h"
 #include "exp/progress.h"
-#include "obs/json_lite.h"
 #include "sim/errors.h"
-#include "snap/serializer.h"
-#include "svc/client.h"
-#include "svc/request.h"
 
 using namespace dscoh;
 
@@ -64,186 +54,6 @@ std::vector<std::string> splitCodes(const std::string& csv)
         if (!item.empty())
             out.push_back(item);
     return out;
-}
-
-/// One daemon round trip; returns the parsed reply object or nullptr with
-/// a message on stderr (transport failures and ok:false replies alike).
-jsonlite::ValuePtr svcCall(const svc::SvcClient& client,
-                           const std::string& line)
-{
-    std::string reply, error;
-    if (!client.call(line, &reply, &error)) {
-        std::cerr << "dscoh_sweep: " << error << "\n";
-        return nullptr;
-    }
-    std::string parseError;
-    jsonlite::ValuePtr v = jsonlite::parse(reply, parseError);
-    if (v == nullptr || !v->isObject()) {
-        std::cerr << "dscoh_sweep: bad daemon reply: " << reply << "\n";
-        return nullptr;
-    }
-    if (const jsonlite::Value* ok = v->get("ok");
-        ok == nullptr || ok->kind != jsonlite::Kind::kBool || !ok->boolean) {
-        const jsonlite::Value* err = v->get("error");
-        std::cerr << "dscoh_sweep: daemon error: "
-                  << (err != nullptr && err->isString() ? err->string : reply)
-                  << "\n";
-        return nullptr;
-    }
-    return v;
-}
-
-/// Thin-client mode: submit the sweep to a dscoh_svc daemon, relay
-/// progress, copy its results.json to @p jsonPath, print the table.
-int runServerMode(const std::string& socketPath, const std::string& tenant,
-                  int priority, unsigned weight, InputSize size,
-                  const std::vector<std::string>& codes,
-                  const SystemConfig& base, const std::string& jsonPath,
-                  const std::string& progressPath)
-{
-    svc::SweepRequest req;
-    req.tenant = tenant;
-    req.priority = priority;
-    req.weight = weight;
-    req.size = size;
-    req.codes = codes;
-    req.modes = {CoherenceMode::kCcsm, CoherenceMode::kDirectStore};
-    // dumpConfig round-trips every field, so the daemon simulates exactly
-    // the config the embedded path would have.
-    req.configText = dumpConfig(base);
-
-    const svc::SvcClient client(socketPath);
-    const jsonlite::ValuePtr submitted = svcCall(
-        client, "{\"op\": \"submit\", \"request\": \"" +
-                    svc::jsonEscape(svc::renderRequestJson(req)) + "\"}");
-    if (submitted == nullptr)
-        return kExitIo;
-    const jsonlite::Value* idVal = submitted->get("id");
-    const jsonlite::Value* dirVal = submitted->get("dir");
-    if (idVal == nullptr || dirVal == nullptr) {
-        std::cerr << "dscoh_sweep: malformed submit reply\n";
-        return kExitFailure;
-    }
-    const std::string id = idVal->string;
-    const std::string dir = dirVal->string;
-    std::fprintf(stderr, "sweep: submitted as %s (tenant %s) to %s\n",
-                 id.c_str(), tenant.c_str(), socketPath.c_str());
-
-    std::string state;
-    std::string lastPrinted;
-    while (state != "done" && state != "failed" && state != "cancelled") {
-        const jsonlite::ValuePtr v = svcCall(
-            client, "{\"op\": \"status\", \"id\": \"" + id + "\"}");
-        if (v == nullptr)
-            return kExitIo;
-        const jsonlite::Value* st = v->get("status");
-        if (st == nullptr || !st->isObject()) {
-            std::cerr << "dscoh_sweep: malformed status reply\n";
-            return kExitFailure;
-        }
-        const jsonlite::Value* stateVal = st->get("state");
-        state = stateVal != nullptr ? stateVal->string : "";
-        const auto count = [&](const char* key) -> std::uint64_t {
-            const jsonlite::Value* c = st->get(key);
-            return c != nullptr ? static_cast<std::uint64_t>(c->number) : 0;
-        };
-        std::ostringstream lineOs;
-        lineOs << "  [" << count("jobsDone") << "/" << count("jobsTotal")
-               << "] " << state;
-        if (count("jobsFailed") != 0)
-            lineOs << " (" << count("jobsFailed") << " failed)";
-        if (lineOs.str() != lastPrinted) {
-            std::fprintf(stderr, "%s\n", lineOs.str().c_str());
-            lastPrinted = lineOs.str();
-        }
-        // The daemon publishes the identical dscoh-progress-v2 document in
-        // the request dir; mirror it to --progress-json for local pollers.
-        if (!progressPath.empty()) {
-            std::ifstream in(dir + "/status.json", std::ios::binary);
-            std::ostringstream doc;
-            doc << in.rdbuf();
-            if (in && !doc.str().empty()) {
-                try {
-                    snap::atomicWriteFile(progressPath, doc.str());
-                } catch (const std::exception&) {
-                }
-            }
-        }
-        if (state != "done" && state != "failed" && state != "cancelled")
-            std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    }
-    if (state == "cancelled") {
-        std::cerr << "dscoh_sweep: request " << id << " was cancelled\n";
-        return kExitFailure;
-    }
-
-    std::ifstream in(dir + "/results.json", std::ios::binary);
-    std::ostringstream doc;
-    doc << in.rdbuf();
-    if (!in || doc.str().empty()) {
-        std::cerr << "dscoh_sweep: cannot read " << dir << "/results.json\n";
-        return kExitIo;
-    }
-    if (!jsonPath.empty()) {
-        try {
-            snap::atomicWriteFile(jsonPath, doc.str());
-        } catch (const std::exception& e) {
-            std::cerr << "dscoh_sweep: cannot write " << jsonPath << ": "
-                      << e.what() << "\n";
-            return kExitIo;
-        }
-    }
-
-    std::string parseError;
-    const jsonlite::ValuePtr results = jsonlite::parse(doc.str(), parseError);
-    const jsonlite::Value* arr =
-        results != nullptr ? results->get("results") : nullptr;
-    if (arr == nullptr || !arr->isArray()) {
-        std::cerr << "dscoh_sweep: malformed results.json: " << parseError
-                  << "\n";
-        return kExitFailure;
-    }
-    int failures = 0;
-    int exitClass = kExitOk;
-    std::printf("%-4s %10s %10s %8s %8s %8s\n", "code", "ccsm", "ds",
-                "speedup%", "mrCCSM", "mrDS");
-    for (std::size_t i = 0; i + 1 < arr->array.size(); i += 2) {
-        const jsonlite::Value& ccsm = *arr->array[i];
-        const jsonlite::Value& ds = *arr->array[i + 1];
-        const auto okOf = [](const jsonlite::Value& r) {
-            const jsonlite::Value* ok = r.get("ok");
-            return ok != nullptr && ok->kind == jsonlite::Kind::kBool &&
-                   ok->boolean;
-        };
-        if (!okOf(ccsm) || !okOf(ds)) {
-            ++failures;
-            const jsonlite::Value& bad = !okOf(ccsm) ? ccsm : ds;
-            const jsonlite::Value* err = bad.get("error");
-            const jsonlite::Value* cls = bad.get("errorClass");
-            if (exitClass == kExitOk)
-                exitClass = cls != nullptr && cls->number != 0
-                                ? static_cast<int>(cls->number)
-                                : kExitFailure;
-            std::printf("%-4s FAILED: %s\n",
-                        ccsm.get("code") != nullptr
-                            ? ccsm.get("code")->string.c_str()
-                            : "?",
-                        err != nullptr ? err->string.c_str() : "");
-            continue;
-        }
-        const jsonlite::Value* mc = ccsm.get("metrics");
-        const jsonlite::Value* md = ds.get("metrics");
-        const double tc = mc->get("ticks")->number;
-        const double td = md->get("ticks")->number;
-        const double speedup = td == 0.0 ? 0.0 : tc / td - 1.0;
-        std::printf("%-4s %10llu %10llu %8.1f %8.3f %8.3f\n",
-                    ccsm.get("code")->string.c_str(),
-                    static_cast<unsigned long long>(tc),
-                    static_cast<unsigned long long>(td), speedup * 100.0,
-                    mc->get("gpuL2MissRate")->number,
-                    md->get("gpuL2MissRate")->number);
-    }
-    return failures == 0 ? kExitOk : exitClass;
 }
 
 } // namespace
@@ -280,18 +90,6 @@ int main(int argc, char** argv)
     parser.addString("progress-json", "atomically publish live progress "
                      "here after every completed job (dscoh-progress-v2: "
                      "done/failed counts, jobs/second, ETA)", &progressPath);
-    std::string serverSocket;
-    std::string tenant = "default";
-    std::string priorityText = "0";
-    std::uint64_t weight = 1;
-    parser.addString("server", "submit to a dscoh_svc daemon at this socket "
-                     "instead of running embedded", &serverSocket);
-    parser.addString("tenant", "server mode: tenant name (default: default)",
-                     &tenant);
-    parser.addString("priority", "server mode: priority within the tenant "
-                     "(default 0)", &priorityText);
-    parser.addUint("weight", "server mode: tenant fair-share weight "
-                   "(default 1)", &weight);
     std::uint64_t gpus = 0;
     std::uint64_t cpuCores = 0;
     std::uint64_t tsLeaseTicks = 0;
@@ -359,19 +157,6 @@ int main(int argc, char** argv)
             std::cerr << "dscoh_sweep: unknown benchmark '" << code << "'\n";
             return kExitUsage;
         }
-    }
-
-    if (!serverSocket.empty()) {
-        if (resume || forkProduce) {
-            std::cerr << "dscoh_sweep: --resume/--fork-produce are the "
-                         "daemon's business in --server mode\n";
-            return kExitUsage;
-        }
-        return runServerMode(
-            serverSocket, tenant,
-            static_cast<int>(std::strtol(priorityText.c_str(), nullptr, 10)),
-            static_cast<unsigned>(weight), size, codes, base, jsonPath,
-            progressPath);
     }
 
     const std::vector<ExperimentJob> batch = makeSweepJobs(
