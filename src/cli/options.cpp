@@ -20,16 +20,22 @@ void OptionParser::addFlag(const std::string& name, const std::string& help,
 }
 
 void OptionParser::addUint(const std::string& name, const std::string& help,
-                           std::uint64_t* out)
+                           std::uint64_t* out, std::uint64_t max)
 {
     Option opt;
     opt.help = help + " (integer)";
     opt.takesValue = true;
-    opt.apply = [out](const std::string& value) {
+    opt.apply = [out, max](const std::string& value) {
+        // stoull would read "-1" as 2^64-1.
+        if (value.empty() || value[0] < '0' || value[0] > '9')
+            return false;
         try {
             std::size_t used = 0;
-            *out = std::stoull(value, &used, 0);
-            return used == value.size();
+            const std::uint64_t v = std::stoull(value, &used, 0);
+            if (used != value.size() || v > max)
+                return false;
+            *out = v;
+            return true;
         } catch (const std::exception&) {
             return false;
         }

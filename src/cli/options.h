@@ -24,8 +24,10 @@ public:
     }
 
     void addFlag(const std::string& name, const std::string& help, bool* out);
+    /// A non-negative integer (decimal, 0x hex or 0 octal) no larger than
+    /// @p max; a sign, trailing junk or overflow is a bad value.
     void addUint(const std::string& name, const std::string& help,
-                 std::uint64_t* out);
+                 std::uint64_t* out, std::uint64_t max = UINT64_MAX);
     void addString(const std::string& name, const std::string& help,
                    std::string* out);
 

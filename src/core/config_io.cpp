@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -17,10 +18,14 @@ struct Field {
 template <typename T>
 bool parseNumber(const std::string& value, T* out)
 {
+    // stoull would read "-1" as 2^64-1, and the cast would then truncate
+    // anything wider than the field.
+    if (value.empty() || value[0] < '0' || value[0] > '9')
+        return false;
     try {
         std::size_t used = 0;
         const std::uint64_t v = std::stoull(value, &used, 0);
-        if (used != value.size())
+        if (used != value.size() || v > std::numeric_limits<T>::max())
             return false;
         *out = static_cast<T>(v);
         return true;
@@ -294,6 +299,23 @@ bool applyConfigText(const std::string& text, SystemConfig* cfg,
         if (!it->second.set(*cfg, value)) {
             *error = "line " + std::to_string(lineNo) + ": bad value '" +
                      value + "' for '" + key + "'";
+            return false;
+        }
+    }
+    return validateConfig(*cfg, error);
+}
+
+bool validateConfig(const SystemConfig& cfg, std::string* error)
+{
+    const std::pair<const char*, std::uint64_t> counts[] = {
+        {"num-gpus", cfg.numGpus},         {"cpu-cores", cfg.cpuCores},
+        {"rsb-entries", cfg.rsbEntries},   {"cpu-l1d-ways", cfg.cpuL1dWays},
+        {"cpu-l2-ways", cfg.cpuL2Ways},    {"gpu-l1-ways", cfg.gpuL1Ways},
+        {"gpu-l2-ways", cfg.gpuL2Ways},    {"lanes-per-sm", cfg.lanesPerSm},
+    };
+    for (const auto& [key, value] : counts) {
+        if (value == 0) {
+            *error = std::string("'") + key + "' must be at least 1";
             return false;
         }
     }

@@ -11,11 +11,19 @@
 
 namespace dscoh {
 
-/// Applies "key = value" lines from @p text onto @p cfg. On failure writes
-/// a "line N: ..." message to @p error and returns false (cfg may be
+/// Applies "key = value" lines from @p text onto @p cfg, then checks the
+/// result with validateConfig(). Numbers must be non-negative integers
+/// that fit their field. On failure writes a "line N: ..." (or
+/// validateConfig) message to @p error and returns false (cfg may be
 /// partially updated).
 bool applyConfigText(const std::string& text, SystemConfig* cfg,
                      std::string* error);
+
+/// Checks the counts the simulator divides by or indexes with (GPUs, CPU
+/// cores, RSB entries, cache ways, lanes per SM): each must be at least 1.
+/// On failure names the first offending key in @p error and returns false.
+/// applyConfigText() and System's constructor both call it.
+bool validateConfig(const SystemConfig& cfg, std::string* error);
 
 /// Reads @p path and applies it. File-open failures land in @p error.
 bool loadConfigFile(const std::string& path, SystemConfig* cfg,

@@ -3,6 +3,7 @@
 #include <iomanip>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 
 #include "core/config_io.h"
 #include "snap/serializer.h"
@@ -125,6 +126,9 @@ System::System(const SystemConfig& config)
     : config_(config), interleave_(config.gpuL2Slices),
       homeMap_(config.numGpus, config.shardPolicy)
 {
+    // Before any component divides by or indexes with a zero count.
+    if (std::string error; !validateConfig(config_, &error))
+        throw std::invalid_argument("system config: " + error);
     // Instance-0 component names are the historical single-GPU strings so
     // every stat key, snapshot section and checker label of a 1-GPU /
     // 1-core config stays byte-identical to the pre-sharding simulator.

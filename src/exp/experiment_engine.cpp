@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <deque>
 #include <fstream>
-#include <iomanip>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -28,16 +27,6 @@ std::string journalKey(const std::string& code, InputSize size,
     std::ostringstream os;
     os << code << "|" << to_string(size) << "|" << to_string(mode) << "|"
        << std::hex << configHash;
-    return os.str();
-}
-
-std::string jobCheckpointPath(const std::string& dir, const ExperimentJob& job,
-                              std::uint64_t configHash)
-{
-    std::ostringstream os;
-    os << dir << "/job-" << std::hex << std::setw(16) << std::setfill('0')
-       << configHash << "-" << job.code << "-" << to_string(job.size) << "-"
-       << to_string(job.mode) << ".snap";
     return os.str();
 }
 
@@ -73,7 +62,6 @@ replayJournal(const std::vector<ExperimentJob>& jobs,
 }
 
 ExperimentResult runExperimentJob(const ExperimentJob& job,
-                                  std::uint64_t configHash,
                                   const JobRunOptions& options)
 {
     ExperimentResult r;
@@ -81,24 +69,7 @@ ExperimentResult runExperimentJob(const ExperimentJob& job,
 
     WorkloadRunOptions runOpts;
     runOpts.cancelFlag = options.cancel;
-    if (options.forkProduce) {
-        runOpts.produceCacheDir = options.produceCacheDir.empty()
-                                      ? options.snapDir
-                                      : options.produceCacheDir;
-        runOpts.produceCacheMaxBytes = options.produceCacheMaxBytes;
-    }
-    std::string checkpoint;
-    if (options.jobCheckpoint) {
-        checkpoint = jobCheckpointPath(options.snapDir, job, configHash);
-        runOpts.phaseCheckpointPath = checkpoint;
-        if (options.resumeCheckpoint) {
-            // A leftover checkpoint from a killed run resumes the job from
-            // its last completed phase; anything stale or unusable silently
-            // falls back to a fresh run.
-            runOpts.restoreFrom = checkpoint;
-            runOpts.restoreOptional = true;
-        }
-    }
+    runOpts.produceCacheDir = options.produceCacheDir;
 
     const auto t0 = std::chrono::steady_clock::now();
     try {
@@ -131,9 +102,6 @@ ExperimentResult runExperimentJob(const ExperimentJob& job,
     }
     const auto t1 = std::chrono::steady_clock::now();
     r.wallSeconds = std::chrono::duration<double>(t1 - t0).count();
-
-    if (!checkpoint.empty())
-        std::remove(checkpoint.c_str());
     return r;
 }
 
@@ -185,10 +153,7 @@ ExperimentEngine::run(const std::vector<ExperimentJob>& jobs,
     std::string journalError; // first append failure (under journalMutex)
 
     JobRunOptions jobOpts;
-    jobOpts.snapDir = options.snapDir;
-    jobOpts.forkProduce = options.forkProduce;
-    jobOpts.jobCheckpoint = options.jobCheckpoints;
-    jobOpts.resumeCheckpoint = options.resume;
+    jobOpts.produceCacheDir = options.produceCacheDir;
 
     const auto worker = [&] {
         for (;;) {
@@ -197,7 +162,7 @@ ExperimentEngine::run(const std::vector<ExperimentJob>& jobs,
                 return;
             const std::size_t i = pending[slot];
             ExperimentResult& r = results[i];
-            r = runExperimentJob(jobs[i], hashes[i], jobOpts);
+            r = runExperimentJob(jobs[i], jobOpts);
             if (!options.journalPath.empty()) {
                 const std::lock_guard<std::mutex> lock(journalMutex);
                 // Durable append (fsync'ed, torn-safe): a kill right after
@@ -249,8 +214,7 @@ ResidentEngine::ResidentEngine(unsigned threads, Source source)
     for (unsigned t = 0; t < threads; ++t)
         workers_.emplace_back([source] {
             while (std::optional<Admitted> a = source()) {
-                ExperimentResult r = runExperimentJob(a->job, a->configHash,
-                                                      a->options);
+                ExperimentResult r = runExperimentJob(a->job, a->options);
                 if (a->done)
                     a->done(std::move(r));
             }

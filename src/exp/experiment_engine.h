@@ -55,42 +55,26 @@ struct ExperimentResult {
     Tick produceTicksSaved = 0;
 };
 
-/// Checkpoint/resume options for a batch (all off by default).
+/// Journal/resume options for a batch (all off by default). The journal
+/// is the only recovery state: a resumed batch replays journaled jobs and
+/// re-runs every other job from tick 0.
 struct EngineRunOptions {
     /// Append-only JSON-lines journal of completed jobs. Written as each
     /// job finishes; with resume, jobs already journaled (matched on
     /// code/size/mode/config hash) are replayed instead of re-simulated.
     std::string journalPath;
     bool resume = false;
-    /// Directory for snapshots (produce cache, rolling job checkpoints).
-    /// Must exist; required by the two flags below.
-    std::string snapDir;
-    /// Fork-after-produce: share the CPU produce phase across runs through
-    /// an on-disk snapshot cache keyed by (config hash, workload, size).
-    bool forkProduce = false;
-    /// Write a rolling per-job checkpoint at every phase boundary; with
-    /// resume, a killed job restarts from its last completed phase.
-    bool jobCheckpoints = false;
+    /// Fork-after-produce: an existing directory of produce-phase
+    /// snapshots shared across runs (see WorkloadRunOptions). Empty = off.
+    std::string produceCacheDir;
 };
 
-/// Snapshot-related options for a SINGLE job — the per-job slice of
-/// EngineRunOptions, shared by the batch worker and the resident mode the
-/// sweep service runs the engine in.
+/// Options for a SINGLE job, shared by the batch worker and the resident
+/// mode the sweep service runs the engine in.
 struct JobRunOptions {
-    /// Directory for rolling job checkpoints; required by jobCheckpoint.
-    std::string snapDir;
-    /// Directory of the produce-phase snapshot cache. Empty falls back to
-    /// snapDir (the batch engine's historical behaviour); the service
+    /// Produce-phase snapshot cache directory; empty = off. The service
     /// points it at one store shared across every tenant.
     std::string produceCacheDir;
-    /// Share the CPU produce phase through that snapshot cache.
-    bool forkProduce = false;
-    /// Byte budget for the cache (0 = unbounded); see snap::SnapshotCache.
-    std::uint64_t produceCacheMaxBytes = 0;
-    /// Keep a rolling per-job checkpoint at every phase boundary.
-    bool jobCheckpoint = false;
-    /// Restore a leftover checkpoint from a killed run when usable.
-    bool resumeCheckpoint = false;
     /// Cooperative cancel flag threaded into the run (see
     /// WorkloadRunOptions::cancelFlag). A cancelled job reports as a
     /// failed result whose error names the cancellation. Null = not
@@ -100,11 +84,10 @@ struct JobRunOptions {
 
 /// Runs one job to completion (or classified failure) with the same
 /// semantics as one slot of ExperimentEngine::run(): exceptions land in
-/// ExperimentResult::error/errorClass, never escape, and a successful job
-/// removes its rolling checkpoint. @p configHash must be
-/// configHashOf(job.config) (hoisted out so batch callers hash once).
+/// ExperimentResult::error/errorClass and never escape. The job always
+/// starts from tick 0 (or from its produce-cache entry) and leaves
+/// nothing on disk but that entry.
 ExperimentResult runExperimentJob(const ExperimentJob& job,
-                                  std::uint64_t configHash,
                                   const JobRunOptions& options);
 
 class ExperimentEngine {
@@ -135,10 +118,10 @@ public:
     /// snapshot too, covering the threads<=1 run-on-caller path).
     std::vector<ExperimentResult> run(const std::vector<ExperimentJob>& jobs) const;
 
-    /// run() with journaling / resume / snapshot options. Results are in
-    /// submission order and bit-identical to a plain run() regardless of
-    /// how many jobs were replayed from the journal or resumed from
-    /// checkpoints (restore-determinism is the snap subsystem's keystone
+    /// run() with journaling / resume / produce-cache options. Results are
+    /// in submission order and bit-identical to a plain run() regardless
+    /// of how many jobs were replayed from the journal or restored from the
+    /// produce cache (restore-determinism is the snap subsystem's keystone
     /// property).
     std::vector<ExperimentResult> run(const std::vector<ExperimentJob>& jobs,
                                       const EngineRunOptions& options) const;
@@ -161,7 +144,6 @@ public:
     /// executed the job; it must do its own locking.
     struct Admitted {
         ExperimentJob job;
-        std::uint64_t configHash = 0;
         JobRunOptions options;
         std::function<void(ExperimentResult&&)> done;
     };

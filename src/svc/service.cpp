@@ -298,10 +298,8 @@ std::optional<ResidentEngine::Admitted> SweepService::pullNext()
 
             ResidentEngine::Admitted a;
             a.job = rs.jobs[jobIndex];
-            a.configHash = rs.hashes[jobIndex];
-            a.options.produceCacheDir = opts_.stateDir + "/cache";
-            a.options.forkProduce = opts_.forkProduce;
-            a.options.produceCacheMaxBytes = opts_.cacheMaxBytes;
+            if (opts_.forkProduce)
+                a.options.produceCacheDir = opts_.stateDir + "/cache";
             a.options.cancel = rs.cancelFlag.get();
             const std::string id = unit->requestId;
             a.done = [this, id, jobIndex](ExperimentResult&& r) {

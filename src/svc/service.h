@@ -70,10 +70,8 @@ struct ServiceOptions {
     std::string stateDir;
     /// Worker threads (0 = hardware concurrency).
     unsigned workers = 0;
-    /// Share the CPU produce phase across tenants through the cache dir.
+    /// Share the CPU produce phase across tenants through <stateDir>/cache.
     bool forkProduce = true;
-    /// Byte budget for that cache (0 = unbounded), LRU-evicted.
-    std::uint64_t cacheMaxBytes = 0;
 };
 
 /// Why a submit was rejected, for protocol replies and clients.

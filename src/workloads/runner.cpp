@@ -1,6 +1,6 @@
 #include "workloads/runner.h"
 
-#include <cstdio>
+#include <filesystem>
 #include <iomanip>
 #include <sstream>
 #include <stdexcept>
@@ -8,7 +8,6 @@
 #include "check/coherence_checker.h"
 #include "sim/errors.h"
 #include "snap/serializer.h"
-#include "snap/snap_cache.h"
 
 namespace dscoh {
 
@@ -53,22 +52,13 @@ void WorkloadRun::build()
 
 WorkloadRun::~WorkloadRun() = default;
 
-std::string WorkloadRun::produceCacheFile(std::uint64_t configHash,
-                                          const std::string& code,
-                                          InputSize size)
+std::string WorkloadRun::produceCachePath() const
 {
     std::ostringstream os;
-    os << "produce-" << std::hex << std::setw(16) << std::setfill('0')
-       << configHash << "-" << code << "-" << to_string(size) << ".snap";
+    os << opts_.produceCacheDir << "/produce-" << std::hex << std::setw(16)
+       << std::setfill('0') << sys_->configHash() << "-"
+       << workload_.info().code << "-" << to_string(size_) << ".snap";
     return os.str();
-}
-
-std::string WorkloadRun::produceCachePath(const std::string& dir,
-                                          std::uint64_t configHash,
-                                          const std::string& code,
-                                          InputSize size)
-{
-    return dir + "/" + produceCacheFile(configHash, code, size);
 }
 
 void WorkloadRun::writeCheckpoint(const std::string& path) const
@@ -190,25 +180,11 @@ void WorkloadRun::afterPhase(std::size_t phase)
 
     if (phase == 0 && !opts_.produceCacheDir.empty() && restoredAt_ == 0) {
         // Populate the fork-after-produce cache (atomic write: concurrent
-        // sweep jobs racing on the same key both publish a valid file),
-        // then trim the shared store back under its byte budget — the
-        // fresh entry itself is exempt from this eviction pass. The cache
-        // and the rolling phase checkpoint below are pure optimizations:
-        // a storage failure (a full disk, an injected fault) costs their
-        // benefit, never the simulation itself.
+        // sweep jobs racing on the same key both publish a valid file).
+        // The cache is a pure optimization: a storage failure (a full
+        // disk, an injected fault) costs its benefit, never the simulation.
         try {
-            snap::SnapshotCache cache(opts_.produceCacheDir,
-                                      opts_.produceCacheMaxBytes);
-            const std::string file = produceCacheFile(
-                sys_->configHash(), workload_.info().code, size_);
-            writeCheckpoint(cache.pathFor(file));
-            cache.evictToBudget(file);
-        } catch (const snap::SnapError&) {
-        }
-    }
-    if (!opts_.phaseCheckpointPath.empty() && phasesDone_ < phaseCount()) {
-        try {
-            writeCheckpoint(opts_.phaseCheckpointPath);
+            writeCheckpoint(produceCachePath());
         } catch (const snap::SnapError&) {
         }
     }
@@ -228,19 +204,15 @@ void WorkloadRun::afterPhase(std::size_t phase)
 
 WorkloadRunResult WorkloadRun::run()
 {
-    bool restored = false;
-    if (!opts_.restoreFrom.empty())
-        restored = tryRestore(opts_.restoreFrom,
-                              /*required=*/!opts_.restoreOptional);
-    if (!restored && !opts_.produceCacheDir.empty()) {
-        snap::SnapshotCache cache(opts_.produceCacheDir,
-                                  opts_.produceCacheMaxBytes);
-        const std::string file = produceCacheFile(
-            sys_->configHash(), workload_.info().code, size_);
-        // touch() refreshes the entry's shared LRU stamp on a hit, so
-        // entries hot across tenants survive eviction.
-        if (cache.touch(file) &&
-            tryRestore(cache.pathFor(file), /*required=*/false))
+    if (!opts_.restoreFrom.empty()) {
+        tryRestore(opts_.restoreFrom, /*required=*/true);
+    } else if (!opts_.produceCacheDir.empty()) {
+        // The existence check spares a miss the rebuild a failed restore
+        // costs; an unusable entry still falls back to a fresh run.
+        const std::string entry = produceCachePath();
+        std::error_code ec;
+        if (std::filesystem::is_regular_file(entry, ec) &&
+            tryRestore(entry, /*required=*/false))
             produceTicksSaved_ = restoredAt_;
     }
     if (opts_.beforeFirstPhase)

@@ -56,10 +56,8 @@ struct WorkloadRunResult {
 struct WorkloadRunOptions {
     /// Restore this snapshot (written by a previous run of the same
     /// workload/size/mode/config) and simulate only the remaining phases.
+    /// A missing, corrupt or mismatched snapshot throws snap::SnapError.
     std::string restoreFrom;
-    /// Missing/corrupt/mismatched restoreFrom falls back to a fresh run
-    /// instead of throwing (how sweeps treat leftover job checkpoints).
-    bool restoreOptional = false;
 
     /// Write a checkpoint to this path when the trigger below fires.
     std::string checkpointOut;
@@ -70,20 +68,12 @@ struct WorkloadRunOptions {
     /// -1 = no phase trigger.
     int checkpointAtPhase = -1;
 
-    /// Rolling checkpoint: (re)written at EVERY phase boundary, so a killed
-    /// job resumes from its last completed phase (ExperimentEngine
-    /// --resume). Empty = off.
-    std::string phaseCheckpointPath;
-
-    /// Fork-after-produce: directory of produce-phase snapshots keyed by
-    /// (config hash, workload, size). A hit skips the produce phase
-    /// entirely; a miss runs it and populates the cache. Empty = off.
-    /// The directory is a snap::SnapshotCache — shared across processes,
-    /// with hits refreshing the entry's LRU stamp.
+    /// Fork-after-produce: an existing directory of produce-phase
+    /// snapshots, one file per (config hash, workload, size); the config
+    /// hash covers the coherence mode. A hit skips the produce phase; a
+    /// miss, or an entry that fails to restore, runs it and (re)writes the
+    /// entry atomically, so processes may share the directory. Empty = off.
     std::string produceCacheDir;
-    /// Byte budget for that cache (0 = unbounded): after each populate,
-    /// oldest-stamp entries are evicted until the directory fits.
-    std::uint64_t produceCacheMaxBytes = 0;
 
     /// No-progress watchdog: abort (std::runtime_error) when this many
     /// ticks pass without a single event executing while work is still
@@ -141,23 +131,13 @@ public:
     /// miss or when the cache is off). Valid after run().
     Tick produceTicksSaved() const { return produceTicksSaved_; }
 
-    /// The produce-cache snapshot filename for a given key (exposed so
-    /// sweeps can report / prune the cache).
-    static std::string produceCachePath(const std::string& dir,
-                                        std::uint64_t configHash,
-                                        const std::string& code,
-                                        InputSize size);
-    /// The bare cache-entry name produceCachePath() appends to the dir
-    /// (the key format of the shared snap::SnapshotCache).
-    static std::string produceCacheFile(std::uint64_t configHash,
-                                        const std::string& code,
-                                        InputSize size);
-
 private:
     void build();
     void runPhase(std::size_t phase);
     void drain();
     void afterPhase(std::size_t phase);
+    /// This run's entry in opts_.produceCacheDir.
+    std::string produceCachePath() const;
     void writeCheckpoint(const std::string& path) const;
     /// Restores @p path; returns false when it is unusable (corrupt /
     /// wrong shape) and @p required is false.

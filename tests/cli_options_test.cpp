@@ -79,6 +79,25 @@ TEST(Options, RejectsBadNumber)
     });
     EXPECT_FALSE(r.ok);
     EXPECT_NE(r.err.find("bad value"), std::string::npos);
+
+    // Signs and overflow: stoull alone reads "-1" as 2^64-1.
+    for (const char* value : {"-1", "-0", " 5", "18446744073709551616"}) {
+        const auto bad = tryParse({"--count", value}, [&](OptionParser& p) {
+            p.addUint("count", "c", &n);
+        });
+        EXPECT_FALSE(bad.ok) << value;
+        EXPECT_NE(bad.err.find("bad value"), std::string::npos) << value;
+    }
+    // A field narrower than 64 bits passes its own maximum.
+    const auto parseGpus = [&](const char* value) {
+        return tryParse({"--gpus", value}, [&](OptionParser& p) {
+            p.addUint("gpus", "g", &n, UINT32_MAX);
+        });
+    };
+    EXPECT_FALSE(parseGpus("4294967296").ok);
+    EXPECT_FALSE(parseGpus("4294967298").ok);
+    EXPECT_TRUE(parseGpus("4294967295").ok);
+    EXPECT_EQ(n, 4294967295u);
 }
 
 TEST(Options, RejectsValueOnFlag)

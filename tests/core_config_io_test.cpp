@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <stdexcept>
 
 #include "core/config_io.h"
+#include "core/system.h"
 
 namespace dscoh {
 namespace {
@@ -43,6 +45,39 @@ TEST(ConfigIo, RejectsBadValues)
     EXPECT_FALSE(applyConfigText("num-sms = lots\n", &cfg, &error));
     EXPECT_FALSE(applyConfigText("mode = turbo\n", &cfg, &error));
     EXPECT_FALSE(applyConfigText("just a line\n", &cfg, &error));
+
+    // Zero counts the simulator divides by or indexes with, and values a
+    // narrowing cast would wrap (2^32 GPUs is 0) or a sign would flip.
+    for (const char* text :
+         {"num-gpus = 0", "cpu-cores = 0", "rsb-entries = 0",
+          "cpu-l1d-ways = 0", "cpu-l2-ways = 0", "gpu-l1-ways = 0",
+          "gpu-l2-ways = 0", "lanes-per-sm = 0", "num-gpus = 4294967296",
+          "num-gpus = 4294967298", "num-gpus = -1", "cpu-cores = -1",
+          "num-sms = -1", "seed = -1", "fault-src = -1",
+          "seed = 18446744073709551616"}) {
+        SystemConfig fresh;
+        error.clear();
+        EXPECT_FALSE(applyConfigText(text, &fresh, &error)) << text;
+        EXPECT_FALSE(error.empty()) << text;
+    }
+    SystemConfig widest;
+    ASSERT_TRUE(applyConfigText("num-gpus = 4294967295\n"
+                                "seed = 18446744073709551615\n",
+                                &widest, &error))
+        << error;
+    EXPECT_EQ(widest.numGpus, 4294967295u);
+}
+
+TEST(ConfigIo, SystemRefusesZeroCounts)
+{
+    // CLI overrides bypass applyConfigText; the System constructor runs the
+    // same check, so they fail with a message instead of a signal.
+    SystemConfig noGpus;
+    noGpus.numGpus = 0;
+    EXPECT_THROW(System{noGpus}, std::invalid_argument);
+    SystemConfig noWays;
+    noWays.gpuL2Ways = 0;
+    EXPECT_THROW(System{noWays}, std::invalid_argument);
 }
 
 TEST(ConfigIo, DumpRoundTrips)

@@ -9,7 +9,6 @@
 #include <tuple>
 
 #include "coherence/transition_coverage.h"
-#include "core/config_io.h"
 #include "exp/experiment_engine.h"
 #include "sim/errors.h"
 
@@ -264,8 +263,7 @@ TEST(ExperimentEngine, PreCancelledJobFailsAsCancelledNotCrashed)
     std::atomic<bool> cancel{true};
     JobRunOptions options;
     options.cancel = &cancel;
-    const ExperimentResult r =
-        runExperimentJob(job, configHashOf(job.config), options);
+    const ExperimentResult r = runExperimentJob(job, options);
     EXPECT_FALSE(r.ok);
     EXPECT_NE(r.error.find("cancelled"), std::string::npos) << r.error;
     EXPECT_EQ(r.errorClass, kExitFailure);

@@ -112,12 +112,8 @@ TEST(EngineResume, ResumedSweepReproducesResultsExactly)
     const std::vector<ExperimentResult> reference =
         ExperimentEngine(2).run(jobs);
 
-    const std::string dir = testing::TempDir() + "resume_snapdir";
-    fs::create_directories(dir);
     EngineRunOptions opts;
     opts.journalPath = testing::TempDir() + "resume.journal";
-    opts.snapDir = dir;
-    opts.jobCheckpoints = true;
     std::remove(opts.journalPath.c_str());
 
     // "Interrupted" sweep: journal all four jobs, then keep only the first
@@ -146,7 +142,6 @@ TEST(EngineResume, ResumedSweepReproducesResultsExactly)
     EXPECT_EQ(resultsJson(resumed), resultsJson(reference));
 
     std::remove(opts.journalPath.c_str());
-    fs::remove_all(dir);
 }
 
 TEST(EngineResume, AtomicResultsWriterMatchesStreamWriter)
@@ -240,10 +235,6 @@ TEST(EngineResume, ResidentEngineDrainsASourceAndRetires)
     // source must run every admitted job exactly once, report through the
     // per-job callback, and retire cleanly when the source dries up.
     const std::vector<ExperimentJob> jobs = smallBatch();
-    std::vector<std::uint64_t> hashes;
-    for (const ExperimentJob& j : jobs)
-        hashes.push_back(configHashOf(j.config));
-
     std::mutex mu;
     std::size_t nextJob = 0;
     std::vector<ExperimentResult> results(jobs.size());
@@ -258,7 +249,6 @@ TEST(EngineResume, ResidentEngineDrainsASourceAndRetires)
                 const std::size_t i = nextJob++;
                 ResidentEngine::Admitted a;
                 a.job = jobs[i];
-                a.configHash = hashes[i];
                 a.done = [&, i](ExperimentResult&& r) {
                     const std::lock_guard<std::mutex> lock2(mu);
                     results[i] = std::move(r);
@@ -292,8 +282,7 @@ TEST(EngineResume, ForkProduceSecondSweepSkipsProduceTicks)
     const std::string dir = testing::TempDir() + "fork_snapdir";
     fs::create_directories(dir);
     EngineRunOptions opts;
-    opts.snapDir = dir;
-    opts.forkProduce = true;
+    opts.produceCacheDir = dir;
 
     const std::vector<ExperimentResult> cold =
         ExperimentEngine(2).run(jobs, opts);

@@ -4,11 +4,13 @@
 // snapshot, the stats JSON dump, and the final memory image. One
 // benchmark per suite (Rodinia, Parboil, Pannotia, NVIDIA SDK,
 // standalone), both coherence modes, plus the failure paths: config-hash
-// mismatch, missing snapshot, optional-restore fallback.
+// mismatch, missing snapshot, and the produce cache's fallback from an
+// unusable entry.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -191,23 +193,10 @@ TEST(SnapRestore, ConfigHashMismatchFailsLoudly)
     WorkloadRun restored(w, InputSize::kSmall, CoherenceMode::kCcsm, other,
                          restoreOpts);
     EXPECT_THROW(restored.run(), snap::SnapError);
-
-    // restoreOptional: same mismatch falls back to a bit-identical fresh
-    // run under the new config instead of throwing.
-    WorkloadRunOptions optionalOpts;
-    optionalOpts.restoreFrom = path;
-    optionalOpts.restoreOptional = true;
-    WorkloadRun fallback(w, InputSize::kSmall, CoherenceMode::kCcsm, other,
-                         optionalOpts);
-    const WorkloadRunResult fell = fallback.run();
-    EXPECT_FALSE(fell.fromCheckpoint);
-    const WorkloadRunResult plain =
-        runWorkload(w, InputSize::kSmall, CoherenceMode::kCcsm, other);
-    expectSameRun(fell, plain, "VA optional fallback");
     std::remove(path.c_str());
 }
 
-TEST(SnapRestore, MissingSnapshotThrowsUnlessOptional)
+TEST(SnapRestore, MissingSnapshotThrows)
 {
     const Workload& w = WorkloadRegistry::instance().get("VA");
     const std::string path = tempSnap("never_written");
@@ -218,17 +207,6 @@ TEST(SnapRestore, MissingSnapshotThrowsUnlessOptional)
     WorkloadRun mustRestore(w, InputSize::kSmall, CoherenceMode::kCcsm,
                             SystemConfig{}, required);
     EXPECT_THROW(mustRestore.run(), snap::SnapError);
-
-    WorkloadRunOptions optional;
-    optional.restoreFrom = path;
-    optional.restoreOptional = true;
-    WorkloadRun fresh(w, InputSize::kSmall, CoherenceMode::kCcsm,
-                      SystemConfig{}, optional);
-    const WorkloadRunResult result = fresh.run();
-    EXPECT_FALSE(result.fromCheckpoint);
-    const WorkloadRunResult plain =
-        runWorkload(w, InputSize::kSmall, CoherenceMode::kCcsm);
-    expectSameRun(result, plain, "VA missing-snapshot fallback");
 }
 
 TEST(SnapRestore, ProduceCacheSharesProducePhase)
@@ -254,6 +232,44 @@ TEST(SnapRestore, ProduceCacheSharesProducePhase)
     EXPECT_GT(warm.produceTicksSaved(), 0u);
     EXPECT_TRUE(warmResult.fromCheckpoint);
     expectSameRun(warmResult, ref, "BP warm produce-cache");
+
+    // An unusable entry (a truncated write, a flipped byte) is a miss: the
+    // run starts fresh, matches the reference, and rewrites a valid entry
+    // that the next run hits.
+    std::vector<fs::path> entries;
+    for (const fs::directory_entry& e : fs::directory_iterator(dir))
+        entries.push_back(e.path());
+    ASSERT_EQ(entries.size(), 1u);
+    const fs::path entry = entries.front();
+    const auto size = fs::file_size(entry);
+    for (const std::string what : {"truncated", "corrupt"}) {
+        if (what == "truncated") {
+            fs::resize_file(entry, size / 2);
+        } else {
+            const auto mid = static_cast<std::streamoff>(size / 2);
+            std::fstream f(entry,
+                           std::ios::in | std::ios::out | std::ios::binary);
+            f.seekg(mid);
+            const char flipped = static_cast<char>(f.get() ^ 0x5a);
+            f.seekp(mid);
+            f.put(flipped);
+        }
+        WorkloadRun fresh(w, InputSize::kSmall, CoherenceMode::kCcsm,
+                          SystemConfig{}, opts);
+        const WorkloadRunResult freshResult = fresh.run();
+        EXPECT_EQ(fresh.produceTicksSaved(), 0u) << what;
+        EXPECT_FALSE(freshResult.fromCheckpoint) << what;
+        expectSameRun(freshResult, ref, "BP " + what + " produce-cache");
+        EXPECT_EQ(fs::file_size(entry), size) << what;
+
+        WorkloadRun rewarmed(w, InputSize::kSmall, CoherenceMode::kCcsm,
+                             SystemConfig{}, opts);
+        const WorkloadRunResult rewarmedResult = rewarmed.run();
+        EXPECT_EQ(rewarmed.produceTicksSaved(), warm.produceTicksSaved())
+            << what;
+        EXPECT_TRUE(rewarmedResult.fromCheckpoint) << what;
+        expectSameRun(rewarmedResult, ref, "BP re-warmed after " + what);
+    }
     fs::remove_all(dir);
 }
 

@@ -264,6 +264,46 @@ TEST(SweepService, RecoversACrashBetweenLastJobAndPublication)
               std::string::npos);
 }
 
+TEST(SweepService, RecoveryFailsAnAcceptedZeroGpuRequest)
+{
+    // A request accepted before configs were validated (num-gpus = 0
+    // crashed the simulator) must not crash-loop the daemon: recovery
+    // fails it through the unreplayable path, a restart leaves it failed,
+    // and a fresh submit of the same request is refused without a trace.
+    ScratchDir dir("svc_zero_gpu");
+    SweepRequest req;
+    req.tenant = "alice";
+    req.codes = {"VA"};
+    req.configText = "num-gpus = 0\n";
+    const std::string walPath = dir.path() + "/svc.journal";
+    {
+        std::ofstream wal(walPath);
+        wal << "{\"event\": \"accepted\", \"id\": \"r000001\", "
+               "\"request\": \""
+            << jsonEscape(renderRequestJson(req)) << "\"}\n";
+    }
+
+    ServiceOptions opts;
+    opts.stateDir = dir.path();
+    opts.workers = 1;
+    {
+        SweepService svc(opts);
+        EXPECT_FALSE(svc.degraded());
+    }
+    const std::string failedRecord =
+        "{\"event\": \"failed\", \"id\": \"r000001\"}";
+    const std::string wal = slurp(walPath);
+    EXPECT_NE(wal.find(failedRecord), std::string::npos);
+
+    SweepService svc(opts); // restarts cleanly on the failed request
+    EXPECT_EQ(slurp(walPath), wal);
+    std::string id, error;
+    EXPECT_FALSE(svc.submit(req, &id, &error));
+    EXPECT_NE(error.find("num-gpus"), std::string::npos) << error;
+    EXPECT_EQ(slurp(walPath), wal);
+    EXPECT_FALSE(fs::exists(dir.path() + "/jobs/r000002"));
+}
+
 TEST(SweepService, CancelDropsQueuedWorkAndPublishesNoResults)
 {
     ScratchDir dir("svc_e2e_cancel");

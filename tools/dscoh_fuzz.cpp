@@ -130,7 +130,7 @@ int main(int argc, char** argv)
                      &injectBug);
     parser.addUint("gpus", "force every generated scenario to this many "
                    "GPUs (0 = let the seed decide; >1 shards the DS "
-                   "directory)", &forceGpus);
+                   "directory)", &forceGpus, UINT32_MAX);
     parser.addString("out", "directory for shrunk reproducer files", &outDir);
     parser.addFlag("no-shrink", "report failures without shrinking them",
                    &noShrink);

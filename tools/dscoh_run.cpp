@@ -243,9 +243,9 @@ int main(int argc, char** argv)
                    &dsMinBytes);
     parser.addUint("seed", "replacement-policy seed", &seed);
     parser.addUint("gpus", "GPUs sharing the DS region (multi-GPU "
-                   "scale-out; 0 = keep config default)", &gpus);
+                   "scale-out; 0 = keep config default)", &gpus, UINT32_MAX);
     parser.addUint("cpu-cores", "CPU cores (0 = keep config default)",
-                   &cpuCores);
+                   &cpuCores, UINT32_MAX);
     parser.addString("shard-policy", "page|line|range — which GPU homes a "
                      "DS line (multi-GPU)", &shardPolicy);
     parser.addString("ds-topology", "crossbar|ring — DS network shape",

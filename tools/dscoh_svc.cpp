@@ -39,7 +39,6 @@ int main(int argc, char** argv)
     std::string stateDir;
     std::string socketPath;
     std::string jobsText;
-    std::uint64_t cacheMaxMb = 0;
     bool noForkProduce = false;
     std::string ioFaultSpec;
 
@@ -54,9 +53,6 @@ int main(int argc, char** argv)
                      "socket path (default: <state>/svc.sock)", &socketPath);
     parser.addString("jobs", "worker threads (default: DSCOH_JOBS or all cores)",
                      &jobsText);
-    parser.addUint("cache-max-mb",
-                   "produce-phase snapshot cache budget in MiB (0 = unbounded)",
-                   &cacheMaxMb);
     parser.addFlag("no-fork-produce",
                    "disable the shared produce-phase snapshot cache",
                    &noForkProduce);
@@ -97,7 +93,6 @@ int main(int argc, char** argv)
     opts.stateDir = stateDir;
     opts.workers = workers;
     opts.forkProduce = !noForkProduce;
-    opts.cacheMaxBytes = cacheMaxMb * 1024 * 1024;
 
     try {
         svc::SweepService service(opts);

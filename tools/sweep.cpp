@@ -10,14 +10,16 @@
 // the table is bit-identical for any --jobs value. Alongside the printed
 // table the tool writes machine-readable results (default: results.json).
 //
-// A completed-job journal (<json>.journal) and rolling per-job checkpoints
-// make a killed sweep cheap to finish: --resume replays journaled jobs and
-// restarts interrupted ones from their last phase boundary, producing the
-// exact results.json an uninterrupted sweep would have written. A fully
+// A completed-job journal (<json>.journal) makes a killed sweep cheap to
+// finish: --resume replays journaled jobs and re-runs the rest from the
+// start (at most one job per worker was in flight), producing the exact
+// results.json an uninterrupted sweep would have written. A fully
 // successful sweep deletes the journal once the results file is published;
 // a sweep with failed jobs keeps it as <json>.journal.failed so the
-// failure set stays replayable. --fork-produce shares the CPU produce
-// phase across runs through a snapshot cache in --snap-dir.
+// failure set stays replayable. The journal is all a sweep persists for
+// recovery: --fork-produce alone writes snapshots, sharing the CPU produce
+// phase across sweeps through a cache in --snap-dir (default
+// <json>.snapdir), which is created on demand and kept for the next sweep.
 //
 // --progress-json FILE publishes live progress for dashboards: after every
 // completed job the file is atomically replaced with one small
@@ -79,12 +81,11 @@ int main(int argc, char** argv)
     bool forkProduce = false;
     std::string snapDir;
     parser.addFlag("resume", "replay completed jobs from <json>.journal and "
-                   "restart interrupted ones from their last checkpoint",
-                   &resume);
+                   "re-run the rest from the start", &resume);
     parser.addFlag("fork-produce", "share the CPU produce phase across runs "
-                   "via a snapshot cache (needs --snap-dir)", &forkProduce);
-    parser.addString("snap-dir", "directory for produce-cache and per-job "
-                     "checkpoint snapshots (default: <json>.snapdir)",
+                   "via a snapshot cache in --snap-dir", &forkProduce);
+    parser.addString("snap-dir", "produce-cache directory for --fork-produce, "
+                     "created if absent and kept (default: <json>.snapdir)",
                      &snapDir);
     std::string progressPath;
     parser.addString("progress-json", "atomically publish live progress "
@@ -96,9 +97,9 @@ int main(int argc, char** argv)
     std::string shardPolicy;
     std::string dsTopology;
     parser.addUint("gpus", "GPUs sharing the DS region (multi-GPU "
-                   "scale-out; 0 = keep config default)", &gpus);
+                   "scale-out; 0 = keep config default)", &gpus, UINT32_MAX);
     parser.addUint("cpu-cores", "CPU cores (0 = keep config default)",
-                   &cpuCores);
+                   &cpuCores, UINT32_MAX);
     parser.addString("shard-policy", "page|line|range — which GPU homes a "
                      "DS line (multi-GPU)", &shardPolicy);
     parser.addString("ds-topology", "crossbar|ring — DS network shape",
@@ -167,21 +168,23 @@ int main(int argc, char** argv)
     if (!jsonPath.empty()) {
         engineOpts.journalPath = jsonPath + ".journal";
         engineOpts.resume = resume;
-        engineOpts.snapDir = snapDir.empty() ? jsonPath + ".snapdir" : snapDir;
-        engineOpts.forkProduce = forkProduce;
-        engineOpts.jobCheckpoints = true;
-        std::error_code ec;
-        std::filesystem::create_directories(engineOpts.snapDir, ec);
-        if (ec) {
-            std::cerr << "dscoh_sweep: cannot create snapshot dir "
-                      << engineOpts.snapDir << ": " << ec.message() << "\n";
-            return kExitIo;
-        }
         if (!resume)
             std::remove(engineOpts.journalPath.c_str());
     } else if (resume || forkProduce) {
         std::cerr << "dscoh_sweep: --resume/--fork-produce need --json\n";
         return kExitUsage;
+    }
+    if (forkProduce) {
+        engineOpts.produceCacheDir =
+            snapDir.empty() ? jsonPath + ".snapdir" : snapDir;
+        std::error_code ec;
+        std::filesystem::create_directories(engineOpts.produceCacheDir, ec);
+        if (ec) {
+            std::cerr << "dscoh_sweep: cannot create snapshot dir "
+                      << engineOpts.produceCacheDir << ": " << ec.message()
+                      << "\n";
+            return kExitIo;
+        }
     }
 
     // Live progress file: published before the first job (so pollers find
@@ -315,12 +318,8 @@ int main(int argc, char** argv)
         }
         // The results file is published. A clean sweep's crash-recovery
         // journal is obsolete and deleted; one with failed jobs is kept as
-        // <journal>.failed so the failure set stays replayable. The snap
-        // dir keeps any produce-cache entries (they accelerate the next
-        // sweep) but goes away when empty.
+        // <journal>.failed so the failure set stays replayable.
         finalizeJournal(engineOpts.journalPath, failures != 0);
-        std::error_code ec;
-        std::filesystem::remove(engineOpts.snapDir, ec);
     }
     return failures == 0 ? kExitOk : exitClass;
 }
