@@ -67,22 +67,25 @@ bool CacheAgent::probeHit(Addr addr, bool exclusive) const
 void CacheAgent::access(Addr addr, bool exclusive, AccessDone done)
 {
     const Addr base = lineAlign(addr);
+    if (const Wait why = tryAccess(base, exclusive, done); why != Wait::kNone)
+        park(base, why, [this, base, exclusive, d = std::move(done)]() mutable {
+            return tryAccess(base, exclusive, d);
+        });
+}
 
+CacheAgent::Wait CacheAgent::tryAccess(Addr base, bool exclusive,
+                                       AccessDone& done)
+{
     // Merge into an outstanding transaction for this line.
     if (auto* entry = mshr_.find(base)) {
         entry->targets.push_back({exclusive, std::move(done)});
-        return;
+        return Wait::kNone;
     }
 
     // The line is draining through the writeback buffer: wait for the WbAck
     // rather than creating a second copy.
-    if (inWriteback(base)) {
-        deferrals_.inc();
-        deferUntilResourceFree([this, base, exclusive, d = std::move(done)]() mutable {
-            access(base, exclusive, std::move(d));
-        });
-        return;
-    }
+    if (inWriteback(base))
+        return Wait::kOther;
 
     Line* line = array_.find(base);
     if (line != nullptr && satisfies(line->meta.state, exclusive)) {
@@ -91,26 +94,20 @@ void CacheAgent::access(Addr addr, bool exclusive, AccessDone done)
                        line->meta.state, base);
         array_.touch(base);
         done(*line);
-        return;
+        return Wait::kNone;
     }
 
     // A transient line without an MSHR entry is impossible: every transient
     // array state is created together with its entry.
     assert(line == nullptr || isStable(line->meta.state));
 
-    if (mshr_.full()) {
-        deferrals_.inc();
-        deferUntilResourceFree([this, base, exclusive, d = std::move(done)]() mutable {
-            access(base, exclusive, std::move(d));
-        });
-        return;
-    }
-
-    startTransaction(line, base, exclusive, std::move(done));
+    if (mshr_.full())
+        return Wait::kMshrFull;
+    return startTransaction(line, base, exclusive, done);
 }
 
-void CacheAgent::startTransaction(Line* existing, Addr base, bool exclusive,
-                                  AccessDone done)
+CacheAgent::Wait CacheAgent::startTransaction(Line* existing, Addr base,
+                                              bool exclusive, AccessDone& done)
 {
     if (existing != nullptr) {
         // Upgrade from S/M/O (stores are not allowed in M, per the paper, so
@@ -120,38 +117,24 @@ void CacheAgent::startTransaction(Line* existing, Addr base, bool exclusive,
                        CohState::kSM_D, base);
         existing->meta.state = CohState::kSM_D;
         upgrades_.inc();
-        if (CoherenceChecker* c = checking())
-            c->onMshrAllocate(name(), base, curTick());
-        auto& entry = mshr_.allocate(base);
-        entry.allocatedAt = curTick();
-        entry.targets.push_back({exclusive, std::move(done)});
+        allocateMshr(base, exclusive, done);
         getxIssued_.inc();
         std::uint64_t prof = 0;
         if (TxnProfiler* p = profiling())
             prof = p->begin(TxnKind::kUpgrade, base, name(), curTick());
         sendToHome(MsgType::kGetX, base, /*ownerFlag=*/false, prof);
-        return;
+        return Wait::kNone;
     }
 
     Line* way = makeRoom(base);
-    if (way == nullptr) {
-        // Every way in the set is pinned by an in-flight transaction.
-        deferrals_.inc();
-        deferUntilResourceFree([this, base, exclusive, d = std::move(done)]() mutable {
-            access(base, exclusive, std::move(d));
-        });
-        return;
-    }
+    if (way == nullptr)
+        return Wait::kOther; // every way in the set is pinned
     Line& line = array_.install(*way, base);
     line.meta.state = exclusive ? CohState::kIM_D : CohState::kIS_D;
     noteTransition(CohState::kI,
                    exclusive ? CohEvent::kStore : CohEvent::kLoad,
                    line.meta.state, base);
-    if (CoherenceChecker* c = checking())
-        c->onMshrAllocate(name(), base, curTick());
-    auto& entry = mshr_.allocate(base);
-    entry.allocatedAt = curTick();
-    entry.targets.push_back({exclusive, std::move(done)});
+    allocateMshr(base, exclusive, done);
     std::uint64_t prof = 0;
     if (TxnProfiler* p = profiling())
         prof = p->begin(exclusive ? TxnKind::kGetX : TxnKind::kGetS, base,
@@ -163,6 +146,18 @@ void CacheAgent::startTransaction(Line* existing, Addr base, bool exclusive,
         getsIssued_.inc();
         sendToHome(MsgType::kGetS, base, /*ownerFlag=*/false, prof);
     }
+    return Wait::kNone;
+}
+
+void CacheAgent::allocateMshr(Addr base, bool exclusive, AccessDone& done)
+{
+    if (CoherenceChecker* c = checking())
+        c->onMshrAllocate(name(), base, curTick());
+    auto& entry = mshr_.allocate(base);
+    entry.allocatedAt = curTick();
+    entry.targets.push_back({exclusive, std::move(done)});
+    // Requests parked on this line can merge now.
+    wake(base);
 }
 
 CacheAgent::Line* CacheAgent::makeRoom(Addr addr)
@@ -521,12 +516,116 @@ void CacheAgent::handleData(const Message& msg)
     replayBlocked();
 }
 
+void CacheAgent::noteFilled(Addr addr)
+{
+    everFilled_.insert(lineNumber(addr));
+    // A request parked on the line may hit it now.
+    wake(lineAlign(addr));
+}
+
+void CacheAgent::parkRequest(Addr base, Wait why, InlineCallback retry)
+{
+    assert(why != Wait::kNone);
+    deferrals_.inc();
+    const std::uint64_t seq = nextPark_++;
+    if (retrying_)
+        parkedByRetry_.emplace_back(seq, *retrying_);
+    parked_.emplace(seq, Parked{base, std::move(retry)});
+    enlist(seq, base, why);
+}
+
+void CacheAgent::enlist(std::uint64_t seq, Addr base, Wait why)
+{
+    if (why == Wait::kMshrFull)
+        mshrWaiters_[base].push_back(seq);
+    else
+        due_.insert(seq);
+}
+
+void CacheAgent::wake(Addr base)
+{
+    const auto it = mshrWaiters_.find(base);
+    if (it == mshrWaiters_.end())
+        return;
+    due_.insert(it->second.begin(), it->second.end());
+    mshrWaiters_.erase(it);
+}
+
 void CacheAgent::replayBlocked()
 {
-    std::deque<std::function<void()>> pending;
-    pending.swap(blocked_);
-    for (auto& thunk : pending)
-        thunk();
+    assert(!retrying_ && "replay points never nest");
+    // Requests parked during this walk wait for the next replay point.
+    const std::uint64_t end = nextPark_;
+    for (std::uint64_t from = 0;;) {
+        // With a free MSHR slot any parked request may proceed; with the
+        // file full only the due ones can.
+        auto it = parked_.end();
+        if (!mshr_.full())
+            it = parked_.lower_bound(from);
+        else if (const auto d = due_.lower_bound(from); d != due_.end())
+            it = parked_.find(*d);
+        if (it == parked_.end() || it->first >= end)
+            break;
+        from = it->first + 1;
+        retryParked(it);
+    }
+    if (!parkedByRetry_.empty())
+        renumberParked();
+}
+
+void CacheAgent::retryParked(ParkedMap::iterator it)
+{
+    const std::uint64_t seq = it->first;
+    Parked& p = it->second;
+    // Out of both lists while it runs; its new reason files it again.
+    if (due_.erase(seq) == 0) {
+        auto& waiters = mshrWaiters_.at(p.base);
+        waiters.erase(std::find(waiters.begin(), waiters.end(), seq));
+        if (waiters.empty())
+            mshrWaiters_.erase(p.base);
+    }
+    retrying_ = seq;
+    p.retry();
+    retrying_.reset();
+    if (retryWait_ == Wait::kNone)
+        parked_.erase(it);
+    else
+        enlist(seq, p.base, retryWait_);
+}
+
+void CacheAgent::renumberParked()
+{
+    const std::unordered_map<std::uint64_t, std::uint64_t> parkedBy(
+        parkedByRetry_.begin(), parkedByRetry_.end());
+    parkedByRetry_.clear();
+    // Sort by (position, key): a request parked by another request's retry
+    // takes that request's position, after it.
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> order;
+    order.reserve(parked_.size());
+    for (const auto& entry : parked_) {
+        const auto by = parkedBy.find(entry.first);
+        order.emplace_back(by == parkedBy.end() ? entry.first : by->second,
+                           entry.first);
+    }
+    std::sort(order.begin(), order.end());
+
+    std::unordered_map<std::uint64_t, std::uint64_t> renamed;
+    ParkedMap parked;
+    nextPark_ = 0;
+    for (const auto& [position, seq] : order) {
+        auto node = parked_.extract(seq);
+        node.key() = nextPark_++;
+        renamed.emplace(seq, node.key());
+        parked.insert(std::move(node));
+    }
+    parked_.swap(parked);
+    std::set<std::uint64_t> due;
+    for (const std::uint64_t seq : due_)
+        due.insert(renamed.at(seq));
+    due_.swap(due);
+    for (auto& entry : mshrWaiters_)
+        for (std::uint64_t& seq : entry.second)
+            seq = renamed.at(seq);
 }
 
 void CacheAgent::forEachLine(const std::function<void(const Line&)>& fn) const
@@ -576,7 +675,7 @@ void CacheAgent::snapSave(snap::SnapWriter& w) const
     requireQuiesced(mshr_.size() == 0,
                     name() + " has in-flight MSHR transactions");
     requireQuiesced(wbb_.empty(), name() + " has parked writebacks");
-    requireQuiesced(blocked_.empty(), name() + " has deferred requests");
+    requireQuiesced(parked_.empty(), name() + " has deferred requests");
     array_.snapSave(w, [](snap::SnapWriter& sw, const CohMeta& meta) {
         sw.u8(static_cast<std::uint8_t>(meta.state));
         sw.u8(meta.dsFilled ? 1 : 0);

@@ -8,17 +8,23 @@
 //
 // Front side: access(addr, exclusive, done) — resolves locally on a hit or
 // starts a GetS/GetX transaction; `done` runs (possibly immediately) when the
-// line is readable/writable, with a reference to the filled line.
+// line is readable/writable, with a reference to the filled line. A request
+// that cannot proceed yet is parked and retried at the next replay point
+// that could let it through (see park()).
 //
 // Network side: handleForward (snoops, writeback acks, from home) and
 // handleResponse (data). Wired up by the System builder.
 #pragma once
 
-#include <deque>
+#include <cstdint>
 #include <functional>
+#include <map>
 #include <optional>
+#include <set>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "coherence/home_map.h"
 #include "coherence/protocol.h"
@@ -26,6 +32,7 @@
 #include "mem/cache_array.h"
 #include "mem/mshr.h"
 #include "net/network.h"
+#include "sim/inline_callback.h"
 #include "sim/sim_object.h"
 
 namespace dscoh {
@@ -68,10 +75,10 @@ public:
     CacheAgent(std::string name, SimContext& ctx, const Params& params);
 
     /// Requests read (exclusive=false) or write (exclusive=true) permission
-    /// on @p addr's line. Always accepted; internally defers on resource
-    /// pressure. @p done runs with the line in a satisfying state. For
-    /// writes the callback must write the line's bytes itself (and the state
-    /// is already MM).
+    /// on @p addr's line. Always accepted; parks on resource pressure.
+    /// @p done runs with the line in a satisfying state. For writes the
+    /// callback must write the line's bytes itself (and the state is
+    /// already MM).
     void access(Addr addr, bool exclusive, AccessDone done);
 
     /// Would @p addr hit right now (stable state satisfying @p exclusive)?
@@ -113,14 +120,14 @@ public:
 
     std::size_t mshrInFlight() const { return mshr_.size(); }
     std::size_t writebackBufferEntries() const { return wbb_.size(); }
-    std::size_t blockedRequests() const { return blocked_.size(); }
+    std::size_t blockedRequests() const { return parked_.size(); }
 
     std::uint64_t fills() const { return fills_.value(); }
     std::uint64_t writebacks() const { return writebacks_.value(); }
 
     /// Line states and data, replacement state, the compulsory-miss filter,
     /// the transaction-id counter and the data-supply port reservation.
-    /// Transient structures (MSHRs, writeback buffer, deferred requests)
+    /// Transient structures (MSHRs, writeback buffer, parked requests)
     /// must be empty — a safe point has no transaction in flight.
     void snapSave(snap::SnapWriter& w) const override;
     void snapRestore(snap::SnapReader& r) override;
@@ -151,7 +158,7 @@ protected:
 
     /// Frees a way in @p addr's set, evicting (and writing back) a victim if
     /// necessary. Returns nullptr when every way is pinned by an in-flight
-    /// transaction (caller defers).
+    /// transaction (caller parks).
     Line* makeRoom(Addr addr);
 
     bool inWriteback(Addr addr) const
@@ -159,13 +166,41 @@ protected:
         return wbb_.count(lineAlign(addr)) != 0;
     }
 
-    /// Defers a thunk until a resource frees up (WbAck, fill, MSHR release).
-    void deferUntilResourceFree(std::function<void()> thunk)
+    /// Why a request cannot proceed yet. kMshrFull: the MSHR file is full
+    /// and the line has no entry to merge into. kOther: anything else — the
+    /// line is draining through the writeback buffer, every way of its set
+    /// is pinned, or the writeback buffer is full.
+    enum class Wait : std::uint8_t { kNone, kMshrFull, kOther };
+
+    /// Parks a request on @p base's line that is blocked for @p why; one
+    /// park is one `deferrals` count. @p retry re-attempts the request and
+    /// returns why it is still blocked (kNone once it went through).
+    ///
+    /// Park/wake contract. Replay points are the end of a fill (after its
+    /// merged targets are served) and a WbAck. Each one retries parked
+    /// requests in park order: every kOther request, and a kMshrFull one
+    /// only while the MSHR file has a free slot or when its line gained an
+    /// MSHR entry or was filled since its last try. Any other kMshrFull
+    /// retry could only block again, so a retry blocked on kMshrFull must
+    /// change nothing. A still-blocked retry keeps its place; a request
+    /// parked by another request's retry goes right after that request and
+    /// waits for the next replay point. That is exactly the order of
+    /// re-running every parked request at every replay point.
+    template <typename Retry>
+    void park(Addr base, Wait why, Retry retry)
     {
-        blocked_.push_back(std::move(thunk));
+        auto thunk = [this, r = std::move(retry)]() mutable {
+            retryWait_ = r();
+        };
+        static_assert(InlineCallback::fitsInline<decltype(thunk)>(),
+                      "a parked retry must fit InlineCallback's buffer");
+        parkRequest(base, why, std::move(thunk));
     }
 
-    void noteFilled(Addr addr) { everFilled_.insert(lineNumber(addr)); }
+    /// Records a fill of @p addr's line (protocol fill or direct-store
+    /// install): the compulsory-miss filter, and a wake for the requests
+    /// parked on it.
+    void noteFilled(Addr addr);
 
     /// Sends a Put (writeback) for an MM/O line's data and parks it in the
     /// writeback buffer. Precondition: !inWriteback(base) and WBB not full.
@@ -177,9 +212,6 @@ protected:
     }
 
     const Params& params() const { return params_; }
-
-    /// Replays every deferred request (cheap; deferral is rare).
-    void replayBlocked();
 
     /// Records a protocol transition into the thread-local
     /// TransitionCoverage, (when enabled) this context's TraceSession and
@@ -199,13 +231,37 @@ private:
         DataBlock data;
     };
 
+    struct Parked {
+        Addr base = 0;
+        InlineCallback retry; ///< re-attempts the request; sets retryWait_
+    };
+    using ParkedMap = std::map<std::uint64_t, Parked>;
+
     static bool satisfies(CohState s, bool exclusive)
     {
         return exclusive ? canWrite(s) : canRead(s);
     }
 
-    void startTransaction(Line* existing, Addr base, bool exclusive,
-                          AccessDone done);
+    /// One attempt at access(). @p done is merged, queued or run only
+    /// when the attempt goes through.
+    Wait tryAccess(Addr base, bool exclusive, AccessDone& done);
+    Wait startTransaction(Line* existing, Addr base, bool exclusive,
+                          AccessDone& done);
+    void allocateMshr(Addr base, bool exclusive, AccessDone& done);
+
+    void parkRequest(Addr base, Wait why, InlineCallback retry);
+    /// Files parked request @p seq under @p why: kMshrFull by line, kOther
+    /// in due_.
+    void enlist(std::uint64_t seq, Addr base, Wait why);
+    /// Moves the kMshrFull requests parked on @p base into due_.
+    void wake(Addr base);
+    /// A replay point: retries the parked requests that could proceed.
+    void replayBlocked();
+    void retryParked(ParkedMap::iterator it);
+    /// Moves requests parked by another request's retry to right after
+    /// it, and renumbers park order from 0.
+    void renumberParked();
+
     void handleSnoop(const Message& msg);
     void handleData(const Message& msg);
     void sendToHome(MsgType type, Addr base, bool ownerFlag = false,
@@ -217,7 +273,19 @@ private:
     CacheArray<CohMeta> array_;
     MshrFile<MshrTarget> mshr_;
     std::unordered_map<Addr, WbEntry> wbb_;
-    std::deque<std::function<void()>> blocked_;
+    /// Parked requests, keyed by park order.
+    ParkedMap parked_;
+    /// Parked requests the next replay point retries even with the MSHR
+    /// file full: every kOther one, and each kMshrFull one whose line
+    /// gained an MSHR entry or was filled since its last try.
+    std::set<std::uint64_t> due_;
+    /// The other kMshrFull requests, by line.
+    std::unordered_map<Addr, std::vector<std::uint64_t>> mshrWaiters_;
+    /// (request, the request whose retry parked it), for renumberParked().
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> parkedByRetry_;
+    std::uint64_t nextPark_ = 0;
+    std::optional<std::uint64_t> retrying_; ///< park key being retried
+    Wait retryWait_ = Wait::kNone;
     std::unordered_set<Addr> everFilled_; ///< line numbers ever present here
     std::uint64_t nextTxn_ = 1;
     Tick supplyPortFreeAt_ = 0;
@@ -229,7 +297,7 @@ private:
     Counter writebacks_;
     Counter snoops_;
     Counter dataSupplied_;
-    Counter deferrals_;
+    Counter deferrals_; ///< requests parked (not retries)
 };
 
 } // namespace dscoh

@@ -54,49 +54,50 @@ void CpuCacheAgent::onInvalidate(Addr base)
 void CpuCacheAgent::prepareRemoteStore(Addr addr, std::function<void()> ready)
 {
     const Addr base = lineAlign(addr);
-
-    if (inWriteback(base)) {
-        // A writeback for this line is already draining: wait for its ack.
-        deferUntilResourceFree([this, base, r = std::move(ready)]() mutable {
-            prepareRemoteStore(base, std::move(r));
+    if (const Wait why = tryRemoteStore(base, ready); why != Wait::kNone)
+        park(base, why, [this, base, r = std::move(ready)]() mutable {
+            return tryRemoteStore(base, r);
         });
-        return;
-    }
+}
+
+CacheAgent::Wait CpuCacheAgent::tryRemoteStore(Addr base,
+                                              std::function<void()>& ready)
+{
+    // A writeback for this line (possibly our own, below) is draining:
+    // wait for its ack.
+    if (inWriteback(base))
+        return Wait::kOther;
 
     Line* lineHit = array().find(base);
     if (lineHit == nullptr) {
         // Fig. 3: a remote store from I forwards the data and stays I.
         noteTransition(CohState::kI, CohEvent::kRemoteStore, CohState::kI,
                        base);
-        return ready();
+        ready();
+        return Wait::kNone;
     }
 
-    if (params().injectBug == InjectedBug::kSkipRemoteStoreInval)
-        return ready(); // deliberate bug: stale copy survives the remote store
+    if (params().injectBug == InjectedBug::kSkipRemoteStoreInval) {
+        ready(); // deliberate bug: stale copy survives the remote store
+        return Wait::kNone;
+    }
 
     assert(isStable(lineHit->meta.state) &&
            "remote store racing a local transaction on the same line");
     remoteStoreInvalidations_.inc();
 
     if (needsWriteback(lineHit->meta.state)) {
-        if (writebackBufferFull()) {
-            deferUntilResourceFree([this, base, r = std::move(ready)]() mutable {
-                prepareRemoteStore(base, std::move(r));
-            });
-            return;
-        }
+        if (writebackBufferFull())
+            return Wait::kOther;
         remoteStoreWritebacks_.inc();
         noteTransition(lineHit->meta.state, CohEvent::kRemoteStore,
                        CohState::kI, base);
         onInvalidate(base);
         issueWriteback(base, lineHit->data, lineHit->meta.state);
         array().invalidate(*lineHit);
-        // The WbAck drains the writeback buffer; re-entering then takes the
+        // The WbAck drains the writeback buffer; the retry then takes the
         // line==nullptr fast path and fires ready().
-        deferUntilResourceFree([this, base, r = std::move(ready)]() mutable {
-            prepareRemoteStore(base, std::move(r));
-        });
-        return;
+        return Wait::kOther;
     }
 
     // S or M: clean, silently droppable (Fig. 3: S/M --RemoteStore--> I).
@@ -105,6 +106,7 @@ void CpuCacheAgent::prepareRemoteStore(Addr addr, std::function<void()> ready)
     onInvalidate(base);
     array().invalidate(*lineHit);
     ready();
+    return Wait::kNone;
 }
 
 void CpuCacheAgent::regStats(StatRegistry& registry)

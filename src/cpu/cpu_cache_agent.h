@@ -66,6 +66,10 @@ protected:
     void onInvalidate(Addr base) override;
 
 private:
+    /// One attempt at prepareRemoteStore(): fires @p ready once no local
+    /// copy of the line is left.
+    Wait tryRemoteStore(Addr base, std::function<void()>& ready);
+
     struct L1Meta {};
     mutable CacheArray<L1Meta> l1_;
 

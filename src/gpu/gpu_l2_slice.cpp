@@ -236,6 +236,22 @@ void GpuL2Slice::trimDsSeen()
 
 void GpuL2Slice::serveDirectStore(const Message& msg)
 {
+    if (tryDirectStore(msg) == Wait::kNone)
+        return;
+    // The same line is draining to memory; retry once it is gone so we
+    // never hold two copies with different owners.
+    Message* m = context().msgPool.acquire();
+    *m = msg;
+    park(msg.addr, Wait::kOther, [this, m] {
+        const Wait why = tryDirectStore(*m);
+        if (why == Wait::kNone)
+            context().msgPool.release(m);
+        return why;
+    });
+}
+
+CacheAgent::Wait GpuL2Slice::tryDirectStore(const Message& msg)
+{
     if (const Tick hold = holdUntil(msg.addr); hold > curTick()) {
         // Same freeze as a local store: the push lands only after every
         // outstanding lease on the line has expired.
@@ -248,17 +264,12 @@ void GpuL2Slice::serveDirectStore(const Message& msg)
             serveDirectStore(*m);
             context().msgPool.release(m);
         }, EventPriority::kController);
-        return;
+        return Wait::kNone;
     }
-    dsStores_.inc();
     const Addr base = msg.addr;
-
-    if (inWriteback(base)) {
-        // The same line is draining to memory; retry once it is gone so we
-        // never hold two copies with different owners.
-        deferUntilResourceFree([this, msg] { serveDirectStore(msg); });
-        return;
-    }
+    if (inWriteback(base))
+        return Wait::kOther;
+    dsStores_.inc();
 
     Line* line = array().find(base);
 
@@ -294,7 +305,7 @@ void GpuL2Slice::serveDirectStore(const Message& msg)
                     p->hop(msg.prof, TxnStage::kDramWrite, name(), curTick());
                 sendDsAck(msg);
             });
-            return;
+            return Wait::kNone;
         }
         Line& installed = array().install(*way, base);
         // The push writes through to DRAM in the background, so the line is
@@ -316,7 +327,7 @@ void GpuL2Slice::serveDirectStore(const Message& msg)
         if (TxnProfiler* p = profiling())
             p->hop(msg.prof, TxnStage::kInstall, name(), curTick());
         sendDsAck(msg);
-        return;
+        return Wait::kNone;
     }
 
     // Partial line, or the line is already present / in flight: obtain
@@ -337,6 +348,7 @@ void GpuL2Slice::serveDirectStore(const Message& msg)
             p->hop(msg.prof, TxnStage::kMerge, name(), curTick());
         sendDsAck(msg);
     });
+    return Wait::kNone;
 }
 
 void GpuL2Slice::sendDsAck(const Message& msg)

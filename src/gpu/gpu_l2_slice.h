@@ -100,6 +100,9 @@ private:
     void serveStore(const Message& msg);
     void maybePrefetch(Addr missAddr);
     void serveDirectStore(const Message& msg);
+    /// One attempt at serveDirectStore(); blocked only while the line is
+    /// draining through the writeback buffer.
+    Wait tryDirectStore(const Message& msg);
     void serveUncachedRead(const Message& msg);
     void noteDemand(Addr addr, bool exclusive);
     void sendDsAck(const Message& msg);
