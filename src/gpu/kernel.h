@@ -26,20 +26,27 @@ struct GpuOp {
         kNop,     ///< predicated-off lane
     };
 
-    Kind kind = Kind::kNop;
+    // Widest fields first: 24 bytes, so a warp's step-major op array
+    // stays dense (StreamingMultiprocessor::Warp).
     Addr vaddr = 0;
-    std::uint32_t size = 4;  ///< bytes, <= 8
     std::uint64_t value = 0; ///< store value / expected load value
-    bool check = false;      ///< verify loaded value against `value`
     std::uint32_t cycles = 1;
+    /// Access bytes: 1, 2, 4 or 8, at an address that is a multiple of it
+    /// (the trace frontend rejects anything else), so an access never
+    /// crosses a cache line.
+    std::uint8_t size = 4;
+    Kind kind = Kind::kNop;
+    bool check = false; ///< verify loaded value against `value`
 };
+static_assert(sizeof(GpuOp) == 24, "GpuOp layout grew");
 
 constexpr bool isGlobalMem(GpuOp::Kind k)
 {
     return k == GpuOp::Kind::kLoad || k == GpuOp::Kind::kStore;
 }
 
-/// Records one thread's op stream.
+/// Records one thread's op stream. The SM records a whole warp's lanes
+/// into one builder, back to back, and clear()s it for the next warp.
 class ThreadBuilder {
 public:
     void ld(Addr va, std::uint32_t size = 4)
@@ -47,7 +54,7 @@ public:
         GpuOp op;
         op.kind = GpuOp::Kind::kLoad;
         op.vaddr = va;
-        op.size = size;
+        op.size = accessSize(size);
         ops_.push_back(op);
     }
 
@@ -56,7 +63,7 @@ public:
         GpuOp op;
         op.kind = GpuOp::Kind::kLoad;
         op.vaddr = va;
-        op.size = size;
+        op.size = accessSize(size);
         op.value = expect;
         op.check = true;
         ops_.push_back(op);
@@ -67,7 +74,7 @@ public:
         GpuOp op;
         op.kind = GpuOp::Kind::kStore;
         op.vaddr = va;
-        op.size = size;
+        op.size = accessSize(size);
         op.value = value;
         ops_.push_back(op);
     }
@@ -96,9 +103,17 @@ public:
 
     void nop() { ops_.push_back(GpuOp{}); }
 
-    std::vector<GpuOp> take() { return std::move(ops_); }
+    const std::vector<GpuOp>& ops() const { return ops_; }
+    /// Drops the recorded ops and keeps the capacity for the next warp.
+    void clear() { ops_.clear(); }
 
 private:
+    static std::uint8_t accessSize(std::uint32_t size)
+    {
+        assert(size == 1 || size == 2 || size == 4 || size == 8);
+        return static_cast<std::uint8_t>(size);
+    }
+
     std::vector<GpuOp> ops_;
 };
 

@@ -1,10 +1,73 @@
 #include "gpu/sm.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
+#include <cstddef>
+#include <memory_resource>
+#include <unordered_map>
 #include <utility>
 
 namespace dscoh {
+
+namespace {
+
+constexpr std::uint32_t kNoLane = ~0u;
+
+/// A warp step's coalescer: line address -> slot, numbered in first-touch
+/// (lane) order. Iterating it yields the lines in the order a fresh
+/// std::unordered_map fed the lanes in lane order would: it is the same
+/// hash table with the same hash and rehash policy, only allocated from a
+/// stack arena. Build a fresh one per step; a reused table keeps its bucket
+/// count, and that changes the order.
+class LineSlots {
+public:
+    LineSlots() : pool_(arena_.data(), arena_.size()), slots_(&pool_) {}
+
+    /// The slot of @p line, and whether this call created it.
+    std::pair<std::uint32_t, bool> slotOf(Addr line)
+    {
+        const auto [it, fresh] =
+            slots_.try_emplace(line, static_cast<std::uint32_t>(slots_.size()));
+        return {it->second, fresh};
+    }
+
+    auto begin() const { return slots_.begin(); }
+    auto end() const { return slots_.end(); }
+
+private:
+    // Nodes and bucket arrays for up to 64 distinct lines; wider steps
+    // spill to the heap.
+    alignas(std::max_align_t) std::array<std::byte, 4096> arena_;
+    std::pmr::monotonic_buffer_resource pool_;
+    std::pmr::unordered_map<Addr, std::uint32_t> slots_;
+};
+
+/// One-entry host-side memo of AddressSpace::translate over a warp step,
+/// whose lanes mostly share a page. Not a modelled TLB: the GPU's
+/// translation stays free.
+class PageMemo {
+public:
+    explicit PageMemo(const AddressSpace& space) : space_(space) {}
+
+    /// Throws std::out_of_range for an unmapped @p va, as translate does.
+    Addr paddr(Addr va)
+    {
+        const Addr page = pageAlign(va);
+        if (page != vpage_) {
+            ppage_ = space_.translate(page).paddr;
+            vpage_ = page;
+        }
+        return ppage_ + (va - page);
+    }
+
+private:
+    const AddressSpace& space_;
+    Addr vpage_ = ~Addr{0}; ///< never page-aligned: matches no page
+    Addr ppage_ = 0;
+};
+
+} // namespace
 
 StreamingMultiprocessor::StreamingMultiprocessor(std::string name,
                                                  SimContext& ctx,
@@ -15,6 +78,12 @@ StreamingMultiprocessor::StreamingMultiprocessor(std::string name,
 {
     assert(params_.gpuNet && params_.sliceOf);
     blockSlots_.resize(params_.maxResidentBlocks);
+    laneBounds_.resize(params_.lanes + 1);
+    laneOffset_.resize(params_.lanes);
+    laneNext_.resize(params_.lanes);
+    slotHead_.resize(params_.lanes);
+    slotTail_.resize(params_.lanes);
+    storeLines_.resize(params_.lanes);
 }
 
 void StreamingMultiprocessor::beginKernel(
@@ -62,24 +131,33 @@ void StreamingMultiprocessor::addBlock(std::uint32_t blockId)
     ++residentBlocks_;
     blocksExecuted_.inc();
 
+    const std::uint32_t lanes = params_.lanes;
     for (std::uint32_t w = 0; w < warpsInBlock; ++w) {
+        // Record the warp's lanes back to back, then lay them out
+        // step-major in one pass; padding divergent/absent lanes with
+        // predicated-off nops keeps them in lockstep.
+        builder_.clear();
+        std::uint32_t maxSteps = 0;
+        for (std::uint32_t lane = 0; lane < lanes; ++lane) {
+            const std::uint32_t tid = w * lanes + lane;
+            if (tid < kernel_->threadsPerBlock)
+                kernel_->body(builder_, blockId, tid);
+            laneBounds_[lane + 1] =
+                static_cast<std::uint32_t>(builder_.ops().size());
+            maxSteps =
+                std::max(maxSteps, laneBounds_[lane + 1] - laneBounds_[lane]);
+        }
         auto warp = std::make_unique<Warp>();
         warp->blockSlot = slot;
-        warp->laneOps.resize(params_.lanes);
-        std::uint32_t maxSteps = 0;
-        for (std::uint32_t lane = 0; lane < params_.lanes; ++lane) {
-            const std::uint32_t tid = w * params_.lanes + lane;
-            if (tid < kernel_->threadsPerBlock) {
-                ThreadBuilder builder;
-                kernel_->body(builder, blockId, tid);
-                warp->laneOps[lane] = builder.take();
+        warp->laneOps.reserve(std::size_t{maxSteps} * lanes);
+        for (std::uint32_t step = 0; step < maxSteps; ++step) {
+            for (std::uint32_t lane = 0; lane < lanes; ++lane) {
+                const std::uint32_t i = laneBounds_[lane] + step;
+                warp->laneOps.push_back(i < laneBounds_[lane + 1]
+                                            ? builder_.ops()[i]
+                                            : GpuOp{});
             }
-            maxSteps = std::max(
-                maxSteps, static_cast<std::uint32_t>(warp->laneOps[lane].size()));
         }
-        // Lockstep: pad divergent/absent lanes with predicated-off nops.
-        for (auto& ops : warp->laneOps)
-            ops.resize(maxSteps);
         warp->steps = maxSteps;
         Warp* raw = warp.get();
         warps_.push_back(std::move(warp));
@@ -132,8 +210,9 @@ void StreamingMultiprocessor::execStep(Warp& warp)
     bool hasSmem = false;
     bool hasCompute = false;
     std::uint32_t maxCycles = 1;
+    const GpuOp* ops = stepOps(warp);
     for (std::uint32_t lane = 0; lane < params_.lanes; ++lane) {
-        const GpuOp& op = warp.laneOps[lane][warp.step];
+        const GpuOp& op = ops[lane];
         switch (op.kind) {
         case GpuOp::Kind::kLoad:
             hasLoad = true;
@@ -219,56 +298,65 @@ void StreamingMultiprocessor::retireWarp(Warp& warp)
 
 // ------------------------------------------------------------------ loads --
 
+void StreamingMultiprocessor::runChecks(const DataBlock& data,
+                                        const Warp& warp, std::uint32_t begin,
+                                        std::uint32_t end)
+{
+    for (std::uint32_t i = begin; i < end; ++i) {
+        const LaneCheck& c = warp.checks[i];
+        const std::uint64_t mask =
+            c.size >= 8 ? ~0ull : ((1ull << (c.size * 8)) - 1);
+        if ((data.read(c.offset, c.size) & mask) != (c.expect & mask))
+            checkFailures_.inc();
+    }
+}
+
 void StreamingMultiprocessor::execLoads(Warp& warp)
 {
-    // Coalesce: group the lanes' physical addresses by cache line, and
-    // record each lane's value check to run once that line's bytes arrive.
-    struct LaneCheck {
-        std::uint32_t offset;
-        std::uint32_t size;
-        std::uint64_t expect;
-        bool check;
-    };
-    std::unordered_map<Addr, std::vector<LaneCheck>> byLine;
+    // Coalesce: group the lanes' physical addresses by cache line, keeping
+    // lane order within a line.
+    const GpuOp* ops = stepOps(warp);
+    LineSlots slots;
+    PageMemo memo(space_);
     for (std::uint32_t lane = 0; lane < params_.lanes; ++lane) {
-        const GpuOp& op = warp.laneOps[lane][warp.step];
+        const GpuOp& op = ops[lane];
         if (op.kind != GpuOp::Kind::kLoad)
             continue;
         globalLoads_.inc();
-        const Addr pa = space_.translate(op.vaddr).paddr;
-        byLine[lineAlign(pa)].push_back(
-            LaneCheck{lineOffset(pa), op.size, op.value, op.check});
+        const Addr pa = memo.paddr(op.vaddr);
+        laneOffset_[lane] = lineOffset(pa);
+        laneNext_[lane] = kNoLane;
+        const auto [slot, fresh] = slots.slotOf(lineAlign(pa));
+        if (fresh)
+            slotHead_[slot] = lane;
+        else
+            laneNext_[slotTail_[slot]] = lane;
+        slotTail_[slot] = lane;
     }
 
-    auto runChecks = [this](const DataBlock& data,
-                            const std::vector<LaneCheck>& checks) {
-        for (const LaneCheck& c : checks) {
-            if (!c.check)
-                continue;
-            const std::uint64_t mask =
-                c.size >= 8 ? ~0ull : ((1ull << (c.size * 8)) - 1);
-            if ((data.read(c.offset, c.size) & mask) != (c.expect & mask))
-                checkFailures_.inc();
-        }
-    };
-
+    // Record each line's checked lanes, then check them against the L1 copy
+    // now or against the line's bytes when they arrive.
+    warp.checks.clear();
     warp.pendingLines = 0;
-    for (auto& [lineAddr, checks] : byLine) {
+    for (const auto& [lineAddr, slot] : slots) {
         coalescedTransactions_.inc();
+        const auto begin = static_cast<std::uint32_t>(warp.checks.size());
+        for (std::uint32_t lane = slotHead_[slot]; lane != kNoLane;
+             lane = laneNext_[lane]) {
+            const GpuOp& op = ops[lane];
+            if (op.check)
+                warp.checks.push_back(
+                    LaneCheck{op.value, laneOffset_[lane], op.size});
+        }
+        const auto end = static_cast<std::uint32_t>(warp.checks.size());
         if (GpuL1::Line* line = l1_.lookup(lineAddr)) {
-            runChecks(line->data, checks);
+            runChecks(line->data, warp, begin, end);
             continue;
         }
         ++warp.pendingLines;
-        const bool firstRequester = outstandingLines_.count(lineAddr) == 0;
-        outstandingLines_[lineAddr].push_back(
-            [this, &warp, checks = std::move(checks),
-             runChecks](const DataBlock& data) {
-                runChecks(data, checks);
-                assert(warp.pendingLines > 0);
-                if (--warp.pendingLines == 0)
-                    advanceWarp(warp);
-            });
+        std::vector<LineWaiter>& waiters = outstandingLines_[lineAddr];
+        const bool firstRequester = waiters.empty();
+        waiters.push_back(LineWaiter{&warp, begin, end});
         if (firstRequester) {
             Message req;
             req.type = MsgType::kL1Load;
@@ -291,31 +379,37 @@ void StreamingMultiprocessor::execLoads(Warp& warp)
 
 bool StreamingMultiprocessor::execStores(Warp& warp)
 {
-    std::unordered_map<Addr, std::pair<DataBlock, ByteMask>> byLine;
+    const GpuOp* ops = stepOps(warp);
+    LineSlots slots;
+    PageMemo memo(space_);
     for (std::uint32_t lane = 0; lane < params_.lanes; ++lane) {
-        const GpuOp& op = warp.laneOps[lane][warp.step];
+        const GpuOp& op = ops[lane];
         if (op.kind != GpuOp::Kind::kStore)
             continue;
         globalStores_.inc();
-        const Addr pa = space_.translate(op.vaddr).paddr;
-        auto& [data, mask] = byLine[lineAlign(pa)];
-        data.write(lineOffset(pa), op.value, op.size);
-        mask.set(lineOffset(pa), op.size);
+        const Addr pa = memo.paddr(op.vaddr);
+        const auto [slot, fresh] = slots.slotOf(lineAlign(pa));
+        StoreLine& line = storeLines_[slot];
+        if (fresh)
+            line = StoreLine{}; // zeroed: the message carries the whole block
+        line.data.write(lineOffset(pa), op.value, op.size);
+        line.mask.set(lineOffset(pa), op.size);
     }
 
-    for (auto& [lineAddr, payload] : byLine) {
+    for (const auto& [lineAddr, slot] : slots) {
         coalescedTransactions_.inc();
+        const StoreLine& payload = storeLines_[slot];
         // Write-through, no-allocate; update a present L1 copy so later
         // local loads observe the stored bytes.
-        l1_.storeUpdate(lineAddr, payload.first, payload.second);
+        l1_.storeUpdate(lineAddr, payload.data, payload.mask);
         Message st;
         st.type = MsgType::kL1Store;
         st.addr = lineAddr;
         st.src = params_.self;
         st.dst = params_.sliceOf(lineAddr);
         st.requester = params_.self;
-        st.data = payload.first;
-        st.mask = payload.second;
+        st.data = payload.data;
+        st.mask = payload.mask;
         st.hasData = true;
         params_.gpuNet->send(std::move(st));
         ++outstandingStores_;
@@ -337,10 +431,15 @@ void StreamingMultiprocessor::handleGpuMessage(const Message& msg)
         l1_.fill(msg.addr, msg.data);
         const auto it = outstandingLines_.find(msg.addr);
         assert(it != outstandingLines_.end());
-        auto completions = std::move(it->second);
+        const std::vector<LineWaiter> waiters = std::move(it->second);
         outstandingLines_.erase(it);
-        for (auto& completion : completions)
-            completion(msg.data);
+        for (const LineWaiter& w : waiters) {
+            Warp& warp = *w.warp;
+            runChecks(msg.data, warp, w.begin, w.end);
+            assert(warp.pendingLines > 0);
+            if (--warp.pendingLines == 0)
+                advanceWarp(warp);
+        }
         break;
     }
     case MsgType::kL1StoreAck: {

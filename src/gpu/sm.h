@@ -11,7 +11,8 @@
 // no-allocate, flash-invalidated at kernel launch) and miss to the owning
 // L2 slice; stores write through to the slice and only stall the warp when
 // too many are outstanding. The GPU-side TLB is modelled as free (shared
-// page table walker, never on the critical path in this study).
+// page table walker, never on the critical path in this study); the host
+// memoizes translation per warp step, which changes no simulated timing.
 #pragma once
 
 #include <cstdint>
@@ -103,13 +104,45 @@ public:
     }
 
 private:
+    /// One checked lane of a load step: the loaded bytes must equal
+    /// `expect` (masked to `size` bytes) at `offset` within the line.
+    struct LaneCheck {
+        std::uint64_t expect;
+        std::uint32_t offset;
+        std::uint32_t size;
+    };
+
+    /// A warp's ops live in one allocation, step-major: lane L's op at step
+    /// S is laneOps[S * lanes + L], so a step reads one contiguous row.
+    /// Lanes with shorter streams (and absent threads) are padded with
+    /// nops to `steps` rows.
     struct Warp {
         std::uint32_t blockSlot = 0;
-        std::vector<std::vector<GpuOp>> laneOps; ///< [lane][step], equal sizes
+        std::vector<GpuOp> laneOps; ///< [step * lanes + lane], nop-padded
+        /// The current load step's checked lanes, grouped by line in the
+        /// coalescer's order; LineWaiter ranges index it.
+        std::vector<LaneCheck> checks;
         std::uint32_t step = 0;
         std::uint32_t steps = 0;
         std::uint32_t pendingLines = 0; ///< load lines in flight this step
         bool waitingStores = false;     ///< stalled on the store cap
+    };
+
+    /// A warp waiting for one line of its load step: when the line arrives,
+    /// warp->checks[begin, end) are run against it and the warp's
+    /// pendingLines drops by one. The indices stay valid because a warp has
+    /// one step in flight, and it neither advances (rebuilding checks) nor
+    /// retires until its last waiter has run.
+    struct LineWaiter {
+        Warp* warp;
+        std::uint32_t begin;
+        std::uint32_t end;
+    };
+
+    /// One coalesced store line under construction.
+    struct StoreLine {
+        DataBlock data;
+        ByteMask mask;
     };
 
     struct BlockSlot {
@@ -121,8 +154,16 @@ private:
     void addBlock(std::uint32_t blockId);
     void scheduleIssue(Tick delay);
     void issue();
+    const GpuOp* stepOps(const Warp& warp) const
+    {
+        return warp.laneOps.data() + std::size_t{warp.step} * params_.lanes;
+    }
     void execStep(Warp& warp);
     void execLoads(Warp& warp);
+    /// Counts a check failure for each of warp.checks[begin, end) that
+    /// @p data does not match.
+    void runChecks(const DataBlock& data, const Warp& warp,
+                   std::uint32_t begin, std::uint32_t end);
     /// Issues the step's coalesced write-through stores; returns true when
     /// the outstanding-store cap is exceeded (the warp must stall).
     bool execStores(Warp& warp);
@@ -151,9 +192,21 @@ private:
     std::size_t outstandingStores_ = 0;
     std::deque<Warp*> storeWaiters_;
 
-    /// Line address -> completions to run when its data arrives.
-    std::unordered_map<Addr, std::vector<std::function<void(const DataBlock&)>>>
-        outstandingLines_;
+    /// Line address -> warps to complete, in request order, when its data
+    /// arrives.
+    std::unordered_map<Addr, std::vector<LineWaiter>> outstandingLines_;
+
+    // Front-end scratch, reused by every warp and step. A step has at most
+    // one line per lane, so each per-line vector is sized by lanes and
+    // indexed by the coalescer's slot number.
+    ThreadBuilder builder_; ///< one warp's lanes, back to back
+    /// Lane L's ops are builder_.ops()[laneBounds_[L], laneBounds_[L + 1]).
+    std::vector<std::uint32_t> laneBounds_;
+    std::vector<std::uint32_t> laneOffset_; ///< lane's byte offset in its line
+    std::vector<std::uint32_t> laneNext_;   ///< next lane on the same line
+    std::vector<std::uint32_t> slotHead_;   ///< first lane of a load line
+    std::vector<std::uint32_t> slotTail_;   ///< last lane of a load line
+    std::vector<StoreLine> storeLines_;     ///< bytes of a store line
 
     Counter instructionsIssued_;
     Counter globalLoads_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "translate/lexer.h"
@@ -34,6 +35,7 @@ public:
     }
 
     const std::string& text() const { return text_; }
+    std::size_t line() const { return line_; }
 
 private:
     struct Cursor {
@@ -51,6 +53,8 @@ private:
     /// Two adjacent same-character puncts (<<, >>, ==, !=, <=, >=).
     bool isPair(const Cursor& c, char a, char b) const
     {
+        if (c.pos + 1 >= lexed_.tokens.size())
+            return false; // at the final EOF token
         const auto& t0 = lexed_.tokens[c.pos];
         const auto& t1 = lexed_.tokens[c.pos + 1];
         return t0.kind == xlate::TokKind::kPunct && t0.text[0] == a &&
@@ -92,10 +96,15 @@ private:
         for (;;) {
             if (isPair(c, '<', '<')) {
                 c.pos += 2;
-                lhs <<= parseAdd(c, env);
+                const int n = shiftCount(parseAdd(c, env));
+                const auto shifted = static_cast<std::int64_t>(
+                    static_cast<std::uint64_t>(lhs) << n);
+                if ((shifted >> n) != lhs)
+                    overflow();
+                lhs = shifted;
             } else if (isPair(c, '>', '>')) {
                 c.pos += 2;
-                lhs >>= parseAdd(c, env);
+                lhs >>= shiftCount(parseAdd(c, env));
             } else {
                 return lhs;
             }
@@ -108,10 +117,12 @@ private:
         for (;;) {
             if (isPunct(c, "+")) {
                 ++c.pos;
-                lhs += parseMul(c, env);
+                if (__builtin_add_overflow(lhs, parseMul(c, env), &lhs))
+                    overflow();
             } else if (isPunct(c, "-")) {
                 ++c.pos;
-                lhs -= parseMul(c, env);
+                if (__builtin_sub_overflow(lhs, parseMul(c, env), &lhs))
+                    overflow();
             } else {
                 return lhs;
             }
@@ -133,9 +144,16 @@ private:
                 return lhs;
             ++c.pos;
             const std::int64_t rhs = parseUnary(c, env);
-            if ((op == '/' || op == '%') && rhs == 0)
+            if (op == '*') {
+                if (__builtin_mul_overflow(lhs, rhs, &lhs))
+                    overflow();
+                continue;
+            }
+            if (rhs == 0)
                 throw TraceError(line_, "division by zero in: " + text_);
-            lhs = op == '*' ? lhs * rhs : (op == '/' ? lhs / rhs : lhs % rhs);
+            if (rhs == -1 && lhs == std::numeric_limits<std::int64_t>::min())
+                overflow(); // the quotient is 2^63
+            lhs = op == '/' ? lhs / rhs : lhs % rhs;
         }
     }
 
@@ -143,9 +161,25 @@ private:
     {
         if (isPunct(c, "-")) {
             ++c.pos;
-            return -parseUnary(c, env);
+            std::int64_t v = 0;
+            if (__builtin_sub_overflow(0, parseUnary(c, env), &v))
+                overflow();
+            return v;
         }
         return parsePrimary(c, env);
+    }
+
+    int shiftCount(std::int64_t n) const
+    {
+        if (n < 0 || n > 63)
+            throw TraceError(line_, "shift count " + std::to_string(n) +
+                                        " is outside [0, 63] in: " + text_);
+        return static_cast<int>(n);
+    }
+
+    [[noreturn]] void overflow() const
+    {
+        throw TraceError(line_, "64-bit overflow in: " + text_);
     }
 
     std::int64_t parsePrimary(Cursor& c, const Env& env) const
@@ -189,6 +223,16 @@ private:
     std::size_t line_;
     xlate::LexResult lexed_;
 };
+
+/// Accesses are naturally aligned (CUDA's rule): with line-aligned array
+/// bases, an aligned access never crosses a cache line.
+std::string misaligned(const std::string& array, std::uint64_t offset,
+                       std::uint32_t size)
+{
+    return "misaligned " + std::to_string(size) + "-byte access to '" + array +
+           "' at offset " + std::to_string(offset) +
+           ": offsets must be a multiple of the access size";
+}
 
 // ---------------------------------------------------------------------------
 // Trace IR
@@ -401,7 +445,12 @@ private:
                 "trace: access to '" + s.array + "' at offset " +
                 std::to_string(off) + " exceeds " + std::to_string(limit) +
                 " bytes (expression: " + s.addr->text() + ")");
-        return mem.at(s.array) + static_cast<std::uint64_t>(off);
+        const auto offset = static_cast<std::uint64_t>(off);
+        if (offset % s.size != 0)
+            throw TraceError(s.addr->line(),
+                             misaligned(s.array, offset, s.size) +
+                                 " (expression: " + s.addr->text() + ")");
+        return mem.at(s.array) + offset;
     }
 
     TraceIr ir_;
@@ -462,6 +511,14 @@ std::uint64_t parseUint(const std::string& word, std::size_t lineNo)
     }
 }
 
+std::uint32_t parseAccessSize(const std::string& word, std::size_t lineNo)
+{
+    const std::uint64_t size = parseUint(word, lineNo);
+    if (size != 1 && size != 2 && size != 4 && size != 8)
+        throw TraceError(lineNo, "access size must be 1, 2, 4 or 8");
+    return static_cast<std::uint32_t>(size);
+}
+
 KernelStmt parseKernelStmt(std::vector<std::string> f, std::size_t lineNo)
 {
     KernelStmt stmt;
@@ -482,13 +539,13 @@ KernelStmt parseKernelStmt(std::vector<std::string> f, std::size_t lineNo)
         stmt.kind = op == "ld" ? KernelStmt::Kind::kLd : KernelStmt::Kind::kLdc;
         stmt.array = f[at + 1];
         stmt.addr = std::make_shared<Expr>(f[at + 2], lineNo);
-        stmt.size = static_cast<std::uint32_t>(parseUint(f[at + 3], lineNo));
+        stmt.size = parseAccessSize(f[at + 3], lineNo);
     } else if (op == "st") {
         need(5, "st <array> (<offset expr>) <size> (<value expr>)");
         stmt.kind = KernelStmt::Kind::kSt;
         stmt.array = f[at + 1];
         stmt.addr = std::make_shared<Expr>(f[at + 2], lineNo);
-        stmt.size = static_cast<std::uint32_t>(parseUint(f[at + 3], lineNo));
+        stmt.size = parseAccessSize(f[at + 3], lineNo);
         stmt.value = std::make_shared<Expr>(f[at + 4], lineNo);
     } else if (op == "compute") {
         need(2, "compute <cycles expr>");
@@ -503,8 +560,6 @@ KernelStmt parseKernelStmt(std::vector<std::string> f, std::size_t lineNo)
     } else {
         throw TraceError(lineNo, "unknown kernel op '" + op + "'");
     }
-    if (stmt.size != 1 && stmt.size != 2 && stmt.size != 4 && stmt.size != 8)
-        throw TraceError(lineNo, "access size must be 1, 2, 4 or 8");
     return stmt;
 }
 
@@ -535,7 +590,10 @@ CpuStmt parseCpuStmt(const std::vector<std::string>& f, std::size_t lineNo)
         }
         stmt.array = f[1];
         stmt.offset = parseUint(f[2], lineNo);
-        stmt.size = static_cast<std::uint32_t>(parseUint(f[3], lineNo));
+        stmt.size = parseAccessSize(f[3], lineNo);
+        if (stmt.offset % stmt.size != 0)
+            throw TraceError(lineNo,
+                             misaligned(stmt.array, stmt.offset, stmt.size));
     } else if (op == "compute") {
         need(2, "compute <cycles>");
         stmt.kind = CpuStmt::Kind::kCompute;

@@ -31,8 +31,16 @@
 //
 // Expressions may use $gid, $bid, $tid, $nthreads, $ntpb, $nblocks, integer
 // literals, + - * / % << >> ( ), and comparisons inside `when (...)`.
+// Arithmetic is signed 64-bit: an overflow, a division by zero or a shift
+// count outside [0, 63] is an error, not a wrapped value.
 // Kernels execute their statement list once per thread; `when` predicates
 // are evaluated per thread (off lanes emit nops, preserving SIMT lockstep).
+//
+// Accesses are 1, 2, 4 or 8 bytes, inside their array, and naturally
+// aligned (CUDA's rule): the offset must be a multiple of the size, so an
+// access never crosses a cache line. CPU statements are checked when the
+// trace is parsed; kernel offsets, being per-thread expressions, when a
+// thread's ops are built.
 #pragma once
 
 #include <cstdint>

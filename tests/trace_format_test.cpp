@@ -186,6 +186,136 @@ end
     EXPECT_THROW(kernels[0].body(t, 0, 5), std::out_of_range); // offset 320
 }
 
+TEST(TraceParse, MisalignedKernelAccessIsCaughtAtBuildTime)
+{
+    // A 4-byte access at line offset 126 would straddle two lines.
+    for (const char* stmt : {"ldc a ($tid * 128 + 126) 4",
+                             "st a ($tid * 128 + 126) 4 ($tid)"}) {
+        const std::string source =
+            std::string("array a 8192 shared produced\n"
+                        "kernel k blocks 1 tpb 32\n  ") +
+            stmt + "\nend\n";
+        const auto w = parseTrace(source);
+        Workload::ArrayMap mem{{"a", 0x1000}};
+        const auto kernels = w->kernels(InputSize::kSmall, mem);
+        ThreadBuilder t;
+        try {
+            kernels[0].body(t, 0, 0);
+            FAIL() << "expected TraceError for: " << stmt;
+        } catch (const TraceError& e) {
+            const std::string what = e.what();
+            EXPECT_EQ(e.line(), 3u);
+            EXPECT_NE(what.find("misaligned"), std::string::npos) << what;
+            EXPECT_NE(what.find("$tid * 128 + 126"), std::string::npos)
+                << what;
+        }
+    }
+}
+
+TEST(TraceParse, MisalignedCpuAccessIsRejectedAtParse)
+{
+    for (const char* stmt :
+         {"store a 126 4 7", "load a 126 4", "loadc a 124 8 7"}) {
+        const std::string source =
+            std::string("array a 8192 shared\ncpu:\n  ") + stmt + "\nend\n";
+        try {
+            parseTrace(source);
+            FAIL() << "expected TraceError for: " << stmt;
+        } catch (const TraceError& e) {
+            EXPECT_EQ(e.line(), 3u);
+            EXPECT_NE(std::string(e.what()).find("misaligned"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    EXPECT_THROW(parseTrace("array a 64 shared\ncpu:\n  load a 0 3\nend\n"),
+                 TraceError);
+    EXPECT_NO_THROW(
+        parseTrace("array a 64 shared\ncpu:\n  loadc a 8 8 7\nend\n"));
+}
+
+/// Builds a one-load kernel whose offset is @p expr and evaluates it for
+/// thread 0; the expression error must surface as a TraceError.
+void expectExpressionRejected(const std::string& expr, const char* why)
+{
+    const std::string source = "array a 64 shared\nkernel k blocks 1 tpb "
+                               "32\n  ld a (" +
+                               expr + ") 4\nend\n";
+    const auto w = parseTrace(source);
+    Workload::ArrayMap mem{{"a", 0x1000}};
+    const auto kernels = w->kernels(InputSize::kSmall, mem);
+    ThreadBuilder t;
+    try {
+        kernels[0].body(t, 0, 0);
+        FAIL() << "expected TraceError for: " << expr;
+    } catch (const TraceError& e) {
+        EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(TraceParse, RejectsShiftCountOutOfRange)
+{
+    expectExpressionRejected("$tid << 70", "shift count 70");
+    expectExpressionRejected("1 << 64", "shift count 64");
+    expectExpressionRejected("4 >> -1", "shift count -1");
+}
+
+TEST(TraceParse, RejectsLeftShiftOverflow)
+{
+    expectExpressionRejected("1 << 63", "overflow");
+    expectExpressionRejected("(0 - 3) << 62", "overflow");
+}
+
+TEST(TraceParse, RejectsAdditionOverflow)
+{
+    expectExpressionRejected("9223372036854775807 + $tid + 1", "overflow");
+}
+
+TEST(TraceParse, RejectsSubtractionOverflow)
+{
+    expectExpressionRejected("-9223372036854775807 - 2", "overflow");
+}
+
+TEST(TraceParse, RejectsMultiplicationOverflow)
+{
+    expectExpressionRejected("4294967296 * 4294967296", "overflow");
+}
+
+TEST(TraceParse, RejectsNegationOverflow)
+{
+    expectExpressionRejected("-(-9223372036854775807 - 1)", "overflow");
+}
+
+TEST(TraceParse, RejectsDivisionOverflow)
+{
+    expectExpressionRejected("(-9223372036854775807 - 1) / -1", "overflow");
+    expectExpressionRejected("(-9223372036854775807 - 1) % -1", "overflow");
+}
+
+TEST(TraceParse, ShiftsAndComparisonsStillEvaluate)
+{
+    // In-range shifts and a comparison at the very end of an expression
+    // (the token after it is the final EOF) evaluate as before.
+    const char* source = R"(
+array a 4096 shared
+kernel k blocks 1 tpb 32
+  when ($tid >= 31) st a (($tid << 3) >> 1) 4 ((0 - 8) >> 2)
+end
+)";
+    const auto w = parseTrace(source);
+    Workload::ArrayMap mem{{"a", 0x1000}};
+    const auto kernels = w->kernels(InputSize::kSmall, mem);
+    ThreadBuilder t;
+    kernels[0].body(t, 0, 30);
+    kernels[0].body(t, 0, 31);
+    ASSERT_EQ(t.ops().size(), 2u);
+    EXPECT_EQ(t.ops()[0].kind, GpuOp::Kind::kNop);
+    EXPECT_EQ(t.ops()[1].kind, GpuOp::Kind::kStore);
+    EXPECT_EQ(t.ops()[1].vaddr, 0x1000u + 31 * 4);
+    EXPECT_EQ(t.ops()[1].value, static_cast<std::uint64_t>(-2));
+}
+
 TEST(TraceParse, ErrorsCarryLineNumbers)
 {
     try {
