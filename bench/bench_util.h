@@ -1,14 +1,20 @@
-// Shared helpers for the reproduction benches: run workloads under both
-// schemes through the parallel ExperimentEngine, format per-benchmark
-// tables, and compute the paper's geometric means.
+// Shared helpers for the reproduction benches and the paper's geometric
+// means.
 //
-// Every bench accepts --jobs N (default: all hardware threads, or the
-// DSCOH_JOBS environment variable). Runs are fully independent simulations,
-// so results are bit-identical for any worker count.
+// The four paper reports (fig4_speedup, fig5_missrate, compulsory_misses,
+// traffic_breakdown) simulate nothing: they read the Table II rows from the
+// results files `dscoh_sweep small|big --json FILE` writes (loadRows).
+// The ablations change the config, so they simulate their own batches
+// through the parallel ExperimentEngine; they accept --jobs N (default:
+// all hardware threads, or the DSCOH_JOBS environment variable). Runs are
+// fully independent simulations, so results are bit-identical for any
+// worker count.
 #pragma once
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <exception>
 #include <iostream>
 #include <stdexcept>
 #include <string>
@@ -77,44 +83,76 @@ struct BenchmarkRow {
     }
 };
 
-/// Runs every Table II workload at @p size under both schemes, sharded
-/// across @p workers threads (0 = hardware concurrency).
-inline std::vector<BenchmarkRow> runAll(InputSize size,
-                                        const SystemConfig& base = SystemConfig{},
-                                        bool verbose = true,
-                                        unsigned workers = 0)
+/// Reads the Table II rows for @p size from a results file written by
+/// `dscoh_sweep <size> --json`. The file must hold the registry's codes in
+/// registry order, each CCSM then DirectStore, all at @p size, with no
+/// failed run. Anything else prints "<bench>: <path>: <reason>" naming the
+/// first mismatch and exits 1.
+inline std::vector<BenchmarkRow> loadRows(const char* bench,
+                                          const std::string& path,
+                                          InputSize size)
 {
-    const std::vector<std::string> codes = WorkloadRegistry::instance().codes();
-    const std::vector<ExperimentJob> jobs = makeSweepJobs(
-        codes, {size}, {CoherenceMode::kCcsm, CoherenceMode::kDirectStore},
-        base);
-    ExperimentEngine engine(workers);
-    if (verbose) {
-        engine.onProgress([](const ExperimentResult& r, std::size_t done,
-                             std::size_t total) {
-            std::fprintf(stderr, "  [%zu/%zu] ran %s (%s, %s)%s\n", done,
-                         total, r.job.code.c_str(), to_string(r.job.size),
-                         to_string(r.job.mode), r.ok ? "" : " FAILED");
-        });
+    const auto refuse = [&](const std::string& why) {
+        std::fprintf(stderr, "%s: %s: %s\n", bench, path.c_str(),
+                     why.c_str());
+        std::exit(1);
+    };
+    std::vector<ExperimentResult> results;
+    try {
+        results = readResultsJson(path);
+    } catch (const std::exception& e) {
+        std::fprintf(stderr, "%s: %s\n", bench, e.what());
+        std::exit(1);
     }
-    const std::vector<ExperimentResult> results = engine.run(jobs);
-
+    const std::vector<ExperimentJob> want = makeSweepJobs(
+        WorkloadRegistry::instance().codes(), {size},
+        {CoherenceMode::kCcsm, CoherenceMode::kDirectStore});
+    const auto name = [](const ExperimentJob& job) {
+        return job.code + " (" + to_string(job.size) + ", " +
+               to_string(job.mode) + ")";
+    };
     std::vector<BenchmarkRow> rows;
-    rows.reserve(codes.size());
-    for (std::size_t i = 0; i + 1 < results.size(); i += 2) {
-        if (!results[i].ok)
-            throw std::runtime_error(results[i].job.code + ": " +
-                                     results[i].error);
-        if (!results[i + 1].ok)
-            throw std::runtime_error(results[i + 1].job.code + ": " +
-                                     results[i + 1].error);
-        BenchmarkRow row;
-        row.code = results[i].job.code;
-        row.ccsm = results[i].run;
-        row.ds = results[i + 1].run;
-        rows.push_back(std::move(row));
+    for (std::size_t i = 0; i < want.size() && i < results.size(); ++i) {
+        const ExperimentResult& r = results[i];
+        if (name(r.job) != name(want[i]))
+            refuse("run " + std::to_string(i) + " is " + name(r.job) +
+                   ", expected " + name(want[i]));
+        if (!r.ok)
+            refuse(r.job.code + ": " + r.error);
+        if (i % 2 == 0)
+            rows.push_back(BenchmarkRow{r.job.code, r.run, {}});
+        else
+            rows.back().ds = r.run;
     }
+    if (results.size() != want.size())
+        refuse("holds " + std::to_string(results.size()) + " runs, not the " +
+               std::to_string(want.size()) + " of `dscoh_sweep " +
+               to_string(size) + "`");
     return rows;
+}
+
+/// Loads a report's inputs: one results file per entry of @p sizes, named
+/// in that order on the command line. A wrong argument count, or any
+/// option, prints usage and exits 2; a bad file exits 1 (see loadRows).
+inline std::vector<std::vector<BenchmarkRow>>
+loadReportArgs(int argc, char** argv, const char* bench,
+               const std::vector<InputSize>& sizes)
+{
+    bool usable = static_cast<std::size_t>(argc) == sizes.size() + 1;
+    for (int i = 1; usable && i < argc; ++i)
+        usable = argv[i][0] != '-';
+    if (!usable) {
+        std::fprintf(stderr, "usage: %s", bench);
+        for (const InputSize size : sizes)
+            std::fprintf(stderr, " <%s results.json>", to_string(size));
+        std::fprintf(stderr, "\n  each file written by `dscoh_sweep "
+                             "<size> --json FILE`\n");
+        std::exit(2);
+    }
+    std::vector<std::vector<BenchmarkRow>> inputs;
+    for (std::size_t i = 0; i < sizes.size(); ++i)
+        inputs.push_back(loadRows(bench, argv[i + 1], sizes[i]));
+    return inputs;
 }
 
 /// Geometric mean of the positive entries of @p percents, mirroring the

@@ -5,6 +5,9 @@
 // A GPU L2 miss is compulsory when the line has never before been present
 // in the slice; a direct-store push pre-fills the line, so the first GPU
 // access is not even a miss.
+//
+// Usage: compulsory_misses <small results.json> <big results.json>, the
+// files written by `dscoh_sweep small|big --json FILE`.
 #include <cstdio>
 
 #include "bench_util.h"
@@ -49,13 +52,11 @@ void report(const char* title, const std::vector<BenchmarkRow>& rows)
 
 int main(int argc, char** argv)
 {
-    unsigned workers = 0;
-    int exitCode = 0;
-    if (!parseBenchArgs(argc, argv, "compulsory_misses", workers, &exitCode))
-        return exitCode;
+    const auto inputs = loadReportArgs(argc, argv, "compulsory_misses",
+                                       {InputSize::kSmall, InputSize::kBig});
 
     std::printf("=== Compulsory-miss reduction under direct store ===\n");
-    report("small", runAll(InputSize::kSmall, SystemConfig{}, true, workers));
-    report("big", runAll(InputSize::kBig, SystemConfig{}, true, workers));
+    report("small", inputs[0]);
+    report("big", inputs[1]);
     return 0;
 }

@@ -5,6 +5,9 @@
 // MM, MT above 10% for small inputs; GA, KM, LV, PT, SR, ST, MS at zero;
 // geomean of non-zero speedups 7.8% (small) and 5.7% (big); direct store
 // never hurts.
+//
+// Usage: fig4_speedup <small results.json> <big results.json>, the files
+// written by `dscoh_sweep small|big --json FILE`.
 #include <cstdio>
 
 #include "bench_util.h"
@@ -39,20 +42,17 @@ void report(const char* title, const std::vector<BenchmarkRow>& rows,
 
 int main(int argc, char** argv)
 {
-    unsigned jobs = 0;
-    int exitCode = 0;
-    if (!parseBenchArgs(argc, argv, "fig4_speedup", jobs, &exitCode))
-        return exitCode;
+    const auto inputs = loadReportArgs(argc, argv, "fig4_speedup",
+                                       {InputSize::kSmall, InputSize::kBig});
+    const auto& small = inputs[0];
+    const auto& big = inputs[1];
 
     std::printf("=== Fig. 4: Direct store speedup over CCSM ===\n");
     std::printf("(22 benchmarks x 2 schemes per input size; every run is "
                 "functionally\n verified -- any produced-value mismatch "
                 "aborts the bench)\n");
 
-    const auto small = runAll(InputSize::kSmall, SystemConfig{}, true, jobs);
     report("small", small, 7.8);
-
-    const auto big = runAll(InputSize::kBig, SystemConfig{}, true, jobs);
     report("big", big, 5.7);
 
     // The paper's qualitative claims, checked mechanically.

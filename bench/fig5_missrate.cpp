@@ -5,6 +5,9 @@
 // means 9.3% (CCSM) vs 7.3% (DS) for small inputs and 12.5% vs 11.1% for
 // big inputs (computed here over benchmarks with non-negligible miss rate,
 // as near-zero entries would drive a raw geomean to zero).
+//
+// Usage: fig5_missrate <small results.json> <big results.json>, the files
+// written by `dscoh_sweep small|big --json FILE`.
 #include <cstdio>
 
 #include "bench_util.h"
@@ -46,17 +49,14 @@ void report(const char* title, const std::vector<BenchmarkRow>& rows,
 
 int main(int argc, char** argv)
 {
-    unsigned jobs = 0;
-    int exitCode = 0;
-    if (!parseBenchArgs(argc, argv, "fig5_missrate", jobs, &exitCode))
-        return exitCode;
+    const auto inputs = loadReportArgs(argc, argv, "fig5_missrate",
+                                       {InputSize::kSmall, InputSize::kBig});
+    const auto& small = inputs[0];
+    const auto& big = inputs[1];
 
     std::printf("=== Fig. 5: GPU L2 miss rate, CCSM vs direct store ===\n");
 
-    const auto small = runAll(InputSize::kSmall, SystemConfig{}, true, jobs);
     report("small", small, 9.3, 7.3);
-
-    const auto big = runAll(InputSize::kBig, SystemConfig{}, true, jobs);
     report("big", big, 12.5, 11.1);
 
     int increased = 0;

@@ -1,7 +1,12 @@
 // Quantifies Fig. 1 / SIII-H: direct store's data movement takes fewer
 // steps and fewer coherence messages than the CCSM pull path, supporting
 // the paper's "simpler replacement" argument.
+//
+// Usage: traffic_breakdown <small results.json>, the file written by
+// `dscoh_sweep small --json FILE`.
 #include <cstdio>
+#include <map>
+#include <string>
 
 #include "bench_util.h"
 
@@ -10,10 +15,9 @@ using namespace dscoh::bench;
 
 int main(int argc, char** argv)
 {
-    unsigned workers = 0;
-    int exitCode = 0;
-    if (!parseBenchArgs(argc, argv, "traffic_breakdown", workers, &exitCode))
-        return exitCode;
+    const auto inputs = loadReportArgs(argc, argv, "traffic_breakdown",
+                                       {InputSize::kSmall});
+    const auto& rows = inputs[0];
 
     std::printf("=== Coherence-traffic breakdown (Fig. 1 / SIII-H) ===\n");
     std::printf("Messages on the three coherence virtual networks "
@@ -22,7 +26,6 @@ int main(int argc, char** argv)
     std::printf("%-5s %12s %12s %10s %12s %14s\n", "Name", "CCSM msgs",
                 "DS msgs", "saved", "DS-net msgs", "CCSM KB on wire");
 
-    const auto rows = runAll(InputSize::kSmall, SystemConfig{}, true, workers);
     std::uint64_t ccsmTotal = 0;
     std::uint64_t dsTotal = 0;
     std::uint64_t dsNetTotal = 0;
@@ -62,44 +65,34 @@ int main(int argc, char** argv)
     // Per-message-type breakdown on the purest producer-consumer benchmark,
     // which is Fig. 1 rendered as numbers.
     std::printf("\n--- Message types, VA small ---\n");
-    const auto countTypes = [](CoherenceMode mode) {
-        SystemConfig cfg;
-        cfg.mode = mode;
-        System sys(cfg);
-        const Workload& w = WorkloadRegistry::instance().get("VA");
-        Workload::ArrayMap mem;
-        for (const auto& a : w.arrays(InputSize::kSmall))
-            mem[a.name] = sys.allocateArray(a.bytes, a.gpuShared);
-        const CpuProgram produce = w.cpuProduce(InputSize::kSmall, mem);
-        const auto kernels = w.kernels(InputSize::kSmall, mem);
-        std::size_t next = 0;
-        std::function<void()> launchNext = [&] {
-            if (next < kernels.size())
-                sys.launchKernel(kernels[next++], [&] { launchNext(); });
+    const auto countTypes = [](const WorkloadRunResult& run) {
+        const auto stat = [&run](const std::string& name) {
+            const auto it = run.statCounters.find(name);
+            return it == run.statCounters.end() ? std::uint64_t{0}
+                                                : it->second;
         };
-        sys.runCpuProgram(produce, [&] { launchNext(); });
-        sys.simulate();
         std::map<std::string, std::uint64_t> counts;
         for (const MsgType t :
              {MsgType::kGetS, MsgType::kGetX, MsgType::kPut, MsgType::kUnblock,
               MsgType::kSnpGetS, MsgType::kSnpGetX, MsgType::kSnpResp,
               MsgType::kData, MsgType::kWbAck}) {
-            const std::uint64_t n = sys.stats().counter(
-                std::string("net.request.msg.") + to_string(t)) +
-                sys.stats().counter(std::string("net.forward.msg.") +
-                                    to_string(t)) +
-                sys.stats().counter(std::string("net.response.msg.") +
-                                    to_string(t));
-            counts[to_string(t)] = n;
+            const std::string type = to_string(t);
+            counts[type] = stat("net.request.msg." + type) +
+                           stat("net.forward.msg." + type) +
+                           stat("net.response.msg." + type);
         }
-        counts["DsPutX"] =
-            sys.stats().counter("net.ds.msg.DsPutX");
-        counts["DsAck"] = sys.stats().counter("net.ds.msg.DsAck");
+        counts["DsPutX"] = stat("net.ds.msg.DsPutX");
+        counts["DsAck"] = stat("net.ds.msg.DsAck");
         return counts;
     };
 
-    const auto ccsmTypes = countTypes(CoherenceMode::kCcsm);
-    const auto dsTypes = countTypes(CoherenceMode::kDirectStore);
+    // loadRows() checked the file holds every registry code, VA included.
+    const BenchmarkRow* va = nullptr;
+    for (const auto& row : rows)
+        if (row.code == "VA")
+            va = &row;
+    const auto ccsmTypes = countTypes(va->ccsm);
+    const auto dsTypes = countTypes(va->ds);
     std::printf("%-10s %10s %10s\n", "type", "CCSM", "DS");
     for (const auto& [type, n] : ccsmTypes)
         std::printf("%-10s %10llu %10llu\n", type.c_str(),

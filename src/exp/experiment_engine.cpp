@@ -6,10 +6,13 @@
 #include <cstdio>
 #include <deque>
 #include <fstream>
+#include <initializer_list>
 #include <map>
 #include <mutex>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "core/config_io.h"
 #include "obs/json_lite.h"
@@ -362,6 +365,125 @@ std::string journalLine(const ExperimentResult& r, std::uint64_t configHash)
     return os.str();
 }
 
+namespace {
+
+bool modeOf(const std::string& s, CoherenceMode* out)
+{
+    for (const CoherenceMode m :
+         {CoherenceMode::kCcsm, CoherenceMode::kDirectStore,
+          CoherenceMode::kDirectStoreOnly}) {
+        if (s == to_string(m)) {
+            *out = m;
+            return true;
+        }
+    }
+    return false;
+}
+
+/// Parses one per-job object of writeResultCore() (plus the journal's
+/// optional produceDoneAt / kernelDoneAt / violations) into @p out. On a
+/// missing or malformed field returns false and names it in @p why. Every
+/// counter must be an exact integer in the range a double holds exactly;
+/// gpuL2MissRate is recomputed from the integer counters, not read.
+bool parseResultObject(const jsonlite::Value& v, ExperimentResult* out,
+                       std::string* why)
+{
+    const auto bad = [why](const std::string& what) {
+        *why = what;
+        return false;
+    };
+    const jsonlite::Value* code = v.get("code");
+    const jsonlite::Value* size = v.get("size");
+    const jsonlite::Value* mode = v.get("mode");
+    const jsonlite::Value* ok = v.get("ok");
+    if (code == nullptr || !code->isString())
+        return bad("missing \"code\"");
+    ExperimentJob& job = out->job;
+    job.code = code->string;
+    if (size == nullptr || !size->isString() ||
+        (size->string != "small" && size->string != "big"))
+        return bad("\"size\" is not small or big");
+    job.size = size->string == "big" ? InputSize::kBig : InputSize::kSmall;
+    if (mode == nullptr || !mode->isString() ||
+        !modeOf(mode->string, &job.mode))
+        return bad("unknown \"mode\"");
+    if (ok == nullptr || ok->kind != jsonlite::Kind::kBool)
+        return bad("missing \"ok\"");
+
+    out->ok = ok->boolean;
+    if (!out->ok) {
+        if (const jsonlite::Value* err = v.get("error"))
+            out->error = err->string;
+        if (const jsonlite::Value* cls = v.get("errorClass")) {
+            // An exit code (sim/errors.h), so it fits in a byte.
+            if (!cls->isUint() || cls->number > 255.0)
+                return bad("bad \"errorClass\"");
+            out->errorClass = static_cast<int>(cls->asUint());
+        }
+        return true;
+    }
+
+    const jsonlite::Value* metrics = v.get("metrics");
+    const jsonlite::Value* stats = v.get("stats");
+    if (metrics == nullptr || !metrics->isObject() || stats == nullptr ||
+        !stats->isObject())
+        return bad("missing \"metrics\" or \"stats\"");
+    const auto uintOf = [&bad](const jsonlite::Value* f,
+                               const std::string& name, std::uint64_t* dst) {
+        if (f == nullptr || !f->isUint())
+            return bad("\"" + name + "\" is not an unsigned integer");
+        *dst = f->asUint();
+        return true;
+    };
+    WorkloadRunResult& run = out->run;
+    run.code = job.code;
+    run.size = job.size;
+    run.mode = job.mode;
+    RunMetrics& m = run.metrics;
+    for (const auto& [name, dst] :
+         std::initializer_list<std::pair<const char*, std::uint64_t*>>{
+             {"ticks", &m.ticks},
+             {"gpuL2Accesses", &m.gpuL2Accesses},
+             {"gpuL2Misses", &m.gpuL2Misses},
+             {"gpuL2Compulsory", &m.gpuL2Compulsory},
+             {"dsFills", &m.dsFills},
+             {"dsBypasses", &m.dsBypasses},
+             {"coherenceMessages", &m.coherenceMessages},
+             {"coherenceBytes", &m.coherenceBytes},
+             {"dsNetworkMessages", &m.dsNetworkMessages},
+             {"dramReads", &m.dramReads},
+             {"dramWrites", &m.dramWrites}})
+        if (!uintOf(metrics->get(name), name, dst))
+            return false;
+    // Recomputed from the integer counters (not read back as a float): the
+    // division below is bit-identical to System::metrics().
+    m.gpuL2MissRate = m.gpuL2Accesses == 0
+                          ? 0.0
+                          : static_cast<double>(m.gpuL2Misses) /
+                                static_cast<double>(m.gpuL2Accesses);
+    if (!uintOf(v.get("footprintBytes"), "footprintBytes", &run.footprintBytes))
+        return false;
+    for (const auto& [name, value] : stats->object)
+        if (!uintOf(value.get(), name, &run.statCounters[name]))
+            return false;
+    if (const jsonlite::Value* p = v.get("produceDoneAt");
+        p != nullptr && !uintOf(p, "produceDoneAt", &run.produceDoneAt))
+        return false;
+    if (const jsonlite::Value* k = v.get("kernelDoneAt");
+        k != nullptr && k->isArray())
+        for (const jsonlite::ValuePtr& t : k->array)
+            if (!uintOf(t.get(), "kernelDoneAt",
+                        &run.kernelDoneAt.emplace_back()))
+                return false;
+    if (const jsonlite::Value* viol = v.get("violations");
+        viol != nullptr && viol->isArray())
+        for (const jsonlite::ValuePtr& s : viol->array)
+            run.violations.push_back(s->string);
+    return true;
+}
+
+} // namespace
+
 std::vector<JournalEntry> readJournal(const std::string& path)
 {
     std::vector<JournalEntry> entries;
@@ -369,109 +491,50 @@ std::vector<JournalEntry> readJournal(const std::string& path)
     if (!in)
         return entries;
 
-    const auto modeOf = [](const std::string& s, CoherenceMode* out) {
-        for (const CoherenceMode m :
-             {CoherenceMode::kCcsm, CoherenceMode::kDirectStore,
-              CoherenceMode::kDirectStoreOnly}) {
-            if (s == to_string(m)) {
-                *out = m;
-                return true;
-            }
-        }
-        return false;
-    };
-
     std::string line;
     while (std::getline(in, line)) {
         if (line.empty())
             continue;
         std::string error;
         const jsonlite::ValuePtr v = jsonlite::parse(line, error);
-        // A torn final line (process killed mid-append) parses as garbage;
-        // the job it described simply re-runs.
+        // A torn final line (process killed mid-append) parses as garbage,
+        // and a line with a bad field is no better; the job it described
+        // simply re-runs.
         if (v == nullptr || !v->isObject())
             continue;
-        const jsonlite::Value* code = v->get("code");
-        const jsonlite::Value* size = v->get("size");
-        const jsonlite::Value* mode = v->get("mode");
         const jsonlite::Value* hash = v->get("configHash");
-        const jsonlite::Value* ok = v->get("ok");
-        if (code == nullptr || !code->isString() || size == nullptr ||
-            !size->isString() || mode == nullptr || !mode->isString() ||
-            hash == nullptr || !hash->isString() || ok == nullptr)
+        if (hash == nullptr || !hash->isString())
             continue;
-
         JournalEntry e;
-        ExperimentJob& job = e.result.job;
-        job.code = code->string;
-        job.size = size->string == "big" ? InputSize::kBig : InputSize::kSmall;
-        if (!modeOf(mode->string, &job.mode))
-            continue;
         try {
             e.configHash = std::stoull(hash->string, nullptr, 16);
         } catch (const std::exception&) {
             continue;
         }
-
-        e.result.ok = ok->boolean;
-        if (!e.result.ok) {
-            if (const jsonlite::Value* err = v->get("error"))
-                e.result.error = err->string;
-            if (const jsonlite::Value* cls = v->get("errorClass");
-                cls != nullptr && cls->isNumber())
-                e.result.errorClass = static_cast<int>(cls->number);
-            entries.push_back(std::move(e));
+        if (!parseResultObject(*v, &e.result, &error))
             continue;
-        }
-
-        const jsonlite::Value* metrics = v->get("metrics");
-        const jsonlite::Value* stats = v->get("stats");
-        if (metrics == nullptr || !metrics->isObject() || stats == nullptr ||
-            !stats->isObject())
-            continue;
-        WorkloadRunResult& run = e.result.run;
-        run.code = job.code;
-        run.size = job.size;
-        run.mode = job.mode;
-        RunMetrics& m = run.metrics;
-        const auto uintOf = [metrics](const char* key) {
-            const jsonlite::Value* f = metrics->get(key);
-            return f == nullptr ? std::uint64_t{0} : f->asUint();
-        };
-        m.ticks = uintOf("ticks");
-        m.gpuL2Accesses = uintOf("gpuL2Accesses");
-        m.gpuL2Misses = uintOf("gpuL2Misses");
-        m.gpuL2Compulsory = uintOf("gpuL2Compulsory");
-        m.dsFills = uintOf("dsFills");
-        m.dsBypasses = uintOf("dsBypasses");
-        m.coherenceMessages = uintOf("coherenceMessages");
-        m.coherenceBytes = uintOf("coherenceBytes");
-        m.dsNetworkMessages = uintOf("dsNetworkMessages");
-        m.dramReads = uintOf("dramReads");
-        m.dramWrites = uintOf("dramWrites");
-        // Recomputed from the integer counters (not journaled as a float):
-        // the division below is bit-identical to System::metrics().
-        m.gpuL2MissRate = m.gpuL2Accesses == 0
-                              ? 0.0
-                              : static_cast<double>(m.gpuL2Misses) /
-                                    static_cast<double>(m.gpuL2Accesses);
-        if (const jsonlite::Value* fp = v->get("footprintBytes"))
-            run.footprintBytes = fp->asUint();
-        for (const auto& [name, value] : stats->object)
-            run.statCounters.emplace(name, value->asUint());
-        if (const jsonlite::Value* p = v->get("produceDoneAt"))
-            run.produceDoneAt = p->asUint();
-        if (const jsonlite::Value* k = v->get("kernelDoneAt");
-            k != nullptr && k->isArray())
-            for (const jsonlite::ValuePtr& t : k->array)
-                run.kernelDoneAt.push_back(t->asUint());
-        if (const jsonlite::Value* viol = v->get("violations");
-            viol != nullptr && viol->isArray())
-            for (const jsonlite::ValuePtr& s : viol->array)
-                run.violations.push_back(s->string);
         entries.push_back(std::move(e));
     }
     return entries;
+}
+
+std::vector<ExperimentResult> readResultsJson(const std::string& path)
+{
+    std::string error;
+    const jsonlite::ValuePtr doc = jsonlite::parseFile(path, error);
+    if (doc == nullptr)
+        throw std::runtime_error(error);
+    const jsonlite::Value* schema = doc->get("schema");
+    const jsonlite::Value* jobs = doc->get("results");
+    if (schema == nullptr || schema->string != "dscoh-results-v2" ||
+        jobs == nullptr || !jobs->isArray())
+        throw std::runtime_error(path + ": not a dscoh-results-v2 file");
+    std::vector<ExperimentResult> results(jobs->array.size());
+    for (std::size_t i = 0; i < results.size(); ++i)
+        if (!parseResultObject(*jobs->array[i], &results[i], &error))
+            throw std::runtime_error(path + ": job " + std::to_string(i) +
+                                     ": " + error);
+    return results;
 }
 
 } // namespace dscoh

@@ -190,9 +190,11 @@ struct JournalEntry {
 std::string journalLine(const ExperimentResult& r, std::uint64_t configHash);
 
 /// Parses a JSON-lines journal. Unparseable lines (a torn final line from
-/// a killed process) are skipped silently; a missing file yields an empty
-/// vector. gpuL2MissRate is recomputed from the integer counters so a
-/// replayed job is bit-identical to a simulated one.
+/// a killed process) and lines with a missing or out-of-range field (a
+/// counter that is not an exact unsigned integer, a size other than small
+/// or big) are skipped silently, so their jobs re-run; a missing file
+/// yields an empty vector. gpuL2MissRate is recomputed from the integer
+/// counters so a replayed job is bit-identical to a simulated one.
 std::vector<JournalEntry> readJournal(const std::string& path);
 
 /// Fills completed slots of @p results from the journal at @p path:
@@ -227,5 +229,13 @@ void writeResultsJson(std::ostream& os,
 /// crash recovery only ever see a complete results file.
 void writeResultsJsonAtomic(const std::string& path,
                             const std::vector<ExperimentResult>& results);
+
+/// Reads a file written by writeResultsJson() back, with the same field
+/// checks as readJournal(): job code/size/mode are set, the config is left
+/// default (the file does not carry it), and writeResultsJson() of the
+/// result reproduces the file byte for byte. Throws std::runtime_error
+/// naming @p path — and the job index and field, for a bad job — when the
+/// file cannot be read, is not dscoh-results-v2, or holds a bad job.
+std::vector<ExperimentResult> readResultsJson(const std::string& path);
 
 } // namespace dscoh

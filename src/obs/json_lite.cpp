@@ -2,6 +2,8 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 
 namespace dscoh::jsonlite {
 
@@ -60,8 +62,17 @@ private:
             return nullptr;
         }
         switch (text_[pos_]) {
-        case '{': return parseObject();
-        case '[': return parseArray();
+        case '{':
+        case '[': {
+            // Each open array or object costs a recursion level.
+            if (++depth_ > kMaxDepth) {
+                fail("nesting deeper than " + std::to_string(kMaxDepth));
+                return nullptr;
+            }
+            ValuePtr v = text_[pos_] == '{' ? parseObject() : parseArray();
+            --depth_;
+            return v;
+        }
         case '"': return parseString();
         case 't':
         case 'f': return parseBool();
@@ -248,6 +259,7 @@ private:
     const std::string& text_;
     std::string& error_;
     std::size_t pos_ = 0;
+    int depth_ = 0; ///< arrays and objects open at pos_
 };
 
 } // namespace
@@ -259,6 +271,21 @@ ValuePtr parse(const std::string& text, std::string& error)
     ValuePtr v = p.run();
     if (v == nullptr && error.empty())
         error = "parse failed";
+    return v;
+}
+
+ValuePtr parseFile(const std::string& path, std::string& error)
+{
+    std::ifstream in(path);
+    if (!in) {
+        error = "cannot open " + path;
+        return nullptr;
+    }
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    ValuePtr v = parse(buf.str(), error);
+    if (v == nullptr)
+        error = path + ": " + error;
     return v;
 }
 

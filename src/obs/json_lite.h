@@ -8,6 +8,7 @@
 // deterministic error messages over speed.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -44,12 +45,34 @@ public:
         return it == object.end() ? nullptr : it->second.get();
     }
 
-    std::uint64_t asUint() const { return static_cast<std::uint64_t>(number); }
+    /// True for a number that is an exact integer in [0, 2^53], the range
+    /// a double holds exactly.
+    bool isUint() const
+    {
+        return kind == Kind::kNumber && number >= 0.0 &&
+               number <= 9007199254740992.0 && number == std::floor(number);
+    }
+
+    /// The number as an unsigned integer, or 0 when !isUint().
+    std::uint64_t asUint() const
+    {
+        return isUint() ? static_cast<std::uint64_t>(number) : 0;
+    }
 };
+
+/// Deepest nesting of arrays and objects parse() accepts. The documents
+/// this repository writes nest at most 5 deep; the limit keeps the
+/// recursive parser's stack bounded on hostile input.
+inline constexpr int kMaxDepth = 64;
 
 /// Parses @p text. On failure returns nullptr and fills @p error with a
 /// message that includes the byte offset of the problem. Trailing
-/// non-whitespace after the document is an error.
+/// non-whitespace after the document, and nesting deeper than kMaxDepth,
+/// are errors.
 ValuePtr parse(const std::string& text, std::string& error);
+
+/// Reads and parses the file at @p path. On failure returns nullptr and
+/// fills @p error with "cannot open <path>" or "<path>: <parse error>".
+ValuePtr parseFile(const std::string& path, std::string& error);
 
 } // namespace dscoh::jsonlite

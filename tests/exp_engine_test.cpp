@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <sstream>
 #include <stdexcept>
 #include <tuple>
@@ -201,6 +202,15 @@ TEST(ExperimentEngine, JsonContainsEveryRunAndParses)
     // v2: the per-job stat snapshot rides along with the metrics.
     EXPECT_NE(json.find("\"stats\": {"), std::string::npos);
     EXPECT_NE(json.find("\"dram.ch0.reads\": "), std::string::npos);
+
+    // The reports' reader inverts the writer: an ok run and a failed one
+    // (with its error text) read back and write out byte-identical.
+    const std::string path = testing::TempDir() + "engine_results.json";
+    writeResultsJsonAtomic(path, results);
+    std::ostringstream again;
+    writeResultsJson(again, readResultsJson(path));
+    EXPECT_EQ(again.str(), json);
+    std::remove(path.c_str());
 }
 
 TEST(ExperimentEngine, ThreadLocalCoverageIsInvisibleToWorkers)

@@ -267,6 +267,30 @@ TEST(JsonLite, RejectsMalformedDocuments)
     EXPECT_EQ(jsonlite::parse("{\"a\":}", error), nullptr);
     EXPECT_NE(jsonlite::parse("{\"a\": [1, 2, {\"b\": \"c\\n\"}]}", error),
               nullptr);
+    const auto nested = [](std::size_t depth) {
+        return std::string(depth, '[') + std::string(depth, ']');
+    };
+    EXPECT_NE(jsonlite::parse(nested(jsonlite::kMaxDepth), error), nullptr);
+    EXPECT_EQ(jsonlite::parse(nested(jsonlite::kMaxDepth + 1), error), nullptr);
+    EXPECT_NE(error.find("nesting deeper than 64 at offset 64"),
+              std::string::npos)
+        << error;
+}
+
+TEST(JsonLite, UintIsAnExactNonNegativeInteger)
+{
+    std::string error;
+    const jsonlite::ValuePtr doc = jsonlite::parse(
+        "[0, 7, 9007199254740992, -1, 2.5, 1e300, \"7\"]", error);
+    ASSERT_NE(doc, nullptr) << error;
+    const std::vector<jsonlite::ValuePtr>& v = doc->array;
+    EXPECT_TRUE(v[0]->isUint());
+    EXPECT_EQ(v[1]->asUint(), 7u);
+    EXPECT_EQ(v[2]->asUint(), 9007199254740992u);
+    for (std::size_t i = 3; i < v.size(); ++i) {
+        EXPECT_FALSE(v[i]->isUint()) << i;
+        EXPECT_EQ(v[i]->asUint(), 0u) << i;
+    }
 }
 
 } // namespace

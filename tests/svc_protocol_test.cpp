@@ -187,6 +187,12 @@ TEST(Protocol, MalformedLinesFailWithoutThrowing)
         handleRequestLine(svc, "{\"op\": \"status\"}", nullptr))));
     EXPECT_FALSE(okOf(parseOrDie(handleRequestLine(
         svc, "{\"op\": \"status\", \"id\": \"r999999\"}", nullptr))));
+    // 600 KB of nested brackets fits under the line cap; the parser's depth
+    // bound turns it into an error reply instead of a stack overflow.
+    EXPECT_FALSE(okOf(parseOrDie(handleRequestLine(
+        svc, std::string(300000, '[') + std::string(300000, ']'), nullptr))));
+    EXPECT_TRUE(okOf(
+        parseOrDie(handleRequestLine(svc, "{\"op\": \"ping\"}", nullptr))));
 }
 
 TEST(Protocol, SubmitStatusListLifecycle)

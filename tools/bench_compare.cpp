@@ -18,9 +18,7 @@
 // revision — a mismatch there is flagged as a determinism warning.
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -56,18 +54,9 @@ struct BenchFile {
 
 bool loadBench(const std::string& path, BenchFile& out, std::string& error)
 {
-    std::ifstream in(path);
-    if (!in) {
-        error = "cannot open " + path;
+    const jsonlite::ValuePtr doc = jsonlite::parseFile(path, error);
+    if (doc == nullptr)
         return false;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const jsonlite::ValuePtr doc = jsonlite::parse(buf.str(), error);
-    if (doc == nullptr) {
-        error = path + ": " + error;
-        return false;
-    }
     const jsonlite::Value* schema = doc->get("schema");
     if (schema == nullptr || schema->string != "dscoh-bench-v1") {
         error = path + ": not a dscoh-bench-v1 file";

@@ -307,18 +307,10 @@ void writeJson(std::ostream& os, const std::vector<BenchRun>& runs,
 int compareAgainst(const std::string& path, const std::vector<BenchRun>& runs,
                    double maxRegressPct)
 {
-    std::ifstream in(path);
-    if (!in) {
-        std::cerr << "dscoh_bench: cannot open baseline " << path << "\n";
-        return kExitIo;
-    }
-    std::stringstream ss;
-    ss << in.rdbuf();
     std::string error;
-    const jsonlite::ValuePtr doc = jsonlite::parse(ss.str(), error);
-    if (doc == nullptr || !doc->isObject()) {
-        std::cerr << "dscoh_bench: bad baseline " << path << ": " << error
-                  << "\n";
+    const jsonlite::ValuePtr doc = jsonlite::parseFile(path, error);
+    if (doc == nullptr) {
+        std::cerr << "dscoh_bench: baseline: " << error << "\n";
         return kExitIo;
     }
     const jsonlite::Value* baseRuns = doc->get("runs");

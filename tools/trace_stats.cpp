@@ -13,10 +13,8 @@
 // the observability tests use, so a file this tool accepts is a file
 // Perfetto will load.
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -55,18 +53,10 @@ Histogram buildHistogram(const std::vector<std::uint64_t>& durations)
 
 int analyze(const std::string& path, bool strict)
 {
-    std::ifstream in(path);
-    if (!in) {
-        std::cerr << "trace_stats: cannot open " << path << "\n";
-        return 1;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-
     std::string error;
-    const jsonlite::ValuePtr root = jsonlite::parse(buf.str(), error);
+    const jsonlite::ValuePtr root = jsonlite::parseFile(path, error);
     if (!root) {
-        std::cerr << "trace_stats: " << path << ": " << error << "\n";
+        std::cerr << "trace_stats: " << error << "\n";
         return 1;
     }
     const jsonlite::Value* events = root->get("traceEvents");

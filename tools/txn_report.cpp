@@ -20,9 +20,7 @@
 // and DRAM stages the CCSM pull path pays.
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -70,18 +68,9 @@ struct Profile {
 
 bool loadProfile(const std::string& path, Profile& out, std::string& error)
 {
-    std::ifstream in(path);
-    if (!in) {
-        error = "cannot open " + path;
+    out.doc = jsonlite::parseFile(path, error);
+    if (out.doc == nullptr)
         return false;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    out.doc = jsonlite::parse(buf.str(), error);
-    if (out.doc == nullptr) {
-        error = path + ": " + error;
-        return false;
-    }
     const jsonlite::Value* schema = out.doc->get("schema");
     if (schema == nullptr || schema->string != "dscoh-txnprof-v1") {
         error = path + ": not a dscoh-txnprof-v1 file";
