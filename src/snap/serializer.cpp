@@ -4,7 +4,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 
 #include <fcntl.h>
 #include <sys/stat.h>
@@ -19,16 +18,34 @@ namespace {
 constexpr std::array<char, 8> kMagic = {'D', 'S', 'C', 'O',
                                         'H', 'S', 'N', 'P'};
 
-std::array<std::uint32_t, 256> makeCrcTable()
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+/// Slicing-by-8 tables: t[0] is the classic byte table; t[k][b] is the CRC
+/// of byte b followed by k zero bytes, so one step folds eight input bytes
+/// with eight lookups.
+constexpr CrcTables makeCrcTables()
 {
-    std::array<std::uint32_t, 256> table{};
+    CrcTables t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
         std::uint32_t c = i;
         for (int k = 0; k < 8; ++k)
             c = (c & 1u) != 0 ? 0xedb88320u ^ (c >> 1) : c >> 1;
-        table[i] = c;
+        t[0][i] = c;
     }
-    return table;
+    for (std::size_t k = 1; k < 8; ++k)
+        for (std::size_t i = 0; i < 256; ++i)
+            t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
+    return t;
+}
+
+constexpr CrcTables kCrcTables = makeCrcTables();
+
+std::uint32_t loadLe32(const std::uint8_t* p)
+{
+    return static_cast<std::uint32_t>(p[0]) |
+           static_cast<std::uint32_t>(p[1]) << 8 |
+           static_cast<std::uint32_t>(p[2]) << 16 |
+           static_cast<std::uint32_t>(p[3]) << 24;
 }
 
 void appendLe32(std::string& out, std::uint32_t v)
@@ -43,33 +60,23 @@ void appendLe64(std::string& out, std::uint64_t v)
         out.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
 }
 
-std::uint32_t readLe32(const std::string& in, std::size_t at)
-{
-    std::uint32_t v = 0;
-    for (int i = 3; i >= 0; --i)
-        v = (v << 8) |
-            static_cast<std::uint8_t>(in[at + static_cast<std::size_t>(i)]);
-    return v;
-}
-
-std::uint64_t readLe64(const std::string& in, std::size_t at)
-{
-    std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i)
-        v = (v << 8) |
-            static_cast<std::uint8_t>(in[at + static_cast<std::size_t>(i)]);
-    return v;
-}
-
 } // namespace
 
 std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed)
 {
-    static const std::array<std::uint32_t, 256> table = makeCrcTable();
+    const CrcTables& t = kCrcTables;
     std::uint32_t c = seed ^ 0xffffffffu;
     const auto* p = static_cast<const std::uint8_t*>(data);
-    for (std::size_t i = 0; i < size; ++i)
-        c = table[(c ^ p[i]) & 0xffu] ^ (c >> 8);
+    for (; size >= 8; size -= 8, p += 8) {
+        const std::uint32_t lo = c ^ loadLe32(p);
+        const std::uint32_t hi = loadLe32(p + 4);
+        c = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+            t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^ t[3][hi & 0xffu] ^
+            t[2][(hi >> 8) & 0xffu] ^ t[1][(hi >> 16) & 0xffu] ^
+            t[0][hi >> 24];
+    }
+    for (; size > 0; --size, ++p)
+        c = t[0][(c ^ *p) & 0xffu] ^ (c >> 8);
     return c ^ 0xffffffffu;
 }
 
@@ -399,14 +406,46 @@ void SnapWriter::writeFile(const std::string& path) const
 // --------------------------------------------------------------------------
 // SnapReader
 
+namespace {
+
+/// Closes a file descriptor on every way out of its scope.
+class FdCloser {
+public:
+    explicit FdCloser(int fd) : fd_(fd) {}
+    ~FdCloser() { ::close(fd_); }
+    FdCloser(const FdCloser&) = delete;
+    FdCloser& operator=(const FdCloser&) = delete;
+
+private:
+    int fd_;
+};
+
+} // namespace
+
 SnapReader::SnapReader(const std::string& path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
         throw SnapError("cannot open snapshot: " + path);
-    std::string data((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    data_ = std::move(data);
+    const FdCloser closer(fd);
+    // Size first, so the image is read in one call. fstat also refuses a
+    // directory or a device before its "size" is allocated.
+    struct stat st {};
+    if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode))
+        throw SnapError(path + ": not a regular file");
+    data_.resize(static_cast<std::size_t>(st.st_size));
+    std::size_t got = 0;
+    while (got < data_.size()) {
+        const ssize_t n = ::read(fd, data_.data() + got, data_.size() - got);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0)
+            break;
+        got += static_cast<std::size_t>(n);
+    }
+    if (got != data_.size())
+        throw SnapError(path + ": short read (" + std::to_string(got) +
+                        " of " + std::to_string(data_.size()) + " bytes)");
 
     const std::size_t minSize = kMagic.size() + 4 + 8 + 8 + 4 + 4;
     if (data_.size() < minSize)
@@ -415,38 +454,40 @@ SnapReader::SnapReader(const std::string& path)
     if (std::memcmp(data_.data(), kMagic.data(), kMagic.size()) != 0)
         throw SnapError(path + ": not a dscoh snapshot (bad magic)");
 
-    const std::uint32_t storedCrc = readLe32(data_, data_.size() - 4);
-    const std::uint32_t actualCrc = crc32(data_.data(), data_.size() - 4);
+    const char* const image = data_.data();
+    const std::uint32_t storedCrc =
+        loadLe<std::uint32_t>(image + data_.size() - 4);
+    const std::uint32_t actualCrc = crc32(image, data_.size() - 4);
     if (storedCrc != actualCrc)
         throw SnapError(path + ": CRC mismatch (file " +
                         std::to_string(storedCrc) + ", computed " +
                         std::to_string(actualCrc) + ") — corrupt snapshot");
 
     std::size_t at = kMagic.size();
-    version_ = readLe32(data_, at);
+    version_ = loadLe<std::uint32_t>(image + at);
     at += 4;
     if (version_ != kFormatVersion)
         throw SnapError(path + ": snapshot format version " +
                         std::to_string(version_) + ", this build reads " +
                         std::to_string(kFormatVersion) +
                         " — re-simulate instead of restoring");
-    tick_ = readLe64(data_, at);
+    tick_ = loadLe<std::uint64_t>(image + at);
     at += 8;
-    configHash_ = readLe64(data_, at);
+    configHash_ = loadLe<std::uint64_t>(image + at);
     at += 8;
-    const std::uint32_t count = readLe32(data_, at);
+    const std::uint32_t count = loadLe<std::uint32_t>(image + at);
     at += 4;
     const std::size_t end = data_.size() - 4; // CRC trailer
     for (std::uint32_t i = 0; i < count; ++i) {
         if (at + 4 > end)
             throw SnapError(path + ": truncated section table");
-        const std::uint32_t nameLen = readLe32(data_, at);
+        const std::uint32_t nameLen = loadLe<std::uint32_t>(image + at);
         at += 4;
         if (at + nameLen + 8 > end)
             throw SnapError(path + ": truncated section header");
         std::string name = data_.substr(at, nameLen);
         at += nameLen;
-        const std::uint64_t payloadLen = readLe64(data_, at);
+        const std::uint64_t payloadLen = loadLe<std::uint64_t>(image + at);
         at += 8;
         if (payloadLen > end - at)
             throw SnapError(path + ": section '" + name +
@@ -496,63 +537,12 @@ void SnapReader::closeSection()
     open_ = false;
 }
 
-void SnapReader::raw(void* out, std::size_t size)
+void SnapReader::throwBadRead() const
 {
     if (!open_)
         throw SnapError("snapshot read outside of a section");
-    if (cursor_ + size > sectionEnd_)
-        throw SnapError("section '" + openName_ +
-                        "': read past end — reader/writer layout mismatch");
-    std::memcpy(out, data_.data() + cursor_, size);
-    cursor_ += size;
-}
-
-std::uint8_t SnapReader::u8()
-{
-    std::uint8_t v = 0;
-    raw(&v, 1);
-    return v;
-}
-
-std::uint32_t SnapReader::u32()
-{
-    std::uint8_t b[4];
-    raw(b, 4);
-    std::uint32_t v = 0;
-    for (int i = 3; i >= 0; --i)
-        v = (v << 8) | b[i];
-    return v;
-}
-
-std::uint64_t SnapReader::u64()
-{
-    std::uint8_t b[8];
-    raw(b, 8);
-    std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i)
-        v = (v << 8) | b[i];
-    return v;
-}
-
-double SnapReader::f64()
-{
-    const std::uint64_t bits = u64();
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-}
-
-std::string SnapReader::str()
-{
-    const std::uint32_t n = u32();
-    std::string s(n, '\0');
-    raw(s.data(), n);
-    return s;
-}
-
-void SnapReader::bytes(void* out, std::size_t size)
-{
-    raw(out, size);
+    throw SnapError("section '" + openName_ +
+                    "': read past end — reader/writer layout mismatch");
 }
 
 SnapshotHeader readSnapshotHeader(const std::string& path)
@@ -563,13 +553,7 @@ SnapshotHeader readSnapshotHeader(const std::string& path)
     header.tick = reader.tick();
     header.configHash = reader.configHash();
     header.sections = reader.sections();
-    std::uint64_t total = 0;
-    {
-        std::ifstream in(path, std::ios::binary | std::ios::ate);
-        if (in)
-            total = static_cast<std::uint64_t>(in.tellg());
-    }
-    header.fileBytes = total;
+    header.fileBytes = reader.fileBytes();
     return header;
 }
 

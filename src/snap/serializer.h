@@ -13,7 +13,9 @@
 // writers) behind.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -35,7 +37,8 @@ public:
 /// reject other versions loudly and callers re-simulate.
 inline constexpr std::uint32_t kFormatVersion = 1;
 
-/// Standard CRC-32 (IEEE 802.3, reflected). @p seed chains partial blocks.
+/// Standard CRC-32 (IEEE 802.3, reflected), eight bytes per step
+/// (slicing-by-8). @p seed chains partial blocks.
 std::uint32_t crc32(const void* data, std::size_t size,
                     std::uint32_t seed = 0);
 
@@ -120,8 +123,9 @@ struct SectionInfo {
 /// drifted from the writer fails loudly instead of reading garbage.
 class SnapReader {
 public:
-    /// Reads @p path, validating magic, format version and the trailing
-    /// CRC. Throws SnapError with the reason on any mismatch.
+    /// Reads @p path (one read(2) of the size fstat reports), validating
+    /// that it is a regular file, its magic, format version and the
+    /// trailing CRC. Throws SnapError with the reason on any mismatch.
     explicit SnapReader(const std::string& path);
 
     std::uint32_t formatVersion() const { return version_; }
@@ -129,6 +133,8 @@ public:
     std::uint64_t configHash() const { return configHash_; }
     const std::vector<SectionInfo>& sections() const { return table_; }
     bool hasSection(const std::string& name) const;
+    /// Size of the whole file image, CRC trailer included.
+    std::uint64_t fileBytes() const { return data_.size(); }
 
     /// Positions the cursor at the start of @p name. Throws if absent or
     /// if another section is still open.
@@ -136,15 +142,45 @@ public:
     /// Verifies the open section was consumed exactly.
     void closeSection();
 
-    std::uint8_t u8();
-    std::uint32_t u32();
-    std::uint64_t u64();
-    double f64();
-    std::string str();
-    void bytes(void* out, std::size_t size);
+    // A restore decodes every field of every component through these, so
+    // they are inline, with one bounds check per field.
+    std::uint8_t u8() { return static_cast<std::uint8_t>(*take(1)); }
+    std::uint32_t u32() { return loadLe<std::uint32_t>(take(4)); }
+    std::uint64_t u64() { return loadLe<std::uint64_t>(take(8)); }
+    double f64() { return std::bit_cast<double>(u64()); }
+    /// The length prefix is checked against the section before the string
+    /// is allocated.
+    std::string str()
+    {
+        const std::uint32_t n = u32();
+        return std::string(take(n), n);
+    }
+    void bytes(void* out, std::size_t size)
+    {
+        std::memcpy(out, take(size), size);
+    }
 
 private:
-    void raw(void* out, std::size_t size);
+    /// The next @p size bytes of the open section; advances past them.
+    const char* take(std::size_t size)
+    {
+        if (size > sectionEnd_ - cursor_ || !open_) [[unlikely]]
+            throwBadRead();
+        const char* p = data_.data() + cursor_;
+        cursor_ += size;
+        return p;
+    }
+    [[noreturn]] void throwBadRead() const;
+
+    /// The host is little-endian like the file (DataBlock assumes the
+    /// same), so a field is one unaligned load.
+    template <typename T> static T loadLe(const char* p)
+    {
+        static_assert(std::endian::native == std::endian::little);
+        T v = 0;
+        std::memcpy(&v, p, sizeof v);
+        return v;
+    }
 
     std::string data_;
     std::uint32_t version_ = 0;

@@ -38,7 +38,6 @@ void WorkloadRun::build()
         mem_[spec.name] = sys_->allocateArray(spec.bytes, spec.gpuShared);
         footprint_ += spec.bytes;
     }
-    produce_ = workload_.cpuProduce(size_, mem_);
     kernels_ = workload_.kernels(size_, mem_);
     // Multi-GPU scale-out: spread the workload's kernel phases round-robin
     // across the configured devices. Phase order (and hence the coherence
@@ -91,7 +90,13 @@ bool WorkloadRun::tryRestore(const std::string& path, bool required)
                     to_string(size_) + "/" + to_string(mode_) + ")");
             phasesDone_ = r.u32();
             produceDoneAt_ = r.u64();
-            kernelDoneAt_.resize(r.u32());
+            const std::uint32_t kernelsDone = r.u32();
+            if (kernelsDone > kernels_.size())
+                throw snap::SnapError(
+                    path + ": checkpoint lists " +
+                    std::to_string(kernelsDone) + " finished kernels, run " +
+                    "only has " + std::to_string(kernels_.size()));
+            kernelDoneAt_.resize(kernelsDone);
             for (Tick& t : kernelDoneAt_)
                 t = r.u64();
         });
@@ -163,14 +168,21 @@ void WorkloadRun::drain()
 void WorkloadRun::runPhase(std::size_t phase)
 {
     if (phase == 0) {
+        // Built only when the phase runs: a produce-cache hit restores past
+        // it. The core points at the program until it retires, so it is
+        // released only once the phase has drained; if drain() throws, the
+        // run keeps owning it.
+        produce_ = workload_.cpuProduce(size_, mem_);
         sys_->runCpuProgram(produce_, [this] {
             produceDoneAt_ = sys_->queue().curTick();
         });
-    } else {
-        sys_->launchKernel(kernels_[phase - 1], [this] {
-            kernelDoneAt_.push_back(sys_->queue().curTick());
-        });
+        drain();
+        produce_ = CpuProgram{};
+        return;
     }
+    sys_->launchKernel(kernels_[phase - 1], [this] {
+        kernelDoneAt_.push_back(sys_->queue().curTick());
+    });
     drain();
 }
 

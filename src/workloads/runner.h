@@ -104,6 +104,8 @@ struct WorkloadRunOptions {
 /// restore / watchdog. runWorkload() below is the plain-run shorthand.
 class WorkloadRun {
 public:
+    /// Builds the System, allocates the arrays and builds the kernels. The
+    /// CPU produce program is built only when its phase runs.
     WorkloadRun(const Workload& workload, InputSize size, CoherenceMode mode,
                 const SystemConfig& config = SystemConfig{},
                 WorkloadRunOptions options = WorkloadRunOptions{});
@@ -149,10 +151,12 @@ private:
     WorkloadRunOptions opts_;
     SystemConfig cfg_;
 
+    /// The produce phase's program, alive only while that phase runs.
+    /// Declared before sys_ so it also outlives the core that points at it.
+    CpuProgram produce_;
     std::unique_ptr<System> sys_;
     Workload::ArrayMap mem_;
     std::uint64_t footprint_ = 0;
-    CpuProgram produce_;
     std::vector<KernelDesc> kernels_;
 
     std::size_t phasesDone_ = 0; ///< next phase to run

@@ -4,8 +4,9 @@
 // snapshot, the stats JSON dump, and the final memory image. One
 // benchmark per suite (Rodinia, Parboil, Pannotia, NVIDIA SDK,
 // standalone), both coherence modes, plus the failure paths: config-hash
-// mismatch, missing snapshot, and the produce cache's fallback from an
-// unusable entry.
+// mismatch, missing snapshot, an impossible kernel count, and the produce
+// cache's fallback from an unusable entry. A cache hit builds no CPU
+// produce program.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -209,6 +210,49 @@ TEST(SnapRestore, MissingSnapshotThrows)
     EXPECT_THROW(mustRestore.run(), snap::SnapError);
 }
 
+TEST(SnapRestore, KernelCountBeyondTheRunIsASnapError)
+{
+    // The runner section ends with the count of finished kernels (0 at
+    // produce-done). Re-sealed with a valid CRC, a count no run can have
+    // must be refused before anything is sized from it.
+    const Workload& w = WorkloadRegistry::instance().get("VA");
+    const std::string path = tempSnap("kernel_count");
+    WorkloadRunOptions saveOpts;
+    saveOpts.checkpointOut = path;
+    saveOpts.checkpointAtPhase = 0;
+    WorkloadRun(w, InputSize::kSmall, CoherenceMode::kCcsm, SystemConfig{},
+                saveOpts)
+        .run();
+    std::string image;
+    {
+        std::ifstream in(path, std::ios::binary);
+        std::ostringstream os;
+        os << in.rdbuf();
+        image = os.str();
+    }
+    const auto putLe32 = [&image](std::size_t at, std::uint32_t v) {
+        for (std::size_t i = 0; i < 4; ++i)
+            image[at + i] = static_cast<char>((v >> (8 * i)) & 0xffu);
+    };
+    putLe32(image.size() - 8, 0xffffffffu);
+    putLe32(image.size() - 4, snap::crc32(image.data(), image.size() - 4));
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << image;
+
+    WorkloadRunOptions opts;
+    opts.restoreFrom = path;
+    WorkloadRun restored(w, InputSize::kSmall, CoherenceMode::kCcsm,
+                         SystemConfig{}, opts);
+    try {
+        restored.run();
+        ADD_FAILURE() << "an impossible kernel count restored";
+    } catch (const snap::SnapError& e) {
+        EXPECT_NE(std::string(e.what()).find("4294967295 finished kernels"),
+                  std::string::npos)
+            << e.what();
+    }
+    std::remove(path.c_str());
+}
+
 TEST(SnapRestore, ProduceCacheSharesProducePhase)
 {
     namespace fs = std::filesystem;
@@ -270,6 +314,58 @@ TEST(SnapRestore, ProduceCacheSharesProducePhase)
         EXPECT_TRUE(rewarmedResult.fromCheckpoint) << what;
         expectSameRun(rewarmedResult, ref, "BP re-warmed after " + what);
     }
+    fs::remove_all(dir);
+}
+
+/// Wraps a workload and counts the CPU produce programs it builds.
+class CountingWorkload : public Workload {
+public:
+    explicit CountingWorkload(const Workload& inner) : inner_(inner) {}
+
+    WorkloadInfo info() const override { return inner_.info(); }
+    std::vector<ArraySpec> arrays(InputSize size) const override
+    {
+        return inner_.arrays(size);
+    }
+    CpuProgram cpuProduce(InputSize size, const ArrayMap& mem) const override
+    {
+        ++produceCalls;
+        return inner_.cpuProduce(size, mem);
+    }
+    std::vector<KernelDesc> kernels(InputSize size,
+                                    const ArrayMap& mem) const override
+    {
+        return inner_.kernels(size, mem);
+    }
+
+    mutable int produceCalls = 0;
+
+private:
+    const Workload& inner_;
+};
+
+TEST(SnapRestore, ProduceCacheHitBuildsNoCpuProgram)
+{
+    namespace fs = std::filesystem;
+    const std::string dir = testing::TempDir() + "produce_cache_count_dir";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    const CountingWorkload w(WorkloadRegistry::instance().get("BP"));
+    WorkloadRunOptions opts;
+    opts.produceCacheDir = dir;
+    const auto produceCallsOfRun = [&] {
+        w.produceCalls = 0;
+        WorkloadRun run(w, InputSize::kSmall, CoherenceMode::kCcsm,
+                        SystemConfig{}, opts);
+        run.run();
+        return w.produceCalls;
+    };
+
+    EXPECT_EQ(produceCallsOfRun(), 1) << "cold run";
+    EXPECT_EQ(produceCallsOfRun(), 0) << "warm run";
+    const fs::path entry = fs::directory_iterator(dir)->path();
+    fs::resize_file(entry, fs::file_size(entry) / 2);
+    EXPECT_EQ(produceCallsOfRun(), 1) << "truncated entry";
     fs::remove_all(dir);
 }
 

@@ -1,6 +1,7 @@
-// snap serializer: primitive round-trips, section hygiene, and every
-// rejection path a snapshot file can hit on disk — flipped bytes (CRC),
-// truncation, bad magic, wrong format version, missing sections — plus the
+// snap serializer: the CRC against a bit-at-a-time reference, primitive
+// round-trips, section hygiene, and every rejection path a snapshot file
+// can hit on disk — flipped bytes (CRC), truncation, bad magic, a path that
+// is not a regular file, wrong format version, missing sections — plus the
 // header inspection API and the atomic temp+rename publisher.
 #include <gtest/gtest.h>
 
@@ -62,6 +63,44 @@ TEST(SnapSerializer, Crc32KnownCheckValue)
     // Chaining partial blocks must equal one pass over the whole buffer.
     const std::uint32_t head = crc32("12345", 5);
     EXPECT_EQ(crc32("6789", 4, head), 0xcbf43926u);
+}
+
+/// CRC-32 one bit at a time, straight from the reflected polynomial.
+std::uint32_t crc32BitwiseReference(const unsigned char* p, std::size_t n,
+                                    std::uint32_t seed = 0)
+{
+    std::uint32_t c = ~seed;
+    for (std::size_t i = 0; i < n; ++i) {
+        c ^= p[i];
+        for (int k = 0; k < 8; ++k)
+            c = (c >> 1) ^ (0xedb88320u & (0u - (c & 1u)));
+    }
+    return ~c;
+}
+
+TEST(SnapSerializer, Crc32MatchesBytewiseReference)
+{
+    // Every length 0..300 at every start offset modulo 8 covers the
+    // eight-byte steps, the byte tail and unaligned loads; chaining every
+    // split point through the seed covers a step cut anywhere.
+    unsigned char buf[7 + 300]; // start offsets 0..7, lengths up to 300
+    std::uint32_t x = 0x9e3779b9u;
+    for (unsigned char& b : buf) {
+        x = x * 1664525u + 1013904223u;
+        b = static_cast<unsigned char>(x >> 24);
+    }
+    for (std::size_t offset = 0; offset < 8; ++offset)
+        for (std::size_t len = 0; len <= 300; ++len)
+            ASSERT_EQ(crc32(buf + offset, len),
+                      crc32BitwiseReference(buf + offset, len))
+                << "offset " << offset << " length " << len;
+    const std::size_t total = 300;
+    const std::uint32_t whole = crc32BitwiseReference(buf, total);
+    for (std::size_t split = 0; split <= total; ++split)
+        ASSERT_EQ(crc32(buf + split, total - split, crc32(buf, split)), whole)
+            << "split " << split;
+    EXPECT_EQ(crc32BitwiseReference(buf + 3, 5, 0x12345678u),
+              crc32(buf + 3, 5, 0x12345678u));
 }
 
 TEST(SnapSerializer, PrimitivesRoundTrip)
@@ -169,6 +208,30 @@ TEST(SnapSerializer, BadMagicRejected)
 TEST(SnapSerializer, MissingFileRejected)
 {
     EXPECT_THROW(SnapReader r(tempPath("does_not_exist.snap")), SnapError);
+}
+
+TEST(SnapSerializer, DirectoryIsASnapError)
+{
+    // A size-first reader must refuse a directory before it trusts its
+    // "size", and the refusal is a SnapError naming the path.
+    const fs::path dir = fs::path(testing::TempDir()) / "snap_is_a_dir";
+    fs::create_directories(dir);
+    for (const bool header : {false, true}) {
+        try {
+            if (header)
+                readSnapshotHeader(dir.string());
+            else
+                SnapReader r(dir.string());
+            ADD_FAILURE() << "a directory was read as a snapshot";
+        } catch (const SnapError& e) {
+            EXPECT_NE(std::string(e.what()).find(dir.string()),
+                      std::string::npos)
+                << e.what();
+        } catch (const std::exception& e) {
+            ADD_FAILURE() << "not a SnapError: " << e.what();
+        }
+    }
+    fs::remove_all(dir);
 }
 
 TEST(SnapSerializer, WrongFormatVersionRejected)

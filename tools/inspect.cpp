@@ -1,6 +1,7 @@
 // inspect — run one benchmark in one mode, print the produce/kernel phase
 // breakdown, and dump the full stats registry to /tmp/stats_<code>_<mode>.txt.
 //   dscoh_inspect <CODE> [small|big] [ccsm|ds]
+// (an unknown code, size or mode prints usage and exits 2).
 // Or dump a snapshot file's header and section table (CRC-validated):
 //   dscoh_inspect --snapshot file.snap     (also: a positional *.snap path)
 #include <cstdio>
@@ -44,8 +45,18 @@ int main(int argc, char** argv) {
             return inspectSnapshot(argv[1]);
     }
     const std::string code = argc > 1 ? argv[1] : "SR";
-    const InputSize size = (argc > 2 && std::string(argv[2]) == "big") ? InputSize::kBig : InputSize::kSmall;
-    const bool ds = argc > 3 && std::string(argv[3]) == "ds";
+    const std::string sizeArg = argc > 2 ? argv[2] : "small";
+    const std::string modeArg = argc > 3 ? argv[3] : "ccsm";
+    if (!WorkloadRegistry::instance().has(code) ||
+        (sizeArg != "small" && sizeArg != "big") ||
+        (modeArg != "ccsm" && modeArg != "ds") || argc > 4) {
+        std::fprintf(stderr,
+                     "usage: dscoh_inspect [CODE [small|big] [ccsm|ds]]\n"
+                     "       dscoh_inspect --snapshot FILE\n");
+        return 2;
+    }
+    const InputSize size = sizeArg == "big" ? InputSize::kBig : InputSize::kSmall;
+    const bool ds = modeArg == "ds";
     SystemConfig cfg;
     cfg.mode = ds ? CoherenceMode::kDirectStore : CoherenceMode::kCcsm;
     System sys(cfg);
