@@ -17,7 +17,7 @@
 #include "core/config_io.h"
 #include "obs/json_lite.h"
 #include "sim/errors.h"
-#include "sim/json_escape.h"
+#include "sim/json_writer.h"
 #include "snap/serializer.h"
 
 namespace dscoh {
@@ -276,41 +276,37 @@ makeSweepJobs(const std::vector<std::string>& codes,
 namespace {
 
 /// The per-job object shared by writeResultsJson() and journalLine(),
-/// WITHOUT the closing brace (the journal appends resume-only fields).
-void writeResultCore(std::ostream& os, const ExperimentResult& r)
+/// left open (the journal appends resume-only fields).
+void writeResultCore(JsonWriter& w, const ExperimentResult& r)
 {
-    os << "{\"code\": \"" << jsonEscape(r.job.code) << "\""
-       << ", \"size\": \"" << to_string(r.job.size) << "\""
-       << ", \"mode\": \"" << to_string(r.job.mode) << "\""
-       << ", \"ok\": " << (r.ok ? "true" : "false");
+    w.object()
+        .key("code").value(r.job.code)
+        .key("size").value(to_string(r.job.size))
+        .key("mode").value(to_string(r.job.mode))
+        .key("ok").value(r.ok);
     if (!r.ok) {
-        os << ", \"error\": \"" << jsonEscape(r.error) << "\""
-           << ", \"errorClass\": " << r.errorClass;
+        w.key("error").value(r.error).key("errorClass").value(r.errorClass);
         return;
     }
     const RunMetrics& m = r.run.metrics;
-    os << ", \"metrics\": {"
-       << "\"ticks\": " << m.ticks
-       << ", \"gpuL2Accesses\": " << m.gpuL2Accesses
-       << ", \"gpuL2Misses\": " << m.gpuL2Misses
-       << ", \"gpuL2Compulsory\": " << m.gpuL2Compulsory
-       << ", \"gpuL2MissRate\": " << m.gpuL2MissRate
-       << ", \"dsFills\": " << m.dsFills
-       << ", \"dsBypasses\": " << m.dsBypasses
-       << ", \"coherenceMessages\": " << m.coherenceMessages
-       << ", \"coherenceBytes\": " << m.coherenceBytes
-       << ", \"dsNetworkMessages\": " << m.dsNetworkMessages
-       << ", \"dramReads\": " << m.dramReads
-       << ", \"dramWrites\": " << m.dramWrites
-       << "}, \"footprintBytes\": " << r.run.footprintBytes
-       << ", \"stats\": {";
-    bool firstStat = true;
-    for (const auto& [name, value] : r.run.statCounters) {
-        os << (firstStat ? "" : ", ") << "\"" << jsonEscape(name)
-           << "\": " << value;
-        firstStat = false;
-    }
-    os << "}";
+    w.key("metrics").object()
+        .key("ticks").value(m.ticks)
+        .key("gpuL2Accesses").value(m.gpuL2Accesses)
+        .key("gpuL2Misses").value(m.gpuL2Misses)
+        .key("gpuL2Compulsory").value(m.gpuL2Compulsory)
+        .key("gpuL2MissRate").value(m.gpuL2MissRate)
+        .key("dsFills").value(m.dsFills)
+        .key("dsBypasses").value(m.dsBypasses)
+        .key("coherenceMessages").value(m.coherenceMessages)
+        .key("coherenceBytes").value(m.coherenceBytes)
+        .key("dsNetworkMessages").value(m.dsNetworkMessages)
+        .key("dramReads").value(m.dramReads)
+        .key("dramWrites").value(m.dramWrites)
+        .end();
+    w.key("footprintBytes").value(r.run.footprintBytes).key("stats").object();
+    for (const auto& [name, value] : r.run.statCounters)
+        w.key(name).value(value);
+    w.end();
 }
 
 } // namespace
@@ -320,20 +316,19 @@ void writeResultsJson(std::ostream& os,
 {
     // schemaVersion exists so downstream plot scripts can detect format
     // drift without string-matching the schema name. v2 added the per-job
-    // "stats" counter snapshot.
-    os << "{\n  \"schema\": \"dscoh-results-v2\",\n  \"schemaVersion\": 2,\n"
-          "  \"results\": [";
-    bool first = true;
+    // "stats" counter snapshot. No wall-clock time here: the file must be
+    // bit-identical across runs and --jobs values. Timing is reported on
+    // stderr instead.
+    JsonWriter w(os);
+    w.object(2)
+        .key("schema").value("dscoh-results-v2")
+        .key("schemaVersion").value(2)
+        .key("results").array(4);
     for (const ExperimentResult& r : results) {
-        os << (first ? "\n" : ",\n");
-        first = false;
-        // No wall-clock time here: the file must be bit-identical across
-        // runs and --jobs values. Timing is reported on stderr instead.
-        os << "    ";
-        writeResultCore(os, r);
-        os << "}";
+        writeResultCore(w, r);
+        w.end();
     }
-    os << "\n  ]\n}\n";
+    w.end().end();
 }
 
 void writeResultsJsonAtomic(const std::string& path,
@@ -346,23 +341,20 @@ void writeResultsJsonAtomic(const std::string& path,
 
 std::string journalLine(const ExperimentResult& r, std::uint64_t configHash)
 {
-    std::ostringstream os;
-    writeResultCore(os, r);
-    os << ", \"configHash\": \"0x" << std::hex << configHash << std::dec
-       << "\"";
+    JsonWriter w;
+    writeResultCore(w, r);
+    w.key("configHash").hex(configHash);
     if (r.ok) {
-        os << ", \"produceDoneAt\": " << r.run.produceDoneAt
-           << ", \"kernelDoneAt\": [";
-        for (std::size_t i = 0; i < r.run.kernelDoneAt.size(); ++i)
-            os << (i == 0 ? "" : ", ") << r.run.kernelDoneAt[i];
-        os << "], \"violations\": [";
-        for (std::size_t i = 0; i < r.run.violations.size(); ++i)
-            os << (i == 0 ? "" : ", ") << "\""
-               << jsonEscape(r.run.violations[i]) << "\"";
-        os << "]";
+        w.key("produceDoneAt").value(r.run.produceDoneAt)
+            .key("kernelDoneAt").array();
+        for (const Tick t : r.run.kernelDoneAt)
+            w.value(t);
+        w.end().key("violations").array();
+        for (const std::string& v : r.run.violations)
+            w.value(v);
+        w.end();
     }
-    os << "}\n";
-    return os.str();
+    return w.end().take() + "\n";
 }
 
 namespace {

@@ -1,13 +1,11 @@
 #include "exp/progress.h"
 
-#include <cstdio>
-#include <sstream>
-
+#include "sim/json_writer.h"
 #include "snap/serializer.h"
 
 namespace dscoh {
 
-std::string renderProgressJson(const ProgressSnapshot& s)
+void writeProgressJson(JsonWriter& w, const ProgressSnapshot& s)
 {
     const double rate = (s.done > 0 && s.elapsedSeconds > 0.0)
                             ? static_cast<double>(s.done) / s.elapsedSeconds
@@ -20,26 +18,26 @@ std::string renderProgressJson(const ProgressSnapshot& s)
         state = s.done < s.total ? "running"
                                  : (s.failed != 0 ? "failed" : "done");
 
-    std::ostringstream os;
-    os << "{\"schema\": \"dscoh-progress-v2\", \"state\": \"" << state
-       << "\"";
+    w.object().key("schema").value("dscoh-progress-v3");
+    w.key("state").value(state);
     if (!s.id.empty())
-        os << ", \"id\": \"" << s.id << "\"";
+        w.key("id").value(s.id);
     if (!s.tenant.empty())
-        os << ", \"tenant\": \"" << s.tenant << "\"";
-    char buf[160];
-    std::snprintf(buf, sizeof buf,
-                  ", \"jobsTotal\": %zu, \"jobsDone\": %zu, "
-                  "\"jobsFailed\": %zu, \"elapsedSeconds\": %.3f, "
-                  "\"jobsPerSecond\": %.3f, \"etaSeconds\": %.1f",
-                  s.total, s.done, s.failed, s.elapsedSeconds, rate, eta);
-    os << buf;
-    // v1 aliases, kept for one release (dropped in v3).
-    std::snprintf(buf, sizeof buf,
-                  ", \"total\": %zu, \"done\": %zu, \"failed\": %zu}\n",
-                  s.total, s.done, s.failed);
-    os << buf;
-    return os.str();
+        w.key("tenant").value(s.tenant);
+    w.key("jobsTotal").value(s.total)
+        .key("jobsDone").value(s.done)
+        .key("jobsFailed").value(s.failed)
+        .key("elapsedSeconds").fixed(s.elapsedSeconds, 3)
+        .key("jobsPerSecond").fixed(rate, 3)
+        .key("etaSeconds").fixed(eta, 1)
+        .end();
+}
+
+std::string renderProgressJson(const ProgressSnapshot& s)
+{
+    JsonWriter w;
+    writeProgressJson(w, s);
+    return w.take() + "\n";
 }
 
 void ProgressPublisher::publish(const ProgressSnapshot& s) const

@@ -7,14 +7,13 @@
 // via snap::atomicWriteFile), so a reader polling the path always sees a
 // complete, internally consistent document — never a torn write.
 //
-// The "dscoh-progress-v2" schema is the one status document for BOTH
+// The "dscoh-progress-v3" schema is the one status document for BOTH
 // execution modes: `dscoh_sweep --progress-json` publishes it per batch,
 // and the service publishes the identical shape per request (status.json
 // in the request directory, and embedded in `status` protocol responses).
 // One poller/dashboard format covers batch and daemon. v2 renamed the
-// counters to jobsTotal/jobsDone/jobsFailed and added state/id/tenant; the
-// v1 names (total/done/failed) are kept as aliases for one release and
-// will be dropped in v3.
+// counters to jobsTotal/jobsDone/jobsFailed and added state/id/tenant; v3
+// dropped the v1 names (total/done/failed) v2 had kept as aliases.
 //
 // Rendering is split out as a pure function (renderProgressJson) so tests
 // can pin the format without touching the filesystem, and so the ETA
@@ -25,6 +24,8 @@
 #include <string>
 
 namespace dscoh {
+
+class JsonWriter;
 
 /// One observation of a running batch or service request.
 struct ProgressSnapshot {
@@ -42,12 +43,15 @@ struct ProgressSnapshot {
     std::string tenant; ///< submitting tenant; omitted from JSON if empty
 };
 
-/// The "dscoh-progress-v2" JSON document for @p s (one object, trailing
+/// The "dscoh-progress-v3" JSON document for @p s (one object, trailing
 /// newline). jobsPerSecond/etaSeconds are 0 while no job has finished or
 /// no time has passed; etaSeconds is 0 once done == total. Pure function
 /// of the snapshot — bit-identical for identical inputs regardless of
 /// thread count or wall clock.
 std::string renderProgressJson(const ProgressSnapshot& s);
+
+/// The same document as one value of an enclosing writer (no newline).
+void writeProgressJson(JsonWriter& w, const ProgressSnapshot& s);
 
 /// Publishes snapshots to a file. Each publish() atomically replaces the
 /// whole file; throws snap::SnapError when the path is unwritable (surface

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "sim/json_writer.h"
+
 namespace dscoh {
 
 EpochSampler::EpochSampler(EventQueue& queue, const StatRegistry& stats,
@@ -97,18 +99,18 @@ void EpochSampler::snapRestore(snap::SnapReader& r)
 
 void EpochSampler::writeJson(std::ostream& os) const
 {
-    os << "{\"epochTicks\": " << params_.epochTicks << ", \"names\": [";
-    for (std::size_t i = 0; i < names_.size(); ++i)
-        os << (i == 0 ? "" : ", ") << "\"" << names_[i] << "\"";
-    os << "], \"samples\": [";
-    for (std::size_t i = 0; i < samples_.size(); ++i) {
-        os << (i == 0 ? "\n" : ",\n") << "    {\"tick\": " << samples_[i].tick
-           << ", \"values\": [";
-        for (std::size_t v = 0; v < samples_[i].values.size(); ++v)
-            os << (v == 0 ? "" : ", ") << samples_[i].values[v];
-        os << "]}";
+    JsonWriter w;
+    w.object().key("epochTicks").value(params_.epochTicks).key("names").array();
+    for (const std::string& name : names_)
+        w.value(name);
+    w.end().key("samples").array(4);
+    for (const Sample& s : samples_) {
+        w.object().key("tick").value(s.tick).key("values").array();
+        for (const std::uint64_t v : s.values)
+            w.value(v);
+        w.end().end();
     }
-    os << "\n  ]}";
+    os << w.end().end().str();
 }
 
 void EpochSampler::writeCsv(std::ostream& os) const

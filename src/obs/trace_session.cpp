@@ -1,5 +1,7 @@
 #include "obs/trace_session.h"
 
+#include "sim/json_writer.h"
+
 namespace dscoh {
 
 const char* to_string(TraceCat c)
@@ -85,67 +87,55 @@ std::uint32_t TraceSession::trackId(const std::string& name)
 
 void TraceSession::writeJson(std::ostream& os) const
 {
-    os << "{\"traceEvents\": [\n";
-    bool first = true;
-    const auto sep = [&os, &first] {
-        if (!first)
-            os << ",\n";
-        first = false;
-    };
-    sep();
-    os << "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 0, "
-          "\"args\": {\"name\": \"dscoh\"}}";
+    JsonWriter w(os);
+    w.object().key("traceEvents").array(0);
+    w.object()
+        .key("name").value("process_name")
+        .key("ph").value("M")
+        .key("pid").value(0)
+        .key("args").object().key("name").value("dscoh").end()
+        .end();
     for (std::size_t t = 0; t < trackNames_.size(); ++t) {
-        sep();
-        os << "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 0, "
-              "\"tid\": " << t << ", \"args\": {\"name\": \""
-           << trackNames_[t] << "\"}}";
+        w.object()
+            .key("name").value("thread_name")
+            .key("ph").value("M")
+            .key("pid").value(0)
+            .key("tid").value(t)
+            .key("args").object().key("name").value(trackNames_[t]).end()
+            .end();
     }
     for (const TraceEvent& e : events_) {
-        sep();
-        os << "{\"name\": \"" << e.name << "\", \"cat\": \""
-           << to_string(e.cat) << "\", \"ph\": \"" << e.ph
-           << "\", \"pid\": 0, \"tid\": " << e.track << ", \"ts\": " << e.ts;
+        w.object()
+            .key("name").value(e.name)
+            .key("cat").value(to_string(e.cat))
+            .key("ph").value(std::string_view(&e.ph, 1))
+            .key("pid").value(0)
+            .key("tid").value(e.track)
+            .key("ts").value(e.ts);
         if (e.ph == 'X')
-            os << ", \"dur\": " << e.dur;
+            w.key("dur").value(e.dur);
         if (e.ph == 'i')
-            os << ", \"s\": \"t\"";
+            w.key("s").value("t");
         if (e.isFlow) {
-            os << ", \"id\": " << e.value;
+            w.key("id").value(e.value);
             // Bind the finish point to the enclosing slice's end, the
             // convention Perfetto expects for terminating arrows.
             if (e.ph == 'f')
-                os << ", \"bp\": \"e\"";
+                w.key("bp").value("e");
         }
-        const bool hasArgs =
-            e.hasAddr || e.from != nullptr || e.valueKey != nullptr;
-        if (hasArgs) {
-            os << ", \"args\": {";
-            bool argFirst = true;
-            const auto argSep = [&os, &argFirst] {
-                if (!argFirst)
-                    os << ", ";
-                argFirst = false;
-            };
-            if (e.hasAddr) {
-                argSep();
-                os << "\"addr\": \"0x" << std::hex << e.addr << std::dec
-                   << "\"";
-            }
-            if (e.from != nullptr) {
-                argSep();
-                os << "\"from\": \"" << e.from << "\", \"to\": \"" << e.to
-                   << "\"";
-            }
-            if (e.valueKey != nullptr) {
-                argSep();
-                os << "\"" << e.valueKey << "\": " << e.value;
-            }
-            os << "}";
+        if (e.hasAddr || e.from != nullptr || e.valueKey != nullptr) {
+            w.key("args").object();
+            if (e.hasAddr)
+                w.key("addr").hex(e.addr);
+            if (e.from != nullptr)
+                w.key("from").value(e.from).key("to").value(e.to);
+            if (e.valueKey != nullptr)
+                w.key(e.valueKey).value(e.value);
+            w.end();
         }
-        os << "}";
+        w.end();
     }
-    os << "\n]}\n";
+    w.end().end();
 }
 
 } // namespace dscoh

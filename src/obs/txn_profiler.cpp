@@ -1,10 +1,10 @@
 #include "obs/txn_profiler.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <utility>
 
 #include "obs/trace_session.h"
+#include "sim/json_writer.h"
 #include "snap/serializer.h"
 
 namespace dscoh {
@@ -211,80 +211,77 @@ void TxnProfiler::emitFlow(const SpanRecord& rec) const
     }
 }
 
-namespace {
-
-/// Deterministic fixed-point double rendering for the JSON output.
-std::string fmt1(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.1f", v);
-    return buf;
-}
-
-} // namespace
-
 void TxnProfiler::writeJson(std::ostream& os) const
 {
-    os << "{\n  \"schema\": \"dscoh-txnprof-v1\",\n";
-    os << "  \"spans\": {\"begun\": " << begun_ << ", \"completed\": "
-       << completed_ << ", \"open\": " << open_.size() << "},\n";
+    JsonWriter w(os);
+    w.object(2).key("schema").value("dscoh-txnprof-v1");
+    w.key("spans").object()
+        .key("begun").value(begun_)
+        .key("completed").value(completed_)
+        .key("open").value(open_.size())
+        .end();
 
-    os << "  \"kinds\": [\n";
+    w.key("kinds").array(4);
     for (std::size_t k = 0; k < kTxnKindCount; ++k) {
         const KindStats& ks = kinds_[k];
-        os << "    {\"kind\": \"" << to_string(static_cast<TxnKind>(k))
-           << "\", \"count\": " << ks.count;
-        os << ", \"latency\": {\"mean\": " << fmt1(ks.latency.mean())
-           << ", \"min\": " << ks.latency.min()
-           << ", \"max\": " << ks.latency.max()
-           << ", \"p50\": " << fmt1(ks.latency.percentile(50.0))
-           << ", \"p95\": " << fmt1(ks.latency.percentile(95.0))
-           << ", \"p99\": " << fmt1(ks.latency.percentile(99.0)) << "}";
-        os << ", \"stages\": {";
+        w.object()
+            .key("kind").value(to_string(static_cast<TxnKind>(k)))
+            .key("count").value(ks.count)
+            .key("latency").object()
+            .key("mean").fixed(ks.latency.mean(), 1)
+            .key("min").value(ks.latency.min())
+            .key("max").value(ks.latency.max())
+            .key("p50").fixed(ks.latency.percentile(50.0), 1)
+            .key("p95").fixed(ks.latency.percentile(95.0), 1)
+            .key("p99").fixed(ks.latency.percentile(99.0), 1)
+            .end()
+            .key("stages").object();
         for (std::size_t b = 0; b < kStageBucketCount; ++b)
-            os << (b == 0 ? "" : ", ") << "\""
-               << to_string(static_cast<StageBucket>(b))
-               << "\": " << ks.stageTicks[b];
-        os << "}}" << (k + 1 < kTxnKindCount ? "," : "") << "\n";
+            w.key(to_string(static_cast<StageBucket>(b)))
+                .value(ks.stageTicks[b]);
+        w.end().end();
     }
-    os << "  ],\n";
+    w.end();
 
-    os << "  \"slowest\": [\n";
-    for (std::size_t i = 0; i < slowest_.size(); ++i) {
-        const SpanRecord& rec = slowest_[i];
-        os << "    {\"id\": " << rec.id << ", \"kind\": \""
-           << to_string(rec.kind) << "\", \"addr\": \"0x" << std::hex
-           << rec.addr << std::dec << "\", \"begin\": " << rec.beginTick
-           << ", \"end\": " << rec.endTick
-           << ", \"latency\": " << rec.latency() << ", \"track\": \""
-           << trackNames_[rec.beginTrack] << "\", \"hops\": [";
-        for (std::size_t h = 0; h < rec.hops.size(); ++h) {
-            const Hop& hop = rec.hops[h];
-            os << (h == 0 ? "" : ", ") << "{\"stage\": \""
-               << to_string(hop.stage) << "\", \"at\": " << hop.at
-               << ", \"track\": \"" << trackNames_[hop.track] << "\"}";
-        }
-        os << "]}" << (i + 1 < slowest_.size() ? "," : "") << "\n";
+    w.key("slowest").array(4);
+    for (const SpanRecord& rec : slowest_) {
+        w.object()
+            .key("id").value(rec.id)
+            .key("kind").value(to_string(rec.kind))
+            .key("addr").hex(rec.addr)
+            .key("begin").value(rec.beginTick)
+            .key("end").value(rec.endTick)
+            .key("latency").value(rec.latency())
+            .key("track").value(trackNames_[rec.beginTrack])
+            .key("hops").array();
+        for (const Hop& hop : rec.hops)
+            w.object()
+                .key("stage").value(to_string(hop.stage))
+                .key("at").value(hop.at)
+                .key("track").value(trackNames_[hop.track])
+                .end();
+        w.end().end();
     }
-    os << "  ],\n";
+    w.end();
 
-    os << "  \"regionShift\": " << params_.regionShift << ",\n";
-    os << "  \"regions\": [\n";
-    std::size_t i = 0;
-    for (const auto& [page, r] : regions_) {
-        os << "    {\"page\": \"0x" << std::hex
-           << (page << params_.regionShift) << std::dec << "\""
-           << ", \"pushes\": " << r.pushes << ", \"installs\": " << r.installs
-           << ", \"bypasses\": " << r.bypasses << ", \"merges\": " << r.merges
-           << ", \"fallbacks\": " << r.fallbacks
-           << ", \"ucReads\": " << r.ucReads << ", \"pulls\": " << r.pulls
-           << ", \"gpuAccesses\": " << r.gpuAccesses
-           << ", \"gpuMisses\": " << r.gpuMisses
-           << ", \"completed\": " << r.completed
-           << ", \"latencyTicks\": " << r.latencyTicks << "}"
-           << (++i < regions_.size() ? "," : "") << "\n";
-    }
-    os << "  ]\n}\n";
+    w.key("regionShift").value(params_.regionShift);
+    w.key("regions").array(4);
+    for (const auto& [page, r] : regions_)
+        w.object()
+            .key("page").hex(page << params_.regionShift)
+            .key("pushes").value(r.pushes)
+            .key("installs").value(r.installs)
+            .key("bypasses").value(r.bypasses)
+            .key("merges").value(r.merges)
+            .key("fallbacks").value(r.fallbacks)
+            .key("ucReads").value(r.ucReads)
+            .key("pulls").value(r.pulls)
+            .key("gpuAccesses").value(r.gpuAccesses)
+            .key("gpuMisses").value(r.gpuMisses)
+            .key("completed").value(r.completed)
+            .key("latencyTicks").value(r.latencyTicks)
+            .end();
+    w.end().end();
 }
 
 void TxnProfiler::snapSave(snap::SnapWriter& w) const

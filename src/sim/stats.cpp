@@ -4,7 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "sim/json_escape.h"
+#include "sim/json_writer.h"
 
 namespace dscoh {
 
@@ -144,41 +144,34 @@ void StatRegistry::dump(std::ostream& os) const
 void StatRegistry::dumpJson(std::ostream& os,
                             const std::string& extraMember) const
 {
-    os << "{\n  \"schema\": \"dscoh-stats-v1\",\n  \"counters\": {";
-    bool first = true;
-    for (const auto& [name, c] : counters_) {
-        os << (first ? "\n" : ",\n") << "    \"" << jsonEscape(name)
-           << "\": " << c->value();
-        first = false;
-    }
-    os << (first ? "" : "\n  ") << "},\n  \"scalars\": {";
-    first = true;
-    for (const auto& [name, s] : scalars_) {
-        os << (first ? "\n" : ",\n") << "    \"" << jsonEscape(name)
-           << "\": " << s->value();
-        first = false;
-    }
-    os << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
-    first = true;
+    JsonWriter w(os);
+    w.object(2).key("schema").value("dscoh-stats-v1");
+    w.key("counters").object(4);
+    for (const auto& [name, c] : counters_)
+        w.key(name).value(c->value());
+    w.end().key("scalars").object(4);
+    for (const auto& [name, s] : scalars_)
+        w.key(name).value(s->value());
+    w.end().key("histograms").object(4);
     for (const auto& [name, h] : histograms_) {
-        os << (first ? "\n" : ",\n") << "    \"" << jsonEscape(name)
-           << "\": {\"samples\": " << h->samples()
-           << ", \"mean\": " << h->mean() << ", \"min\": " << h->min()
-           << ", \"max\": " << h->max()
-           << ", \"p50\": " << h->percentile(50.0)
-           << ", \"p90\": " << h->percentile(90.0)
-           << ", \"p99\": " << h->percentile(99.0)
-           << ", \"bucketWidth\": " << h->bucketWidth() << ", \"buckets\": [";
-        const auto& buckets = h->buckets();
-        for (std::size_t b = 0; b < buckets.size(); ++b)
-            os << (b == 0 ? "" : ", ") << buckets[b];
-        os << "]}";
-        first = false;
+        w.key(name).object()
+            .key("samples").value(h->samples())
+            .key("mean").value(h->mean())
+            .key("min").value(h->min())
+            .key("max").value(h->max())
+            .key("p50").value(h->percentile(50.0))
+            .key("p90").value(h->percentile(90.0))
+            .key("p99").value(h->percentile(99.0))
+            .key("bucketWidth").value(h->bucketWidth())
+            .key("buckets").array();
+        for (const std::uint64_t count : h->buckets())
+            w.value(count);
+        w.end().end();
     }
-    os << (first ? "" : "\n  ") << "}";
+    w.end();
     if (!extraMember.empty())
-        os << ",\n  " << extraMember;
-    os << "\n}\n";
+        w.raw(extraMember);
+    w.end();
 }
 
 void StatRegistry::snapSave(snap::SnapWriter& w) const

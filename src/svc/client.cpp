@@ -7,7 +7,19 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "sim/json_writer.h"
+
 namespace dscoh::svc {
+
+std::string requestLine(const std::string& op, const std::string& key,
+                        const std::string& value)
+{
+    JsonWriter w;
+    w.object().key("op").value(op);
+    if (!key.empty())
+        w.key(key).value(value);
+    return w.end().take();
+}
 
 bool SvcClient::call(const std::string& requestLine, std::string* reply,
                      std::string* error) const

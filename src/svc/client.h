@@ -12,6 +12,12 @@
 
 namespace dscoh::svc {
 
+/// One dscoh-svc-v1 request line, {"op": OP}, plus the string member
+/// KEY: VALUE when @p key is non-empty ("id" for status and cancel,
+/// "request" with a rendered SweepRequest for submit). Escapes both.
+std::string requestLine(const std::string& op, const std::string& key = {},
+                        const std::string& value = {});
+
 class SvcClient {
 public:
     explicit SvcClient(std::string socketPath)

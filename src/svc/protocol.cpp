@@ -1,25 +1,18 @@
 #include "svc/protocol.h"
 
 #include "obs/json_lite.h"
+#include "sim/json_writer.h"
 
 namespace dscoh::svc {
 
 namespace {
 
-std::string fail(const std::string& error)
+/// A reply's object, open after "ok": @p ok for the op's own members.
+JsonWriter reply(bool ok)
 {
-    return "{\"ok\": false, \"error\": \"" + jsonEscape(error) + "\"}";
-}
-
-/// Rejection reply for a submit: a degraded service says so in a
-/// machine-readable flag, so clients can tell "the disk is sick" from
-/// "your request is broken".
-std::string failSubmit(const std::string& error, const SubmitInfo& info)
-{
-    if (!info.degraded)
-        return fail(error);
-    return "{\"ok\": false, \"error\": \"" + jsonEscape(error) +
-           "\", \"degraded\": true}";
+    JsonWriter w;
+    w.object().key("ok").value(ok);
+    return w;
 }
 
 /// True when @p line is clean wire input: bounded and free of NUL /
@@ -46,6 +39,15 @@ bool validLine(const std::string& line, std::string* error)
 }
 
 } // namespace
+
+std::string errorReply(const std::string& error, bool degraded)
+{
+    JsonWriter w = reply(false);
+    w.key("error").value(error);
+    if (degraded)
+        w.key("degraded").value(true);
+    return w.end().take();
+}
 
 LineFramer::Result LineFramer::push(char c, std::string* line)
 {
@@ -74,75 +76,72 @@ std::string handleRequestLine(SweepService& svc, const std::string& line,
 {
     std::string lineError;
     if (!validLine(line, &lineError))
-        return fail(lineError);
+        return errorReply(lineError);
     std::string parseError;
     const jsonlite::ValuePtr v = jsonlite::parse(line, parseError);
     if (v == nullptr || !v->isObject())
-        return fail("bad protocol line: " +
-                    (parseError.empty() ? "not an object" : parseError));
+        return errorReply("bad protocol line: " +
+                          (parseError.empty() ? "not an object" : parseError));
     const jsonlite::Value* op = v->get("op");
     if (op == nullptr || !op->isString())
-        return fail("missing string field 'op'");
+        return errorReply("missing string field 'op'");
 
     if (op->string == "ping")
-        return std::string("{\"ok\": true, \"schema\": \"") +
-               kProtocolSchema +
-               "\", \"workers\": " + std::to_string(svc.workers()) + "}";
+        return reply(true).key("schema").value(kProtocolSchema)
+            .key("workers").value(svc.workers()).end().take();
 
     if (op->string == "submit") {
         const jsonlite::Value* reqVal = v->get("request");
         if (reqVal == nullptr || !reqVal->isString())
-            return fail("submit needs a string field 'request' holding the "
-                        "rendered request object");
+            return errorReply("submit needs a string field 'request' "
+                              "holding the rendered request object");
         SweepRequest r;
         std::string error;
         if (!parseRequestJson(reqVal->string, &r, &error))
-            return fail(error);
+            return errorReply(error);
         std::string id;
         SubmitInfo info;
         if (!svc.submit(std::move(r), &id, &error, &info))
-            return failSubmit(error, info);
-        return "{\"ok\": true, \"id\": \"" + jsonEscape(id) +
-               "\", \"dir\": \"" + jsonEscape(svc.requestDir(id)) + "\"}";
+            return errorReply(error, info.degraded);
+        return reply(true).key("id").value(id)
+            .key("dir").value(svc.requestDir(id)).end().take();
     }
 
     if (op->string == "status" || op->string == "cancel") {
         const jsonlite::Value* id = v->get("id");
         if (id == nullptr || !id->isString())
-            return fail(op->string + " needs a string field 'id'");
+            return errorReply(op->string + " needs a string field 'id'");
         std::string error;
         if (op->string == "status") {
             std::string status;
             if (!svc.statusJson(id->string, &status, &error))
-                return fail(error);
-            while (!status.empty() && status.back() == '\n')
-                status.pop_back();
-            return "{\"ok\": true, \"status\": " + status + "}";
+                return errorReply(error);
+            return reply(true).key("status").raw(status).end().take();
         }
         if (!svc.cancel(id->string, &error))
-            return fail(error);
-        return "{\"ok\": true, \"id\": \"" + jsonEscape(id->string) + "\"}";
+            return errorReply(error);
+        return reply(true).key("id").value(id->string).end().take();
     }
 
     if (op->string == "list")
-        return "{\"ok\": true, \"list\": " + svc.listJson() + "}";
+        return reply(true).key("list").raw(svc.listJson()).end().take();
 
     if (op->string == "stats")
-        return "{\"ok\": true, \"stats\": " + svc.statsJson() + "}";
+        return reply(true).key("stats").raw(svc.statsJson()).end().take();
 
     if (op->string == "drain") {
         svc.drain();
-        return "{\"ok\": true}";
+        return reply(true).end().take();
     }
 
     if (op->string == "shutdown") {
         svc.beginShutdown();
         if (shutdown != nullptr)
             *shutdown = true;
-        return "{\"ok\": true}";
+        return reply(true).end().take();
     }
 
-    return fail("unknown op '" + op->string + "'");
+    return errorReply("unknown op '" + op->string + "'");
 }
 
 } // namespace dscoh::svc

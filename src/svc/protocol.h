@@ -9,7 +9,7 @@
 //   {"op": "submit", "request": "..."}  -> {"ok": true, "id": "r000001", "dir": "<stateDir>/jobs/r000001"}
 //       ("request" is a rendered SweepRequest object as a JSON string —
 //        the same document renderRequestJson() produces)
-//   {"op": "status", "id": "r000001"}   -> {"ok": true, "status": {<dscoh-progress-v2>}}
+//   {"op": "status", "id": "r000001"}   -> {"ok": true, "status": {<dscoh-progress-v3>}}
 //   {"op": "list"}                      -> {"ok": true, "list": {<dscoh-svc-list-v1>}}
 //   {"op": "cancel", "id": "r000001"}   -> {"ok": true, "id": "r000001"}
 //   {"op": "stats"}                     -> {"ok": true, "stats": {<dscoh-svc-stats-v2>}}
@@ -80,5 +80,11 @@ private:
 /// svc.beginShutdown().
 std::string handleRequestLine(SweepService& svc, const std::string& line,
                               bool* shutdown);
+
+/// The failure reply {"ok": false, "error": ERROR} (no trailing newline),
+/// plus "degraded": true when @p degraded: a submit refused by a degraded
+/// service says so, so clients can tell "the disk is sick" from "your
+/// request is broken".
+std::string errorReply(const std::string& error, bool degraded = false);
 
 } // namespace dscoh::svc

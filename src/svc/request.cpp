@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <limits>
-#include <sstream>
 
 #include "core/config_io.h"
 #include "obs/json_lite.h"
@@ -23,21 +22,21 @@ bool integerIn(const jsonlite::Value& v, double lo, double hi)
 
 std::string renderRequestJson(const SweepRequest& r)
 {
-    std::ostringstream os;
-    os << "{";
+    JsonWriter w;
+    w.object();
     if (!r.id.empty())
-        os << "\"id\": \"" << jsonEscape(r.id) << "\", ";
-    os << "\"tenant\": \"" << jsonEscape(r.tenant) << "\""
-       << ", \"priority\": " << r.priority << ", \"weight\": " << r.weight
-       << ", \"size\": \"" << to_string(r.size) << "\"";
-    os << ", \"codes\": [";
-    for (std::size_t i = 0; i < r.codes.size(); ++i)
-        os << (i == 0 ? "" : ", ") << "\"" << jsonEscape(r.codes[i]) << "\"";
-    os << "], \"modes\": [";
-    for (std::size_t i = 0; i < r.modes.size(); ++i)
-        os << (i == 0 ? "" : ", ") << "\"" << to_string(r.modes[i]) << "\"";
-    os << "], \"config\": \"" << jsonEscape(r.configText) << "\"}";
-    return os.str();
+        w.key("id").value(r.id);
+    w.key("tenant").value(r.tenant)
+        .key("priority").value(r.priority)
+        .key("weight").value(r.weight)
+        .key("size").value(to_string(r.size))
+        .key("codes").array();
+    for (const std::string& code : r.codes)
+        w.value(code);
+    w.end().key("modes").array();
+    for (const CoherenceMode m : r.modes)
+        w.value(to_string(m));
+    return w.end().key("config").value(r.configText).end().take();
 }
 
 bool parseRequestJson(const std::string& text, SweepRequest* out,

@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "exp/experiment_engine.h"
-#include "sim/json_escape.h"
+#include "sim/json_writer.h"
 
 namespace dscoh::svc {
 
@@ -59,7 +59,7 @@ bool parseRequestJson(const std::string& text, SweepRequest* out,
 bool expandJobs(const SweepRequest& r, std::vector<ExperimentJob>* jobs,
                 std::string* error);
 
-/// The shared escaper (sim/json_escape.h), also spelled svc::jsonEscape.
+/// The writer's escaper (sim/json_writer.h), also spelled svc::jsonEscape.
 using dscoh::jsonEscape;
 
 } // namespace dscoh::svc

@@ -147,18 +147,18 @@ int serveSocket(SweepService& svc, const ServerOptions& options,
                     conn, handleRequestLine(svc, line, &shutdown) + "\n");
                 continue;
             case ReadStatus::kTooLong:
-                writeAll(conn, "{\"ok\": false, \"error\": \"protocol line "
-                               "exceeds the size limit\"}\n");
+                writeAll(conn, errorReply("protocol line exceeds the size "
+                                          "limit") + "\n");
                 alive = false;
                 continue;
             case ReadStatus::kBadByte:
-                writeAll(conn, "{\"ok\": false, \"error\": \"protocol line "
-                               "contains a control byte\"}\n");
+                writeAll(conn, errorReply("protocol line contains a control "
+                                          "byte") + "\n");
                 alive = false;
                 continue;
             case ReadStatus::kStalled:
-                writeAll(conn, "{\"ok\": false, \"error\": \"request line "
-                               "not completed in time\"}\n");
+                writeAll(conn, errorReply("request line not completed in "
+                                          "time") + "\n");
                 alive = false;
                 continue;
             case ReadStatus::kClosed:

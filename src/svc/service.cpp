@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <sstream>
 
 #include "core/config_io.h"
 #include "obs/json_lite.h"
+#include "sim/json_writer.h"
 #include "snap/serializer.h"
 #include "svc/wal.h"
 
@@ -16,28 +16,28 @@ namespace dscoh::svc {
 
 namespace {
 
-/// Strips the trailing newline renderProgressJson() appends, for embedding
-/// progress documents inside larger JSON values.
-std::string chomp(std::string s)
+void histogramJson(JsonWriter& w, const char* name, const Histogram& h)
 {
-    while (!s.empty() && (s.back() == '\n' || s.back() == '\r'))
-        s.pop_back();
-    return s;
+    w.key(name).object()
+        .key("samples").value(h.samples())
+        .key("mean").fixed(h.mean(), 1)
+        .key("p50").fixed(h.percentile(50.0), 1)
+        .key("p90").fixed(h.percentile(90.0), 1)
+        .key("p99").fixed(h.percentile(99.0), 1)
+        .key("max").value(h.max())
+        .end();
 }
 
-void histogramJson(std::ostringstream& os, const char* name,
-                   const Histogram& h)
+/// One WAL record: {"event": EVENT, "id": ID}, plus the rendered request
+/// as a string member when @p request is non-empty.
+std::string walRecord(const std::string& event, const std::string& id,
+                      const std::string& request = {})
 {
-    char buf[160];
-    std::snprintf(buf, sizeof buf,
-                  "\"%s\": {\"samples\": %llu, \"mean\": %.1f, "
-                  "\"p50\": %.1f, \"p90\": %.1f, \"p99\": %.1f, "
-                  "\"max\": %llu}",
-                  name, static_cast<unsigned long long>(h.samples()),
-                  h.mean(), h.percentile(50.0), h.percentile(90.0),
-                  h.percentile(99.0),
-                  static_cast<unsigned long long>(h.max()));
-    os << buf;
+    JsonWriter w;
+    w.object().key("event").value(event).key("id").value(id);
+    if (!request.empty())
+        w.key("request").value(request);
+    return w.end().take();
 }
 
 } // namespace
@@ -160,8 +160,7 @@ void SweepService::recover()
                          nullptr))
             // An unreplayable request (e.g. a benchmark removed between
             // versions) is terminally failed rather than wedged forever.
-            walAppendLocked("{\"event\": \"failed\", \"id\": \"" +
-                            jsonEscape(idOut) + "\"}");
+            walAppendLocked(walRecord("failed", idOut));
     }
 }
 
@@ -232,9 +231,7 @@ bool SweepService::admitLocked(SweepRequest r, bool fromWal,
         try {
             snap::atomicWriteFile(requestDir(id) + "/request.json",
                                   renderRequestJson(r) + "\n");
-            walAppendLocked("{\"event\": \"accepted\", \"id\": \"" +
-                            jsonEscape(id) + "\", \"request\": \"" +
-                            jsonEscape(renderRequestJson(r)) + "\"}");
+            walAppendLocked(walRecord("accepted", id, renderRequestJson(r)));
         } catch (const snap::SnapError& e) {
             // The request is NOT durably accepted; roll the queue back and
             // reject, and flip degraded so subsequent submits fail fast.
@@ -375,8 +372,7 @@ void SweepService::finishLocked(const std::string& id, RequestState& rs)
                                    rs.results);
             rs.state = rs.failed != 0 ? "failed" : "done";
         }
-        walAppendLocked("{\"event\": \"" + rs.state + "\", \"id\": \"" +
-                        jsonEscape(id) + "\"}");
+        walAppendLocked(walRecord(rs.state, id));
     } catch (const snap::SnapError& e) {
         // The publication is owed, not lost: park it and let tick() retry
         // once the storage probe succeeds. In-memory state stays
@@ -494,23 +490,20 @@ bool SweepService::statusJson(const std::string& id, std::string* out,
         *error = "unknown request id '" + id + "'";
         return false;
     }
-    *out = renderProgressJson(snapshotLocked(id, it->second));
+    JsonWriter w;
+    writeProgressJson(w, snapshotLocked(id, it->second));
+    *out = w.take();
     return true;
 }
 
 std::string SweepService::listJson() const
 {
     const std::lock_guard<std::mutex> lock(mu_);
-    std::ostringstream os;
-    os << "{\"schema\": \"dscoh-svc-list-v1\", \"requests\": [";
-    bool first = true;
-    for (const auto& [id, rs] : requests_) {
-        os << (first ? "" : ", ")
-           << chomp(renderProgressJson(snapshotLocked(id, rs)));
-        first = false;
-    }
-    os << "]}";
-    return os.str();
+    JsonWriter w;
+    w.object().key("schema").value("dscoh-svc-list-v1").key("requests").array();
+    for (const auto& [id, rs] : requests_)
+        writeProgressJson(w, snapshotLocked(id, rs));
+    return w.end().end().take();
 }
 
 std::string SweepService::statsJson() const
@@ -530,37 +523,42 @@ std::string SweepService::statsJson() const
         else if (rs.state == "cancelled")
             ++cancelled;
     }
-    std::ostringstream os;
-    os << "{\"schema\": \"dscoh-svc-stats-v2\", \"queuedJobs\": "
-       << sched_.queuedJobs() << ", \"runningJobs\": " << inflight_
-       << ", \"workers\": " << (engine_ ? engine_->threads() : 0)
-       << ", \"degraded\": " << (degraded_ ? "true" : "false");
+    JsonWriter w;
+    w.object()
+        .key("schema").value("dscoh-svc-stats-v2")
+        .key("queuedJobs").value(sched_.queuedJobs())
+        .key("runningJobs").value(inflight_)
+        .key("workers").value(engine_ ? engine_->threads() : 0)
+        .key("degraded").value(degraded_);
     if (degraded_)
-        os << ", \"degradedReason\": \"" << jsonEscape(degradedReason_)
-           << "\"";
-    os << ", \"requests\": {\"total\": " << requests_.size()
-       << ", \"queued\": " << queued << ", \"running\": " << running
-       << ", \"done\": " << done << ", \"failed\": " << failed
-       << ", \"cancelled\": " << cancelled << "}"
-       << ", \"produceCache\": {\"hits\": " << cacheHits_
-       << ", \"misses\": " << cacheMisses_ << "}"
-       << ", \"overload\": {\"degradedRejects\": " << degradedRejects_
-       << "}";
-    os << ", \"tenants\": [";
-    bool first = true;
-    for (const FairScheduler::TenantShare& s : sched_.shares()) {
-        os << (first ? "" : ", ") << "{\"tenant\": \""
-           << jsonEscape(s.tenant) << "\", \"weight\": " << s.weight
-           << ", \"queued\": " << s.queued
-           << ", \"dispatched\": " << s.dispatched << "}";
-        first = false;
-    }
-    os << "], ";
-    histogramJson(os, "jobLatencyMs", jobLatencyMs_);
-    os << ", ";
-    histogramJson(os, "requestLatencyMs", requestLatencyMs_);
-    os << "}";
-    return os.str();
+        w.key("degradedReason").value(degradedReason_);
+    w.key("requests").object()
+        .key("total").value(requests_.size())
+        .key("queued").value(queued)
+        .key("running").value(running)
+        .key("done").value(done)
+        .key("failed").value(failed)
+        .key("cancelled").value(cancelled)
+        .end();
+    w.key("produceCache").object()
+        .key("hits").value(cacheHits_)
+        .key("misses").value(cacheMisses_)
+        .end();
+    w.key("overload").object()
+        .key("degradedRejects").value(degradedRejects_)
+        .end();
+    w.key("tenants").array();
+    for (const FairScheduler::TenantShare& s : sched_.shares())
+        w.object()
+            .key("tenant").value(s.tenant)
+            .key("weight").value(s.weight)
+            .key("queued").value(s.queued)
+            .key("dispatched").value(s.dispatched)
+            .end();
+    w.end();
+    histogramJson(w, "jobLatencyMs", jobLatencyMs_);
+    histogramJson(w, "requestLatencyMs", requestLatencyMs_);
+    return w.end().take();
 }
 
 void SweepService::drain()

@@ -102,8 +102,8 @@ public:
     bool submit(SweepRequest r, std::string* idOut, std::string* error,
                 SubmitInfo* info = nullptr);
 
-    /// One-line dscoh-progress-v2 document for the request, or false +
-    /// @p error for an unknown id.
+    /// The request's dscoh-progress-v3 document, one line with no trailing
+    /// newline, or false + @p error for an unknown id.
     bool statusJson(const std::string& id, std::string* out,
                     std::string* error) const;
 

@@ -4,11 +4,10 @@
 // reject a bad --progress-json at startup instead of silently dropping
 // every update).
 //
-// The dscoh-progress-v2 schema is shared between batch sweeps and the
-// sweep service, so this file also pins the unification contract: the new
-// jobsTotal/jobsDone/jobsFailed names, the v1 total/done/failed aliases
-// (kept for one release), the derived/explicit state field, and the
-// optional id/tenant fields the service adds.
+// The dscoh-progress-v3 schema is shared between batch sweeps and the
+// sweep service, so this file also pins the unification contract: the
+// jobsTotal/jobsDone/jobsFailed names, the derived/explicit state field,
+// and the optional id/tenant fields the service adds.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -46,22 +45,12 @@ TEST(ProgressJson, RendersRateAndEtaFromTheCounters)
 {
     const std::string json = renderProgressJson(counters(44, 11, 2, 22.0));
     const jsonlite::ValuePtr doc = parseOrDie(json);
-    EXPECT_EQ(doc->get("schema")->string, "dscoh-progress-v2");
+    EXPECT_EQ(doc->get("schema")->string, "dscoh-progress-v3");
     EXPECT_EQ(doc->get("jobsTotal")->asUint(), 44u);
     EXPECT_EQ(doc->get("jobsDone")->asUint(), 11u);
     EXPECT_EQ(doc->get("jobsFailed")->asUint(), 2u);
     EXPECT_DOUBLE_EQ(doc->get("jobsPerSecond")->number, 0.5);
     EXPECT_DOUBLE_EQ(doc->get("etaSeconds")->number, 66.0);
-}
-
-TEST(ProgressJson, KeepsTheV1CounterAliases)
-{
-    // Dropped in v3; until then pollers written against v1 keep working.
-    const jsonlite::ValuePtr doc =
-        parseOrDie(renderProgressJson(counters(44, 11, 2, 22.0)));
-    EXPECT_EQ(doc->get("total")->asUint(), 44u);
-    EXPECT_EQ(doc->get("done")->asUint(), 11u);
-    EXPECT_EQ(doc->get("failed")->asUint(), 2u);
 }
 
 TEST(ProgressJson, ZeroDoneAndFinishedBatchesHaveNoRateOrEta)

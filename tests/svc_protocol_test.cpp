@@ -6,10 +6,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "obs/json_lite.h"
+#include "svc/client.h"
 #include "svc/protocol.h"
 #include "svc/request.h"
 #include "svc/service.h"
@@ -280,6 +282,72 @@ TEST(Protocol, SubmitStatusListLifecycle)
     EXPECT_TRUE(okOf(parseOrDie(
         handleRequestLine(svc, "{\"op\": \"shutdown\"}", &shutdown))));
     EXPECT_TRUE(shutdown);
+}
+
+TEST(SvcProtocol, OddTenantNamesKeepRepliesOneParseableLine)
+{
+    ScratchDir dir("svc_proto_odd_tenants");
+    ServiceOptions opts;
+    opts.stateDir = dir.path();
+    opts.workers = 1;
+    SweepService svc(opts);
+
+    // Every reply is one line, and parses, whatever bytes a tenant holds.
+    const auto replyTo = [&svc](const std::string& line) {
+        const std::string reply = handleRequestLine(svc, line, nullptr);
+        EXPECT_EQ(reply.find('\n'), std::string::npos) << reply;
+        return parseOrDie(reply);
+    };
+    const std::vector<std::string> tenants = {"a\"b", "p\nq"};
+    std::vector<std::string> ids;
+    for (const std::string& tenant : tenants) {
+        SweepRequest req;
+        req.tenant = tenant;
+        req.codes = {"VA"};
+        const jsonlite::ValuePtr submitted = replyTo(
+            requestLine("submit", "request", renderRequestJson(req)));
+        ASSERT_NE(submitted, nullptr);
+        ASSERT_TRUE(okOf(submitted));
+        ids.push_back(submitted->get("id")->string);
+    }
+
+    for (const bool drained : {false, true}) {
+        for (std::size_t i = 0; i < ids.size(); ++i) {
+            const jsonlite::ValuePtr status =
+                replyTo(requestLine("status", "id", ids[i]));
+            ASSERT_NE(status, nullptr) << "drained " << drained;
+            ASSERT_TRUE(okOf(status));
+            EXPECT_EQ(status->get("status")->get("tenant")->string,
+                      tenants[i]);
+        }
+        const jsonlite::ValuePtr list = replyTo(requestLine("list"));
+        ASSERT_NE(list, nullptr) << "drained " << drained;
+        ASSERT_TRUE(okOf(list));
+        const auto& requests = list->get("list")->get("requests")->array;
+        ASSERT_EQ(requests.size(), tenants.size());
+        for (std::size_t i = 0; i < tenants.size(); ++i)
+            EXPECT_EQ(requests[i]->get("tenant")->string, tenants[i]);
+        if (!drained) {
+            ASSERT_TRUE(okOf(replyTo(requestLine("drain"))));
+        }
+    }
+
+    for (const std::string& id : ids) {
+        std::ifstream in(svc.requestDir(id) + "/status.json");
+        const std::string text((std::istreambuf_iterator<char>(in)),
+                               std::istreambuf_iterator<char>());
+        EXPECT_EQ(parseOrDie(text)->get("state")->string, "done");
+    }
+}
+
+TEST(SvcClient, RequestLineEscapesTheId)
+{
+    EXPECT_EQ(requestLine("ping"), "{\"op\": \"ping\"}");
+    const std::string line = requestLine("status", "id", "r\"1");
+    EXPECT_EQ(line, "{\"op\": \"status\", \"id\": \"r\\\"1\"}");
+    const jsonlite::ValuePtr v = parseOrDie(line);
+    ASSERT_NE(v, nullptr);
+    EXPECT_EQ(v->get("id")->string, "r\"1");
 }
 
 TEST(Protocol, OversizedLineIsRejectedWithAnError)

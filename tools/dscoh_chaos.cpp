@@ -140,7 +140,7 @@ public:
         const svc::SvcClient client(socket_);
         for (int i = 0; i < 200; ++i) {
             std::string reply, error;
-            if (client.call("{\"op\": \"ping\"}", &reply, &error))
+            if (client.call(svc::requestLine("ping"), &reply, &error))
                 return true;
             if (!aliveNow())
                 return false;
@@ -279,9 +279,8 @@ void runSchedule(Daemon& daemon, const ChaosOptions& opts,
         if (dice < 50) {
             // Socket submit.
             const svc::SweepRequest r = makeRequest(rng);
-            const std::string line =
-                "{\"op\": \"submit\", \"request\": \"" +
-                svc::jsonEscape(svc::renderRequestJson(r)) + "\"}";
+            const std::string line = svc::requestLine(
+                "submit", "request", svc::renderRequestJson(r));
             const jsonlite::ValuePtr v = call(daemon, line, ledger);
             if (v == nullptr) {
                 ++ledger.lostSubmitReplies;
@@ -303,14 +302,12 @@ void runSchedule(Daemon& daemon, const ChaosOptions& opts,
             // Status poll of a random past request (terminal ids answer
             // "unknown" after a restart; both replies are legal).
             const std::string& id = knownIds[rng.below(knownIds.size())];
-            call(daemon, "{\"op\": \"status\", \"id\": \"" + id + "\"}",
-                 ledger);
+            call(daemon, svc::requestLine("status", "id", id), ledger);
         } else if (dice < 70 && !knownIds.empty()) {
             const std::string& id = knownIds[rng.below(knownIds.size())];
-            call(daemon, "{\"op\": \"cancel\", \"id\": \"" + id + "\"}",
-                 ledger);
+            call(daemon, svc::requestLine("cancel", "id", id), ledger);
         } else if (dice < 78) {
-            call(daemon, "{\"op\": \"stats\"}", ledger);
+            call(daemon, svc::requestLine("stats"), ledger);
         } else if (dice < 84) {
             // SIGKILL + restart: the crash the WAL exists for.
             daemon.kill();
@@ -560,11 +557,11 @@ int main(int argc, char** argv)
     {
         const svc::SvcClient client(daemon.socketPath());
         std::string reply, error;
-        if (!client.call("{\"op\": \"drain\"}", &reply, &error)) {
+        if (!client.call(svc::requestLine("drain"), &reply, &error)) {
             std::cerr << "dscoh_chaos: drain failed: " << error << "\n";
             return kExitFailure;
         }
-        client.call("{\"op\": \"shutdown\"}", &reply, &error);
+        client.call(svc::requestLine("shutdown"), &reply, &error);
     }
     const int rc = daemon.waitExit();
     if (rc != 0) {

@@ -108,8 +108,8 @@ int watch(const svc::SvcClient& client, const std::string& id)
 {
     std::string last;
     for (;;) {
-        const jsonlite::ValuePtr v = call(
-            client, "{\"op\": \"status\", \"id\": \"" + id + "\"}", nullptr);
+        const jsonlite::ValuePtr v =
+            call(client, svc::requestLine("status", "id", id), nullptr);
         const jsonlite::Value* st = v->get("status");
         if (st == nullptr || !st->isObject()) {
             std::cerr << "dscoh_client: malformed status reply\n";
@@ -199,7 +199,7 @@ int main(int argc, char** argv)
 
     if (cmd == "ping" || cmd == "list" || cmd == "stats" || cmd == "drain" ||
         cmd == "shutdown") {
-        call(client, "{\"op\": \"" + cmd + "\"}", &raw);
+        call(client, svc::requestLine(cmd), &raw);
         std::cout << raw << "\n";
         return kExitOk;
     }
@@ -212,8 +212,7 @@ int main(int argc, char** argv)
         const std::string& id = parser.positional()[1];
         if (cmd == "watch")
             return watch(client, id);
-        call(client,
-             "{\"op\": \"" + cmd + "\", \"id\": \"" + id + "\"}", &raw);
+        call(client, svc::requestLine(cmd, "id", id), &raw);
         std::cout << raw << "\n";
         return kExitOk;
     }
@@ -281,10 +280,7 @@ int main(int argc, char** argv)
     }
 
     const jsonlite::ValuePtr v =
-        call(client,
-             "{\"op\": \"submit\", \"request\": \"" +
-                 svc::jsonEscape(requestJson) + "\"}",
-             &raw);
+        call(client, svc::requestLine("submit", "request", requestJson), &raw);
     const jsonlite::Value* id = v->get("id");
     const jsonlite::Value* dir = v->get("dir");
     std::cout << (id != nullptr ? id->string : "?") << " "

@@ -1,12 +1,12 @@
-// inspect — run one benchmark in one mode, print the produce/kernel phase
-// breakdown, and dump the full stats registry to /tmp/stats_<code>_<mode>.txt.
+// inspect — run one benchmark in one mode and print the produce/kernel
+// phase breakdown. It writes no file; for the full stats registry run
+// `dscoh_run --workload CODE --size S --mode M --stats FILE`.
 //   dscoh_inspect <CODE> [small|big] [ccsm|ds]
 // (an unknown code, size or mode prints usage and exits 2).
 // Or dump a snapshot file's header and section table (CRC-validated):
 //   dscoh_inspect --snapshot file.snap     (also: a positional *.snap path)
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include "snap/serializer.h"
 #include "workloads/runner.h"
 using namespace dscoh;
@@ -35,7 +35,7 @@ static int inspectSnapshot(const char* path) {
     }
 }
 
-// Runs one workload in one mode and dumps all stats to a file.
+// Runs one workload in one mode and prints when each phase ended.
 int main(int argc, char** argv) {
     if (argc > 2 && std::strcmp(argv[1], "--snapshot") == 0)
         return inspectSnapshot(argv[2]);
@@ -89,7 +89,5 @@ int main(int argc, char** argv) {
     Tick prev = produceDone;
     for (auto t : kdone) { std::printf(" k+%llu", static_cast<unsigned long long>(t - prev)); prev = t; }
     std::printf(" total=%llu\n", static_cast<unsigned long long>(sys.queue().curTick()));
-    std::ofstream f(std::string("/tmp/stats_") + code + (ds ? "_ds" : "_ccsm") + ".txt");
-    sys.stats().dump(f);
     return 0;
 }

@@ -23,7 +23,7 @@
 //
 // --progress-json FILE publishes live progress for dashboards: after every
 // completed job the file is atomically replaced with one small
-// "dscoh-progress-v2" object (jobs done/failed, throughput, ETA; the same
+// "dscoh-progress-v3" object (jobs done/failed, throughput, ETA; the same
 // document the sweep service serves for its requests), so a poller never
 // reads a torn document.
 //
@@ -89,7 +89,7 @@ int main(int argc, char** argv)
                      &snapDir);
     std::string progressPath;
     parser.addString("progress-json", "atomically publish live progress "
-                     "here after every completed job (dscoh-progress-v2: "
+                     "here after every completed job (dscoh-progress-v3: "
                      "done/failed counts, jobs/second, ETA)", &progressPath);
     std::uint64_t gpus = 0;
     std::uint64_t cpuCores = 0;
