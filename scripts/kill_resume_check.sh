@@ -16,8 +16,8 @@
 # Usage: scripts/kill_resume_check.sh [build_dir] [extra sweep args...]
 #
 # Extra arguments are passed through to every dscoh_sweep invocation, so
-# e.g. `kill_resume_check.sh build --gpus 2 --ts-lease-ticks 20000` runs
-# the whole crash-recovery property against a sharded multi-GPU sweep
+# e.g. `kill_resume_check.sh build --config examples/configs/ring4_lease.cfg`
+# runs the whole crash-recovery property against a sharded multi-GPU sweep
 # (see kill_resume_multigpu_check.sh).
 set -eu
 

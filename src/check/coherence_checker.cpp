@@ -54,10 +54,6 @@ bool ownsValue(CohState s)
 
 } // namespace
 
-CoherenceChecker::CoherenceChecker() : CoherenceChecker(Params{}) {}
-
-CoherenceChecker::CoherenceChecker(const Params& params) : params_(params) {}
-
 void CoherenceChecker::addAgent(AgentView view)
 {
     agents_.push_back(std::move(view));
@@ -76,7 +72,7 @@ void CoherenceChecker::setBackingStore(const BackingStore* store)
 void CoherenceChecker::record(const char* category, const std::string& what,
                               Tick now)
 {
-    if (violations_.size() >= params_.maxViolations) {
+    if (violations_.size() >= kMaxViolations) {
         ++suppressed_;
         return;
     }
@@ -133,8 +129,6 @@ void CoherenceChecker::onStoreApplied(Addr base, const DataBlock& data,
                                       const ByteMask& mask)
 {
     ++activity_;
-    if (!params_.trackData)
-        return;
     ++storesMirrored_;
     MirrorLine& line = mirror_[lineAlign(base)];
     mask.apply(line.data, data);
@@ -175,8 +169,6 @@ void CoherenceChecker::onLeaseServe(const std::string& agent, Addr base,
                now);
         return;
     }
-    if (!params_.trackData)
-        return;
     const auto it = mirror_.find(lineAlign(base));
     if (it == mirror_.end())
         return;
@@ -258,8 +250,6 @@ void CoherenceChecker::checkLine(Addr base, const char* when, Tick now)
         }
     }
 
-    if (!params_.trackData)
-        return;
     const auto it = mirror_.find(base);
     if (it == mirror_.end())
         return;
@@ -390,25 +380,23 @@ void CoherenceChecker::finalize(Tick now)
 
     // 3. Ground truth: every byte ever stored through a coherent agent must
     //    be what the line's owner (or memory, when unowned) now holds.
-    if (params_.trackData) {
-        for (const auto& [base, truth] : mirror_) {
-            std::string source;
-            const DataBlock* value = globalLineValue(base, &source);
-            if (value == nullptr)
+    for (const auto& [base, truth] : mirror_) {
+        std::string source;
+        const DataBlock* value = globalLineValue(base, &source);
+        if (value == nullptr)
+            continue;
+        for (std::uint32_t i = 0; i < kLineSize; ++i) {
+            if (!truth.valid.test(i))
                 continue;
-            for (std::uint32_t i = 0; i < kLineSize; ++i) {
-                if (!truth.valid.test(i))
-                    continue;
-                if (value->read(i, 1) != truth.data.read(i, 1)) {
-                    record("data-value",
-                           "line " + hexAddr(base) + " final value (" + source +
-                               ") byte " + std::to_string(i) + " is " +
-                               std::to_string(value->read(i, 1)) +
-                               ", ground truth " +
-                               std::to_string(truth.data.read(i, 1)),
-                           now);
-                    break;
-                }
+            if (value->read(i, 1) != truth.data.read(i, 1)) {
+                record("data-value",
+                       "line " + hexAddr(base) + " final value (" + source +
+                           ") byte " + std::to_string(i) + " is " +
+                           std::to_string(value->read(i, 1)) +
+                           ", ground truth " +
+                           std::to_string(truth.data.read(i, 1)),
+                       now);
+                break;
             }
         }
     }

@@ -53,13 +53,8 @@ class BackingStore;
 
 class CoherenceChecker {
 public:
-    struct Params {
-        /// Violations recorded before further ones are only counted.
-        std::size_t maxViolations = 64;
-        /// Maintain the store mirror and compare data values (the dominant
-        /// cost; protocol-state invariants alone are nearly free).
-        bool trackData = true;
-    };
+    /// Violations recorded before further ones are only counted.
+    static constexpr std::size_t kMaxViolations = 64;
 
     using LineFn = std::function<void(Addr base, CohState state,
                                       const DataBlock& data)>;
@@ -79,9 +74,6 @@ public:
         /// Every valid line: cache array first, then writeback buffer.
         std::function<void(const LineFn&)> forEachLine;
     };
-
-    CoherenceChecker();
-    explicit CoherenceChecker(const Params& params);
 
     // --- registration (System::enableChecker) ----------------------------
     void addAgent(AgentView view);
@@ -162,7 +154,6 @@ private:
     /// if one exists, else backing store. @p source names where it came from.
     const DataBlock* globalLineValue(Addr base, std::string* source) const;
 
-    Params params_;
     std::vector<AgentView> agents_;
     std::function<std::size_t()> homeBusyLines_;
     const BackingStore* store_ = nullptr;

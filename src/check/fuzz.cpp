@@ -186,11 +186,8 @@ FuzzReport runScenario(const FuzzScenario& sc, CoherenceMode mode,
 
     System sys(scenarioConfig(sc, mode));
     CoherenceChecker* checker = nullptr;
-    if (options.oracle) {
-        CoherenceChecker::Params cp;
-        cp.maxViolations = options.maxViolations;
-        checker = &sys.enableChecker(cp);
-    }
+    if (options.oracle)
+        checker = &sys.enableChecker();
     if (!options.txnProfilePath.empty())
         sys.enableTxnProfiler();
 

@@ -112,7 +112,6 @@ FuzzScenario generateFaultScenario(std::uint64_t seed);
 struct FuzzOptions {
     bool oracle = true;          ///< attach the CoherenceChecker
     Tick maxTicks = 50'000'000;  ///< hang cut-off for the sliced run loop
-    std::size_t maxViolations = 64;
 
     /// Drain the event queue completely between rounds (produce -> kernel
     /// -> readback) instead of chaining every round in one event cascade.

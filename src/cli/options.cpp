@@ -152,41 +152,6 @@ bool resolveJobs(const std::string& flagText, unsigned& out, std::string& error)
     return true;
 }
 
-bool parseLogLevel(const std::string& text, LogLevel& out, std::string& error)
-{
-    if (text == "error") {
-        out = LogLevel::kError;
-    } else if (text == "warn") {
-        out = LogLevel::kWarn;
-    } else if (text == "info") {
-        out = LogLevel::kInfo;
-    } else if (text == "debug") {
-        out = LogLevel::kDebug;
-    } else {
-        error = "log level '" + text +
-                "' is not one of error|warn|info|debug";
-        return false;
-    }
-    return true;
-}
-
-bool resolveLogLevel(const std::string& flagText, LogLevel& out,
-                     std::string& error)
-{
-    if (!flagText.empty())
-        return parseLogLevel(flagText, out, error);
-    if (const char* env = std::getenv("DSCOH_LOG_LEVEL");
-        env != nullptr && *env != '\0') {
-        if (!parseLogLevel(env, out, error)) {
-            error = "DSCOH_LOG_LEVEL: " + error;
-            return false;
-        }
-        return true;
-    }
-    out = LogLevel::kInfo;
-    return true;
-}
-
 void OptionParser::printHelp(std::ostream& os) const
 {
     os << program_ << " — " << description_ << "\n\noptions:\n";

@@ -12,8 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/log.h"
-
 namespace dscoh::cli {
 
 class OptionParser {
@@ -64,17 +62,5 @@ bool parseJobCount(const std::string& text, unsigned& out, std::string& error);
 /// 1). Returns false and fills @p error when an explicit source is invalid.
 bool resolveJobs(const std::string& flagText, unsigned& out,
                  std::string& error);
-
-/// Parses a log-level name (from --log-level or DSCOH_LOG_LEVEL):
-/// error|warn|info|debug, exactly. Anything else fails with a
-/// deterministic message in @p error, mirroring parseJobCount.
-bool parseLogLevel(const std::string& text, LogLevel& out, std::string& error);
-
-/// Resolves the per-context log threshold. Precedence: an explicit
-/// --log-level value (@p flagText, empty = not given), then the
-/// DSCOH_LOG_LEVEL environment variable, then LogLevel::kInfo. Returns
-/// false and fills @p error when an explicit source is invalid.
-bool resolveLogLevel(const std::string& flagText, LogLevel& out,
-                     std::string& error);
 
 } // namespace dscoh::cli

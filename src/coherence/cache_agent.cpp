@@ -6,7 +6,6 @@
 
 #include "check/coherence_checker.h"
 #include "coherence/transition_coverage.h"
-#include "sim/log.h"
 
 namespace dscoh {
 
@@ -446,21 +445,12 @@ void CacheAgent::handleData(const Message& msg)
     // the fill already released the MSHR. Drop strays instead of tripping
     // over the missing bookkeeping: the oracle reports the underlying
     // single-writer violation.
-    if (line == nullptr || mshr_.find(msg.addr) == nullptr) {
-        DSCOH_LOG("coherence", name() << " stray data response for 0x"
-                                      << std::hex << msg.addr << std::dec
-                                      << " dropped");
+    if (line == nullptr || mshr_.find(msg.addr) == nullptr)
         return;
-    }
     const CohState prev = line->meta.state;
     if (prev != CohState::kIS_D && prev != CohState::kIM_D &&
-        prev != CohState::kSM_D) {
-        DSCOH_LOG("coherence", name() << " data response in state "
-                                      << to_string(prev) << " for 0x"
-                                      << std::hex << msg.addr << std::dec
-                                      << " dropped");
+        prev != CohState::kSM_D)
         return;
-    }
 
     // An upgrade (SM_D) kept its copy — possibly the only up-to-date one
     // when it started from M/MM/O, in which case the response carries a
@@ -478,9 +468,6 @@ void CacheAgent::handleData(const Message& msg)
     line->meta.state = next;
     line->meta.dsFilled = false;
     noteTransition(prev, CohEvent::kFill, next, msg.addr);
-    DSCOH_LOG("coherence", name() << " fill 0x" << std::hex << msg.addr
-                                  << std::dec << ' ' << to_string(prev)
-                                  << " -> " << to_string(next));
     fills_.inc();
     noteFilled(msg.addr);
     onFill(*line);

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "check/coherence_checker.h"
-#include "sim/log.h"
 
 namespace dscoh {
 
@@ -55,9 +54,6 @@ void HomeController::process(const Message& msg, LineState& ls)
 {
     if (TxnProfiler* p = profiling())
         p->hop(msg.prof, TxnStage::kHomeStart, name(), curTick());
-    DSCOH_LOG("home", name() << ' ' << to_string(msg.type) << " 0x"
-                             << std::hex << msg.addr << std::dec << " from "
-                             << msg.src);
     switch (msg.type) {
     case MsgType::kGetS:
     case MsgType::kGetX:

@@ -34,7 +34,7 @@ constexpr const char* to_string(ShardPolicy p)
     return "?";
 }
 
-/// Inverse of to_string, for --shard-policy style flags. Returns false on
+/// Inverse of to_string, for the shard-policy config key. Returns false on
 /// anything but the exact names.
 inline bool parseShardPolicy(std::string_view text, ShardPolicy& out)
 {

@@ -8,11 +8,9 @@
 #include "coherence/protocol.h"
 #include "cpu/tlb.h"
 #include "fault/fault_config.h"
-#include "fault/io_fault_config.h"
 #include "mem/dram.h"
 #include "mem/replacement.h"
 #include "net/network.h"
-#include "sim/log.h"
 #include "sim/types.h"
 
 namespace dscoh {
@@ -116,10 +114,6 @@ struct SystemConfig {
     bool directoryHome = false;
 
     // --- Misc ---
-    /// Threshold of the per-context LogSink (--log-level / DSCOH_LOG_LEVEL).
-    /// Only matters once a component is enabled on the sink; kInfo keeps
-    /// the historical behavior.
-    LogLevel logLevel = LogLevel::kInfo;
     std::size_t agentMshrs = 16;   ///< CPU-side outstanding line transactions
     std::size_t gpuL2Mshrs = 64;   ///< per-slice outstanding transactions
     std::size_t writebackEntries = 32;
@@ -148,12 +142,6 @@ struct SystemConfig {
     std::uint32_t dsMaxRetries = 4;
     /// Bound on simultaneously in-flight hardened stores (excess queue up).
     std::size_t dsInFlightMax = 8;
-
-    /// Storage-fault model for the durable-write path (snapshots, WALs,
-    /// results). Inert by default; tools install the process injector from
-    /// it when enabled (see fault/io_fault.h). Hashed only when enabled so
-    /// every pre-existing config keeps its historical hash.
-    fault::IoFaultConfig ioFaults{};
 
     /// Table I defaults under the given scheme.
     static SystemConfig paper(CoherenceMode mode)

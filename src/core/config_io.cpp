@@ -60,19 +60,6 @@ Field faultField(T FaultConfig::* member)
     };
 }
 
-template <typename T>
-Field ioFaultField(T fault::IoFaultConfig::* member)
-{
-    return Field{
-        [member](SystemConfig& cfg, const std::string& value) {
-            return parseNumber(value, &(cfg.ioFaults.*member));
-        },
-        [member](const SystemConfig& cfg) {
-            return std::to_string(cfg.ioFaults.*member);
-        },
-    };
-}
-
 const std::map<std::string, Field>& fields()
 {
     static const std::map<std::string, Field> table = [] {
@@ -184,36 +171,6 @@ const std::map<std::string, Field>& fields()
         f.emplace("fault-seed", faultField(&FaultConfig::seed));
         f.emplace("fault-nets", numField(&SystemConfig::faultNets));
 
-        f.emplace("iofault-short-write-ppm",
-                  ioFaultField(&fault::IoFaultConfig::shortWritePpm));
-        f.emplace("iofault-torn-write-ppm",
-                  ioFaultField(&fault::IoFaultConfig::tornWritePpm));
-        f.emplace("iofault-enospc-ppm",
-                  ioFaultField(&fault::IoFaultConfig::enospcPpm));
-        f.emplace("iofault-eio-ppm",
-                  ioFaultField(&fault::IoFaultConfig::eioPpm));
-        f.emplace("iofault-fsync-fail-ppm",
-                  ioFaultField(&fault::IoFaultConfig::fsyncFailPpm));
-        f.emplace("iofault-crash-before-rename-ppm",
-                  ioFaultField(&fault::IoFaultConfig::crashBeforeRenamePpm));
-        f.emplace("iofault-crash-after-rename-ppm",
-                  ioFaultField(&fault::IoFaultConfig::crashAfterRenamePpm));
-        f.emplace("iofault-torn-offset-pct",
-                  ioFaultField(&fault::IoFaultConfig::tornOffsetPct));
-        f.emplace("iofault-op-start",
-                  ioFaultField(&fault::IoFaultConfig::opStart));
-        f.emplace("iofault-op-end",
-                  ioFaultField(&fault::IoFaultConfig::opEnd));
-        f.emplace("iofault-max-faults",
-                  ioFaultField(&fault::IoFaultConfig::maxFaults));
-        f.emplace("iofault-seed",
-                  ioFaultField(&fault::IoFaultConfig::seed));
-        f.emplace("iofault-path", Field{
-            [](SystemConfig& cfg, const std::string& v) {
-                cfg.ioFaults.pathFilter = v;
-                return true;
-            },
-            [](const SystemConfig& cfg) { return cfg.ioFaults.pathFilter; }});
         f.emplace("ds-ack-timeout", numField(&SystemConfig::dsAckTimeout));
         f.emplace("ds-max-retries", numField(&SystemConfig::dsMaxRetries));
         f.emplace("ds-inflight-max", numField(&SystemConfig::dsInFlightMax));
@@ -453,27 +410,6 @@ std::uint64_t configHashOf(const SystemConfig& cfg)
     if (cfg.tsLeaseTicks != 0) {
         mix(0x74732d6c65617365ull); // "ts-lease"
         mix(cfg.tsLeaseTicks);
-    }
-    // Same append-only discipline for the storage-fault model: a config
-    // with io-faults off (the only kind that existed before the model)
-    // hashes exactly as before, while any armed model perturbs it.
-    if (cfg.ioFaults.enabled()) {
-        mix(0x696f2d6661756c74ull); // "io-fault"
-        mix(cfg.ioFaults.shortWritePpm);
-        mix(cfg.ioFaults.tornWritePpm);
-        mix(cfg.ioFaults.enospcPpm);
-        mix(cfg.ioFaults.eioPpm);
-        mix(cfg.ioFaults.fsyncFailPpm);
-        mix(cfg.ioFaults.crashBeforeRenamePpm);
-        mix(cfg.ioFaults.crashAfterRenamePpm);
-        mix(cfg.ioFaults.tornOffsetPct);
-        mix(cfg.ioFaults.opStart);
-        mix(cfg.ioFaults.opEnd);
-        mix(cfg.ioFaults.maxFaults);
-        mix(cfg.ioFaults.seed);
-        mix(cfg.ioFaults.pathFilter.size());
-        for (const char c : cfg.ioFaults.pathFilter)
-            mix(static_cast<std::uint8_t>(c));
     }
     return h;
 }

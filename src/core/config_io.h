@@ -32,8 +32,8 @@ bool loadConfigFile(const std::string& path, SystemConfig* cfg,
 /// Serializes every supported key (round-trippable).
 std::string dumpConfig(const SystemConfig& cfg);
 
-/// Stable FNV-1a hash over every behavior-relevant field of @p cfg
-/// (logLevel is cosmetic and excluded). Snapshots embed this value and a
+/// Stable FNV-1a hash over every behavior-relevant field of @p cfg.
+/// Snapshots embed this value and a
 /// restore refuses to proceed when the running config hashes differently,
 /// since component geometry and event timing would silently diverge.
 std::uint64_t configHashOf(const SystemConfig& cfg);

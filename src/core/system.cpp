@@ -74,11 +74,11 @@ EpochSampler& System::enableEpochSampler(EpochSampler::Params params)
     return *sampler_;
 }
 
-CoherenceChecker& System::enableChecker(const CoherenceChecker::Params& params)
+CoherenceChecker& System::enableChecker()
 {
     if (ctx_.checker != nullptr)
         return *ctx_.checker;
-    ctx_.checker = std::make_unique<CoherenceChecker>(params);
+    ctx_.checker = std::make_unique<CoherenceChecker>();
     CoherenceChecker& checker = *ctx_.checker;
     checker.setBackingStore(store_.get());
     checker.setHomeProbe([this] {
@@ -136,7 +136,6 @@ System::System(const SystemConfig& config)
         return g == 0 ? std::string("gpu.")
                       : "gpu" + std::to_string(g) + ".";
     };
-    ctx_.log.setThreshold(config_.logLevel);
     if (config_.eventTieBreakSeed != 0)
         ctx_.queue.setTieBreakShuffle(config_.eventTieBreakSeed);
     store_ = std::make_unique<BackingStore>(config_.memBytes);

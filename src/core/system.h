@@ -55,9 +55,6 @@ public:
     const SystemConfig& config() const { return config_; }
     SimContext& context() { return ctx_; }
     EventQueue& queue() { return ctx_.queue; }
-    /// Per-system log sink: sys.log().enable("coherence") turns on a
-    /// component's tracing for this simulation only.
-    LogSink& log() { return ctx_.log; }
 
     /// Attaches a TraceSession recording the categories in @p catMask to
     /// this system's context and returns it. Call before running; the
@@ -74,7 +71,7 @@ public:
     /// via checker()->violations() after simulate(), and call
     /// checker()->finalize(queue().curTick()) once the queue has drained
     /// for the end-of-run sweep.
-    CoherenceChecker& enableChecker(const CoherenceChecker::Params& params = {});
+    CoherenceChecker& enableChecker();
     /// The attached checker, or nullptr when checking is off.
     CoherenceChecker* checker() { return ctx_.checker.get(); }
 

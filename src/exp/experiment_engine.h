@@ -2,7 +2,7 @@
 //
 // The paper's evaluation is 22 benchmarks x 2 input sizes x 2 coherence
 // modes; every figure/table is a batch of fully independent simulations.
-// Each System owns its whole universe (SimContext: event queue + log sink;
+// Each System owns its whole universe (SimContext: event queue + observers;
 // per-object RNGs; thread-local transition coverage), so independent runs
 // can execute concurrently with no synchronisation. The ExperimentEngine
 // shards a job list across a thread pool and returns results in submission

@@ -1,11 +1,13 @@
 // Storage-fault-model configuration: what the IO injector may do to the
 // durable-write path, with what probability and when.
 //
-// This is the storage-layer sibling of FaultConfig (network faults):
-// probabilities are integer parts-per-million so the configuration hashes
-// and serializes exactly, every field defaults to "no faults", and a
-// default IoFaultConfig is inert — nothing consults the injector unless it
-// is installed, and installation is gated on enabled().
+// This is the storage-layer sibling of FaultConfig (network faults), but
+// it belongs to the process, not to the simulated machine: only the
+// --iofault spec sets it, and it is no part of SystemConfig or its hash.
+// Probabilities are integer parts-per-million so a spec renders and parses
+// back exactly, every field defaults to "no faults", and a default
+// IoFaultConfig is inert — nothing consults the injector unless it is
+// installed, and installation is gated on enabled().
 //
 // The fault vocabulary covers the failure modes the hardened write paths
 // (snap::atomicWriteFile, snap::durableAppendLine, the service WAL) must

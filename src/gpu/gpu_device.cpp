@@ -3,8 +3,6 @@
 #include <cassert>
 #include <utility>
 
-#include "sim/log.h"
-
 namespace dscoh {
 
 GpuDevice::GpuDevice(std::string name, SimContext& ctx, Params params,
@@ -23,8 +21,6 @@ void GpuDevice::launch(const KernelDesc& kernel, std::function<void()> onDone)
     launchedAt_ = curTick();
     onDone_ = std::move(onDone);
     kernelsLaunched_.inc();
-    DSCOH_LOG("gpu", name() << " launching kernel (" << kernel.blocks
-                            << " blocks)");
     if (TraceSession* t = tracing(TraceCat::kKernel))
         t->instant(TraceCat::kKernel, name(), "launch", curTick());
 

@@ -42,7 +42,7 @@ constexpr const char* to_string(DsTopology t)
     return t == DsTopology::kRing ? "ring" : "crossbar";
 }
 
-/// Inverse of to_string, for --ds-topology style flags. Returns false on
+/// Inverse of to_string, for the ds-topology config key. Returns false on
 /// anything but the exact names.
 inline bool parseDsTopology(std::string_view text, DsTopology& out)
 {

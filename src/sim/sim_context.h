@@ -1,8 +1,7 @@
 // One simulation's private universe.
 //
 // A SimContext bundles the EventQueue that drives a simulated machine with
-// the LogSink its components write through and the (optional) TraceSession
-// they record structured events into. Every System owns exactly one; nothing
+// the (optional) TraceSession its components record structured events into. Every System owns exactly one; nothing
 // inside a context is shared with any other context, which is the invariant
 // the parallel ExperimentEngine relies on: independent simulations may run
 // concurrently on different threads with no synchronisation at all.
@@ -15,19 +14,17 @@
 #include "obs/trace_session.h"
 #include "obs/txn_profiler.h"
 #include "sim/event_queue.h"
-#include "sim/log.h"
 #include "sim/object_pool.h"
 
 namespace dscoh {
 
 struct SimContext {
-    SimContext() { log.attachQueue(&queue); }
+    SimContext() = default;
 
     SimContext(const SimContext&) = delete;
     SimContext& operator=(const SimContext&) = delete;
 
     EventQueue queue;
-    LogSink log;
 
     /// Arena of Message slots shared by every network and agent in this
     /// context: send -> deliver moves a message into a pooled slot and the

@@ -1,7 +1,7 @@
 // Base class for every simulated component.
 //
 // A SimObject has a hierarchical name, a reference to its owning SimContext
-// (event queue + log sink), and a hook for registering its statistics.
+// (event queue and optional observers), and a hook for registering its statistics.
 // Construction order defines the system; there is no separate elaboration
 // phase. Components belonging to different contexts share no state, so
 // independent simulations can run on different threads concurrently.
@@ -34,7 +34,6 @@ public:
     SimContext& context() const { return ctx_; }
     EventQueue& queue() { return ctx_.queue; }
     const EventQueue& queue() const { return ctx_.queue; }
-    LogSink& log() const { return ctx_.log; }
     Tick curTick() const { return ctx_.queue.curTick(); }
 
     /// The context's trace session when one is attached *and* records

@@ -178,64 +178,6 @@ TEST(ResolveJobs, BadEnvironmentValueIsAnError)
     ASSERT_EQ(unsetenv("DSCOH_JOBS"), 0);
 }
 
-TEST(LogLevelFlag, ParsesEveryLevelExactly)
-{
-    LogLevel lvl = LogLevel::kInfo;
-    std::string err;
-    EXPECT_TRUE(parseLogLevel("error", lvl, err)) << err;
-    EXPECT_EQ(lvl, LogLevel::kError);
-    EXPECT_TRUE(parseLogLevel("warn", lvl, err)) << err;
-    EXPECT_EQ(lvl, LogLevel::kWarn);
-    EXPECT_TRUE(parseLogLevel("info", lvl, err)) << err;
-    EXPECT_EQ(lvl, LogLevel::kInfo);
-    EXPECT_TRUE(parseLogLevel("debug", lvl, err)) << err;
-    EXPECT_EQ(lvl, LogLevel::kDebug);
-}
-
-TEST(LogLevelFlag, RejectsGarbage)
-{
-    LogLevel lvl = LogLevel::kInfo;
-    std::string err;
-    EXPECT_FALSE(parseLogLevel("", lvl, err));
-    EXPECT_FALSE(err.empty());
-    EXPECT_FALSE(parseLogLevel("INFO", lvl, err)); // names are exact
-    EXPECT_FALSE(parseLogLevel("verbose", lvl, err));
-    EXPECT_FALSE(parseLogLevel("info ", lvl, err));
-    EXPECT_FALSE(parseLogLevel("2", lvl, err));
-}
-
-TEST(ResolveLogLevel, ExplicitFlagWinsOverEnvironment)
-{
-    ASSERT_EQ(setenv("DSCOH_LOG_LEVEL", "debug", 1), 0);
-    LogLevel lvl = LogLevel::kInfo;
-    std::string err;
-    EXPECT_TRUE(resolveLogLevel("warn", lvl, err)) << err;
-    EXPECT_EQ(lvl, LogLevel::kWarn);
-    ASSERT_EQ(unsetenv("DSCOH_LOG_LEVEL"), 0);
-}
-
-TEST(ResolveLogLevel, FallsBackToEnvironmentThenInfo)
-{
-    ASSERT_EQ(setenv("DSCOH_LOG_LEVEL", "error", 1), 0);
-    LogLevel lvl = LogLevel::kInfo;
-    std::string err;
-    EXPECT_TRUE(resolveLogLevel("", lvl, err)) << err;
-    EXPECT_EQ(lvl, LogLevel::kError);
-    ASSERT_EQ(unsetenv("DSCOH_LOG_LEVEL"), 0);
-    EXPECT_TRUE(resolveLogLevel("", lvl, err)) << err;
-    EXPECT_EQ(lvl, LogLevel::kInfo);
-}
-
-TEST(ResolveLogLevel, BadEnvironmentValueIsAnError)
-{
-    ASSERT_EQ(setenv("DSCOH_LOG_LEVEL", "loud", 1), 0);
-    LogLevel lvl = LogLevel::kInfo;
-    std::string err;
-    EXPECT_FALSE(resolveLogLevel("", lvl, err));
-    EXPECT_NE(err.find("DSCOH_LOG_LEVEL"), std::string::npos);
-    ASSERT_EQ(unsetenv("DSCOH_LOG_LEVEL"), 0);
-}
-
 TEST(Options, HelpPrintsEveryOption)
 {
     bool flag = false;

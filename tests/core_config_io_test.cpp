@@ -38,6 +38,16 @@ TEST(ConfigIo, RejectsUnknownKeyWithLineNumber)
     EXPECT_NE(error.find("bogus-key"), std::string::npos);
 }
 
+TEST(ConfigIo, IoFaultKeysAreNotConfigKeys)
+{
+    // Storage faults belong to the process (--iofault), not to the
+    // simulated machine, so a config file cannot arm them.
+    SystemConfig cfg;
+    std::string error;
+    EXPECT_FALSE(applyConfigText("iofault-eio-ppm = 1\n", &cfg, &error));
+    EXPECT_EQ(error, "line 1: unknown key 'iofault-eio-ppm'");
+}
+
 TEST(ConfigIo, RejectsBadValues)
 {
     SystemConfig cfg;
@@ -70,8 +80,9 @@ TEST(ConfigIo, RejectsBadValues)
 
 TEST(ConfigIo, SystemRefusesZeroCounts)
 {
-    // CLI overrides bypass applyConfigText; the System constructor runs the
-    // same check, so they fail with a message instead of a signal.
+    // A config built in code bypasses applyConfigText; the System
+    // constructor runs the same check, so it fails with a message instead
+    // of a signal.
     SystemConfig noGpus;
     noGpus.numGpus = 0;
     EXPECT_THROW(System{noGpus}, std::invalid_argument);

@@ -1,9 +1,8 @@
 // Storage-fault injection: the IoFaultInjector's decision engine (spec
 // parsing, determinism, op windows, fault caps, path filters) and the
 // hardened durable-write primitives under injected faults — transient
-// failures retried without duplication, ENOSPC failing fast, crash faults
-// observable in-process through the test crash handler, and the config
-// hash gating so a disabled injector leaves hashes untouched.
+// failures retried without duplication, ENOSPC failing fast, and crash
+// faults observable in-process through the test crash handler.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -12,8 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "core/config.h"
-#include "core/config_io.h"
 #include "fault/io_fault.h"
 #include "snap/serializer.h"
 
@@ -263,23 +260,6 @@ TEST(DurableWrites, TornCrashLeavesAPrefixWhenTheHandlerThrows)
     const std::string contents = slurp(path);
     EXPECT_LT(contents.size(), line.size());
     EXPECT_EQ(contents, line.substr(0, contents.size()));
-}
-
-TEST(ConfigHash, DisabledIoFaultsLeaveTheHashAlone)
-{
-    const SystemConfig base;
-    SystemConfig tweaked;
-    tweaked.ioFaults.seed = 99;           // changed, but still disabled
-    tweaked.ioFaults.tornOffsetPct = 10;  // ditto
-    EXPECT_EQ(configHashOf(base), configHashOf(tweaked));
-
-    SystemConfig armed;
-    armed.ioFaults.eioPpm = 1;
-    EXPECT_NE(configHashOf(base), configHashOf(armed));
-
-    SystemConfig armedOther = armed;
-    armedOther.ioFaults.seed = 99;
-    EXPECT_NE(configHashOf(armed), configHashOf(armedOther));
 }
 
 } // namespace

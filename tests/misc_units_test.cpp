@@ -84,7 +84,6 @@ TEST(SimObject, StatNamesAreHierarchical)
     EXPECT_EQ(p.leaf("misses"), "gpu.l2.slice0.misses");
     EXPECT_EQ(p.name(), "gpu.l2.slice0");
     EXPECT_EQ(&p.queue(), &ctx.queue);
-    EXPECT_EQ(&p.log(), &ctx.log);
 }
 
 // ---------------------------------------------------------- line helpers --

@@ -11,14 +11,21 @@
 // scheduler noise from a wall time); simulation outputs are deterministic,
 // so repetitions differ only in wall time.
 //
+// The daemon keeps its state in a fresh mkdtemp directory under the temp
+// directory ($TMPDIR), removed on exit, so concurrent gates never share one.
+//
 // The benchmark of record is perfbench (perfbench/README.md); the exact
 // work per small sweep is pinned by the Small/WorkCounts.* ctests.
+#include <stdlib.h>
+
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <iostream>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -36,6 +43,34 @@ namespace {
 
 /// The daemon may be at most this many percent slower than embedded.
 constexpr double kMaxServiceOverheadPct = 5.0;
+
+/// A private directory made by mkdtemp under the temp directory and removed,
+/// without throwing, when the guard goes out of scope.
+class TempDir {
+public:
+    TempDir()
+    {
+        std::string pattern = (std::filesystem::temp_directory_path() /
+                               "dscoh_bench_XXXXXX")
+                                  .string();
+        if (::mkdtemp(pattern.data()) == nullptr)
+            throw std::system_error(errno, std::generic_category(),
+                                    "mkdtemp " + pattern);
+        path_ = pattern;
+    }
+    ~TempDir()
+    {
+        std::error_code ec;
+        std::filesystem::remove_all(path_, ec);
+    }
+    TempDir(const TempDir&) = delete;
+    TempDir& operator=(const TempDir&) = delete;
+
+    const std::string& path() const { return path_; }
+
+private:
+    std::string path_;
+};
 
 /// Daemon-vs-embedded measurement of --service-overhead.
 struct ServiceBench {
@@ -78,17 +113,14 @@ int benchServiceOverhead(std::uint64_t sweeps, std::uint64_t reps,
     // worker so the engine-side work matches the single-threaded embedded
     // runs. The produce cache is off — on, the daemon would win outright
     // on repeated sweeps and hide the per-request machinery this measures.
-    namespace fs = std::filesystem;
-    const std::string stateDir =
-        (fs::temp_directory_path() / "dscoh_bench_svc").string();
-    fs::remove_all(stateDir);
+    const TempDir stateDir;
     svc::ServiceOptions svcOpts;
-    svcOpts.stateDir = stateDir;
+    svcOpts.stateDir = stateDir.path();
     svcOpts.workers = 1;
     svcOpts.forkProduce = false;
     svc::SweepService service(svcOpts);
     svc::ServerOptions serverOpts;
-    serverOpts.socketPath = stateDir + "/svc.sock";
+    serverOpts.socketPath = stateDir.path() + "/svc.sock";
     serverOpts.pollMs = 20;
     std::atomic<bool> stop{false};
     int serveExit = kExitOk;
@@ -99,7 +131,6 @@ int benchServiceOverhead(std::uint64_t sweeps, std::uint64_t reps,
     const auto stopServer = [&] {
         stop = true;
         server.join();
-        fs::remove_all(stateDir);
     };
     const auto fail = [&](const std::string& what) {
         std::cerr << "dscoh_bench: " << what << "\n";
@@ -180,7 +211,13 @@ int main(int argc, char** argv)
         reps = 1;
 
     ServiceBench service;
-    const int rc = benchServiceOverhead(serviceSweeps, reps, &service);
+    int rc = kExitOk;
+    try {
+        rc = benchServiceOverhead(serviceSweeps, reps, &service);
+    } catch (const std::exception& e) {
+        std::cerr << "dscoh_bench: " << e.what() << "\n";
+        return kExitIo;
+    }
     if (rc != kExitOk)
         return rc;
     std::printf("service: %llu sweeps x %llu jobs, embedded %.3fs, "

@@ -3,7 +3,10 @@
 //   dscoh_run --workload VA --size small --mode both
 //   dscoh_run --trace examples/traces/vector_add.trace --mode ds --stats s.txt
 //   dscoh_run --workload MM --mode both --csv        # one CSV row
-//   dscoh_run --workload NN --mode ccsm --prefetch 4 --ds-hop 80
+//   dscoh_run --workload NN --config examples/configs/ring4_lease.cfg
+//
+// The simulated machine is set only through --config (key = value lines;
+// --dump-config prints every key with its Table I default).
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -185,20 +188,10 @@ int main(int argc, char** argv)
     std::string traceOutPath;
     std::string txnProfilePath;
     std::string traceFilter;
-    std::string logLevelText;
     std::string configPath;
     bool csv = false;
     bool dumpCfg = false;
-    std::uint64_t dsHop = 0;
-    std::uint64_t prefetch = 0;
-    std::uint64_t dsMinBytes = 0;
-    std::uint64_t seed = 0;
     std::uint64_t epochTicks = 0;
-    std::uint64_t gpus = 0;
-    std::uint64_t cpuCores = 0;
-    std::uint64_t tsLeaseTicks = 0;
-    std::string shardPolicy;
-    std::string dsTopology;
     std::string checkpointAt;
     std::string checkpointOut;
     std::string restorePath;
@@ -227,8 +220,6 @@ int main(int argc, char** argv)
     parser.addFlag("queue-stats", "add the event engine's own counters "
                    "(queue.*) to the stat registry; use consistently across "
                    "a checkpoint/restore pair", &queueStats);
-    parser.addString("log-level", "error|warn|info|debug (default: "
-                     "$DSCOH_LOG_LEVEL or info)", &logLevelText);
     parser.addString("config", "key=value config file (see --dump-config)",
                      &configPath);
     parser.addFlag("dump-config", "print the default configuration and exit",
@@ -237,21 +228,6 @@ int main(int argc, char** argv)
     bool check = false;
     parser.addFlag("check", "attach the live CoherenceChecker oracle; any "
                    "violation fails the run (exit 5)", &check);
-    parser.addUint("ds-hop", "dedicated-network hop latency override", &dsHop);
-    parser.addUint("prefetch", "GPU L2 next-line prefetch depth", &prefetch);
-    parser.addUint("ds-min-bytes", "hybrid policy: push only arrays >= this",
-                   &dsMinBytes);
-    parser.addUint("seed", "replacement-policy seed", &seed);
-    parser.addUint("gpus", "GPUs sharing the DS region (multi-GPU "
-                   "scale-out; 0 = keep config default)", &gpus, UINT32_MAX);
-    parser.addUint("cpu-cores", "CPU cores (0 = keep config default)",
-                   &cpuCores, UINT32_MAX);
-    parser.addString("shard-policy", "page|line|range — which GPU homes a "
-                     "DS line (multi-GPU)", &shardPolicy);
-    parser.addString("ds-topology", "crossbar|ring — DS network shape",
-                     &dsTopology);
-    parser.addUint("ts-lease-ticks", "timestamp fast-path lease length for "
-                   "remotely-homed reads (0 = off)", &tsLeaseTicks);
     parser.addString("checkpoint-at", "safe point to checkpoint at: a tick "
                      "(first phase boundary at/after it), phase:produce-done "
                      "or phase:kernel<N>-done", &checkpointAt);
@@ -314,25 +290,16 @@ int main(int argc, char** argv)
                 return kExitUsage;
             }
         }
-        // Arm storage-fault injection from the flag or from iofault-* keys
-        // in the config file (flag wins). Injection applies to this
-        // process's own durable writes — checkpoints, journals.
+        // Storage faults belong to this process's own durable writes
+        // (checkpoints, journals), not to the simulated machine.
         if (!ioFaultSpec.empty()) {
+            fault::IoFaultConfig ioCfg;
             std::string error;
-            if (!fault::parseIoFaultSpec(ioFaultSpec, &cfg.ioFaults,
-                                         &error)) {
+            if (!fault::parseIoFaultSpec(ioFaultSpec, &ioCfg, &error)) {
                 std::cerr << "dscoh_run: " << error << "\n";
                 return kExitUsage;
             }
-        }
-        if (cfg.ioFaults.enabled())
-            fault::installIoFaults(cfg.ioFaults);
-        {
-            std::string error;
-            if (!cli::resolveLogLevel(logLevelText, cfg.logLevel, error)) {
-                std::cerr << "dscoh_run: " << error << "\n";
-                return kExitUsage;
-            }
+            fault::installIoFaults(ioCfg);
         }
         ObsOptions obs;
         obs.statsPath = statsPath;
@@ -347,30 +314,6 @@ int main(int argc, char** argv)
                 std::cerr << "dscoh_run: --trace-filter: " << error << "\n";
                 return kExitUsage;
             }
-        }
-        if (dsHop != 0)
-            cfg.dsNet.hopLatency = dsHop;
-        cfg.gpuL2PrefetchDepth = static_cast<std::uint32_t>(prefetch);
-        cfg.dsMinBytes = dsMinBytes;
-        if (seed != 0)
-            cfg.seed = seed;
-        if (gpus != 0)
-            cfg.numGpus = static_cast<std::uint32_t>(gpus);
-        if (cpuCores != 0)
-            cfg.cpuCores = static_cast<std::uint32_t>(cpuCores);
-        if (tsLeaseTicks != 0)
-            cfg.tsLeaseTicks = tsLeaseTicks;
-        if (!shardPolicy.empty() &&
-            !parseShardPolicy(shardPolicy, cfg.shardPolicy)) {
-            std::cerr << "dscoh_run: bad --shard-policy '" << shardPolicy
-                      << "' (page|line|range)\n";
-            return kExitUsage;
-        }
-        if (!dsTopology.empty() &&
-            !parseDsTopology(dsTopology, cfg.dsTopology)) {
-            std::cerr << "dscoh_run: bad --ds-topology '" << dsTopology
-                      << "' (crossbar|ring)\n";
-            return kExitUsage;
         }
 
         WorkloadRunOptions runOpts;

@@ -39,7 +39,6 @@ int main(int argc, char** argv)
     std::string stateDir;
     std::string socketPath;
     std::string jobsText;
-    bool noForkProduce = false;
     std::string ioFaultSpec;
 
     cli::OptionParser parser(
@@ -53,9 +52,6 @@ int main(int argc, char** argv)
                      "socket path (default: <state>/svc.sock)", &socketPath);
     parser.addString("jobs", "worker threads (default: DSCOH_JOBS or all cores)",
                      &jobsText);
-    parser.addFlag("no-fork-produce",
-                   "disable the shared produce-phase snapshot cache",
-                   &noForkProduce);
     parser.addString("iofault",
                      "storage-fault injection spec (key=value[,...]: "
                      "torn-write-ppm, enospc-ppm, eio-ppm, fsync-fail-ppm, "
@@ -92,7 +88,6 @@ int main(int argc, char** argv)
     svc::ServiceOptions opts;
     opts.stateDir = stateDir;
     opts.workers = workers;
-    opts.forkProduce = !noForkProduce;
 
     try {
         svc::SweepService service(opts);

@@ -3,7 +3,11 @@
 //
 //   dscoh_sweep [small|big] [--jobs N] [--only BP,VA,...] [--json FILE]
 //               [--resume] [--fork-produce] [--snap-dir DIR]
-//               [--progress-json FILE]
+//               [--progress-json FILE] [--config FILE]
+//
+// --config FILE sets the simulated machine for every run: the key = value
+// file dscoh_run --config reads and dscoh_client submit --config sends
+// (e.g. examples/configs/ring4_lease.cfg, a sharded 4-GPU lease ring).
 //
 // Runs shard across a thread pool (default: all hardware threads; also
 // settable via DSCOH_JOBS). Every simulation is fully self-contained, so
@@ -39,6 +43,7 @@
 #include <vector>
 
 #include "cli/options.h"
+#include "core/config_io.h"
 #include "exp/experiment_engine.h"
 #include "exp/progress.h"
 #include "sim/errors.h"
@@ -65,14 +70,12 @@ int main(int argc, char** argv)
     std::string jobsText;
     std::string only;
     std::string jsonPath = "results.json";
-    std::string logLevelText;
+    std::string configPath;
     cli::OptionParser parser(
         "dscoh_sweep",
         "run the Table II benchmarks under CCSM and direct store");
     parser.addString("jobs", "worker threads (default: hardware threads, or "
                              "DSCOH_JOBS)", &jobsText);
-    parser.addString("log-level", "error|warn|info|debug (default: "
-                     "$DSCOH_LOG_LEVEL or info)", &logLevelText);
     parser.addString("only", "comma-separated benchmark codes (default: all)",
                      &only);
     parser.addString("json", "write machine-readable results here "
@@ -91,21 +94,8 @@ int main(int argc, char** argv)
     parser.addString("progress-json", "atomically publish live progress "
                      "here after every completed job (dscoh-progress-v3: "
                      "done/failed counts, jobs/second, ETA)", &progressPath);
-    std::uint64_t gpus = 0;
-    std::uint64_t cpuCores = 0;
-    std::uint64_t tsLeaseTicks = 0;
-    std::string shardPolicy;
-    std::string dsTopology;
-    parser.addUint("gpus", "GPUs sharing the DS region (multi-GPU "
-                   "scale-out; 0 = keep config default)", &gpus, UINT32_MAX);
-    parser.addUint("cpu-cores", "CPU cores (0 = keep config default)",
-                   &cpuCores, UINT32_MAX);
-    parser.addString("shard-policy", "page|line|range — which GPU homes a "
-                     "DS line (multi-GPU)", &shardPolicy);
-    parser.addString("ds-topology", "crossbar|ring — DS network shape",
-                     &dsTopology);
-    parser.addUint("ts-lease-ticks", "timestamp fast-path lease length for "
-                   "remotely-homed reads (0 = off)", &tsLeaseTicks);
+    parser.addString("config", "key=value config file for every run (see "
+                     "dscoh_run --dump-config)", &configPath);
     if (!parser.parse(argc, argv, std::cerr))
         return kExitUsage;
 
@@ -128,25 +118,8 @@ int main(int argc, char** argv)
     }
 
     SystemConfig base;
-    if (!cli::resolveLogLevel(logLevelText, base.logLevel, error)) {
+    if (!configPath.empty() && !loadConfigFile(configPath, &base, &error)) {
         std::cerr << "dscoh_sweep: " << error << "\n";
-        return kExitUsage;
-    }
-    if (gpus != 0)
-        base.numGpus = static_cast<std::uint32_t>(gpus);
-    if (cpuCores != 0)
-        base.cpuCores = static_cast<std::uint32_t>(cpuCores);
-    if (tsLeaseTicks != 0)
-        base.tsLeaseTicks = tsLeaseTicks;
-    if (!shardPolicy.empty() &&
-        !parseShardPolicy(shardPolicy, base.shardPolicy)) {
-        std::cerr << "dscoh_sweep: bad --shard-policy '" << shardPolicy
-                  << "' (page|line|range)\n";
-        return kExitUsage;
-    }
-    if (!dsTopology.empty() && !parseDsTopology(dsTopology, base.dsTopology)) {
-        std::cerr << "dscoh_sweep: bad --ds-topology '" << dsTopology
-                  << "' (crossbar|ring)\n";
         return kExitUsage;
     }
 
