@@ -142,13 +142,14 @@ void BM_ProtocolReadMissRoundTrip(benchmark::State& state)
         hp.responseNet = &resp;
         hp.dram = &dram;
         hp.store = &store;
-        hp.peersOf = [](Addr) { return std::vector<NodeId>{0, 1}; };
+        // Agent a is the map's CPU agent (node 0), b its one slice (node 1).
+        hp.homeMap = HomeMap(1, ShardPolicy::kPage);
         HomeController home("home", ctx, std::move(hp));
         CacheAgent::Params ap;
         ap.geometry.sizeBytes = 64 * 1024;
         ap.geometry.ways = 4;
         ap.self = 0;
-        ap.home = 2;
+        ap.homeMap = HomeMap(1, ShardPolicy::kPage);
         ap.requestNet = &req;
         ap.forwardNet = &fwd;
         ap.responseNet = &resp;

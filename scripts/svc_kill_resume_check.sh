@@ -4,7 +4,8 @@
 # (no chance to clean up — the service WAL plus each request's journal
 # must carry the recovery), restart it on the same state directory, and
 # require every request's results.json to be byte-identical to the same
-# request run on a never-killed daemon.
+# request run on a never-killed daemon. One more restart then checks that
+# the daemon still answers status and list for the requests it finished.
 #
 # Usage: scripts/svc_kill_resume_check.sh [build_dir]
 set -eu
@@ -25,6 +26,11 @@ cleanup() {
     rm -rf "${work}"
 }
 trap cleanup EXIT
+
+# The integer member $2 of the JSON reply $1.
+json_int() {
+    printf '%s' "$1" | sed -n "s/.*\"$2\": \([0-9]*\).*/\1/p"
+}
 
 # Waits until the daemon behind $1 answers a ping.
 wait_ping() {
@@ -50,6 +56,10 @@ wait_ping "${ref_state}/svc.sock"
 "${client}" --socket "${ref_state}/svc.sock" submit \
     --tenant bob --weight 2 --only BP > /dev/null
 "${client}" --socket "${ref_state}/svc.sock" drain > /dev/null
+ref_total_r000001="$(json_int "$("${client}" --socket \
+    "${ref_state}/svc.sock" status r000001)" jobsTotal)"
+ref_total_r000002="$(json_int "$("${client}" --socket \
+    "${ref_state}/svc.sock" status r000002)" jobsTotal)"
 "${client}" --socket "${ref_state}/svc.sock" shutdown > /dev/null
 wait "${daemon_pid}" || true
 daemon_pid=""
@@ -119,6 +129,43 @@ for id in r000001 r000002; do
 done
 echo "svc_kill_resume_check: recovered results are byte-identical" \
      "to the never-killed daemon"
+
+# --- Restart once more: both requests finished before this start, and
+# the daemon must still answer for them with the WAL's terminal state,
+# the reference's job count and every job done.
+echo "svc_kill_resume_check: restarting again; finished requests stay known"
+"${svc}" --state "${state}" --jobs 1 > "${work}/second_restart.log" 2>&1 &
+daemon_pid=$!
+wait_ping "${state}/svc.sock"
+for id in r000001 r000002; do
+    reply="$("${client}" --socket "${state}/svc.sock" status "${id}")" || {
+        echo "svc_kill_resume_check: ${id} unknown after a restart" >&2
+        exit 1
+    }
+    eval "want=\${ref_total_${id}}"
+    case "${reply}" in
+    *'"state": "done"'*) ;;
+    *)
+        echo "svc_kill_resume_check: ${id} not done after a restart:" \
+             "${reply}" >&2
+        exit 1
+        ;;
+    esac
+    [ "$(json_int "${reply}" jobsTotal)" = "${want}" ] &&
+        [ "$(json_int "${reply}" jobsDone)" = "${want}" ] || {
+        echo "svc_kill_resume_check: ${id} counts differ after a restart" \
+             "(want ${want} jobs): ${reply}" >&2
+        exit 1
+    }
+done
+"${client}" --socket "${state}/svc.sock" list | grep -q '"id": "r000002"' || {
+    echo "svc_kill_resume_check: list forgot the finished requests" >&2
+    exit 1
+}
+"${client}" --socket "${state}/svc.sock" shutdown > /dev/null
+wait "${daemon_pid}" || true
+daemon_pid=""
+echo "svc_kill_resume_check: finished requests answer after a restart"
 
 # --- ENOSPC pass: the same submissions on a daemon whose disk "fills up"
 # shortly after the accepts land (deterministic injection, every durable

@@ -128,8 +128,6 @@ public:
     const std::vector<std::string>& violations() const { return violations_; }
     std::uint64_t transitionsChecked() const { return transitions_; }
     std::uint64_t storesMirrored() const { return storesMirrored_; }
-    std::uint64_t suppressedViolations() const { return suppressed_; }
-    std::size_t inFlightMessages() const { return inFlight_; }
 
     void dump(std::ostream& os) const;
 

@@ -510,7 +510,7 @@ void CacheAgent::noteFilled(Addr addr)
     wake(lineAlign(addr));
 }
 
-void CacheAgent::parkRequest(Addr base, Wait why, InlineCallback retry)
+void CacheAgent::parkRequest(Addr base, Wait why, ParkedRetry retry)
 {
     assert(why != Wait::kNone);
     deferrals_.inc();
@@ -572,12 +572,12 @@ void CacheAgent::retryParked(ParkedMap::iterator it)
             mshrWaiters_.erase(p.base);
     }
     retrying_ = seq;
-    p.retry();
+    const Wait why = p.retry();
     retrying_.reset();
-    if (retryWait_ == Wait::kNone)
+    if (why == Wait::kNone)
         parked_.erase(it);
     else
-        enlist(seq, p.base, retryWait_);
+        enlist(seq, p.base, why);
 }
 
 void CacheAgent::renumberParked()
@@ -615,12 +615,6 @@ void CacheAgent::renumberParked()
             seq = renamed.at(seq);
 }
 
-void CacheAgent::forEachLine(const std::function<void(const Line&)>& fn) const
-{
-    const_cast<CacheArray<CohMeta>&>(array_).forEachValid(
-        [&fn](Line& l) { fn(l); });
-}
-
 CohState CacheAgent::stateOf(Addr addr) const
 {
     if (const auto it = wbb_.find(lineAlign(addr)); it != wbb_.end())
@@ -636,13 +630,6 @@ const DataBlock* CacheAgent::peekLine(Addr addr) const
     if (const auto it = wbb_.find(lineAlign(addr)); it != wbb_.end())
         return &it->second.data;
     return nullptr;
-}
-
-void CacheAgent::forEachWriteback(
-    const std::function<void(Addr, CohState, const DataBlock&)>& fn) const
-{
-    for (const auto& [base, entry] : wbb_)
-        fn(base, entry.state, entry.data);
 }
 
 void CacheAgent::regStats(StatRegistry& registry)

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <set>
@@ -40,18 +39,16 @@ namespace dscoh {
 class CacheAgent : public SimObject {
 public:
     using Line = CacheArray<CohMeta>::Line;
-    using AccessDone = std::function<void(Line&)>;
+    using AccessDone = BasicInlineCallback<void(Line&)>;
 
     struct Params {
         CacheGeometry geometry;
         std::size_t mshrs = 16;
         std::size_t writebackEntries = 8;
         NodeId self = kInvalidNode;
-        /// Node id of directory shard 0. With a sharded directory the shard
-        /// nodes are contiguous from here and homeMap picks the one that
-        /// orders a given line; a default (single-shard) map makes this the
-        /// lone home for every address, exactly the pre-sharding behavior.
-        NodeId home = kInvalidNode;
+        /// Address routing: the directory shard that orders each line (a
+        /// single-shard map makes homeMap.homeNode() the lone home for
+        /// every address, exactly the pre-sharding behavior).
         HomeMap homeMap{};
         Network* requestNet = nullptr;  ///< agent -> home (GetS/GetX/Put/Unblock)
         Network* forwardNet = nullptr;  ///< home -> agent (snoops, WbAck)
@@ -98,11 +95,13 @@ public:
 
     void regStats(StatRegistry& registry) override;
 
-    NodeId nodeId() const { return params_.self; }
-
     /// Debug/verification: invokes @p fn for every valid line (stable or
     /// transient) in the array.
-    void forEachLine(const std::function<void(const Line&)>& fn) const;
+    template <typename Fn>
+    void forEachLine(Fn&& fn) const
+    {
+        array_.forEachValid(fn);
+    }
 
     /// Debug/verification: protocol state for a line (kI if absent and not
     /// in the writeback buffer; writeback-buffer entries report their
@@ -115,8 +114,12 @@ public:
 
     /// Debug/verification: invokes @p fn for every parked writeback-buffer
     /// entry (MI_A/OI_A/II_A) — these hold data outside the array.
-    void forEachWriteback(
-        const std::function<void(Addr, CohState, const DataBlock&)>& fn) const;
+    template <typename Fn>
+    void forEachWriteback(Fn&& fn) const
+    {
+        for (const auto& [base, entry] : wbb_)
+            fn(base, entry.state, entry.data);
+    }
 
     std::size_t mshrInFlight() const { return mshr_.size(); }
     std::size_t writebackBufferEntries() const { return wbb_.size(); }
@@ -147,10 +150,10 @@ protected:
         return 0;
     }
 
-    /// Directory shard ordering @p base (params().home + homeMap lookup).
+    /// Directory shard ordering @p base.
     NodeId homeFor(Addr base) const
     {
-        return params_.home + params_.homeMap.homeOf(base);
+        return params_.homeMap.homeNodeOf(base);
     }
 
     CacheArray<CohMeta>& array() { return array_; }
@@ -172,6 +175,12 @@ protected:
     /// is pinned, or the writeback buffer is full.
     enum class Wait : std::uint8_t { kNone, kMshrFull, kOther };
 
+    /// Re-attempts a parked request and returns why it is still blocked.
+    /// It owns the request's callback (an AccessDone, or a remote store's
+    /// ready callback) plus a few words of context, so its buffer is larger
+    /// than an event's; it lives in a parked-map node, never in the queue.
+    using ParkedRetry = BasicInlineCallback<Wait(), sizeof(AccessDone) + 32>;
+
     /// Parks a request on @p base's line that is blocked for @p why; one
     /// park is one `deferrals` count. @p retry re-attempts the request and
     /// returns why it is still blocked (kNone once it went through).
@@ -189,12 +198,9 @@ protected:
     template <typename Retry>
     void park(Addr base, Wait why, Retry retry)
     {
-        auto thunk = [this, r = std::move(retry)]() mutable {
-            retryWait_ = r();
-        };
-        static_assert(InlineCallback::fitsInline<decltype(thunk)>(),
-                      "a parked retry must fit InlineCallback's buffer");
-        parkRequest(base, why, std::move(thunk));
+        static_assert(ParkedRetry::fitsInline<Retry>(),
+                      "a parked retry must fit ParkedRetry's buffer");
+        parkRequest(base, why, ParkedRetry(std::move(retry)));
     }
 
     /// Records a fill of @p addr's line (protocol fill or direct-store
@@ -233,7 +239,7 @@ private:
 
     struct Parked {
         Addr base = 0;
-        InlineCallback retry; ///< re-attempts the request; sets retryWait_
+        ParkedRetry retry;
     };
     using ParkedMap = std::map<std::uint64_t, Parked>;
 
@@ -249,7 +255,7 @@ private:
                           AccessDone& done);
     void allocateMshr(Addr base, bool exclusive, AccessDone& done);
 
-    void parkRequest(Addr base, Wait why, InlineCallback retry);
+    void parkRequest(Addr base, Wait why, ParkedRetry retry);
     /// Files parked request @p seq under @p why: kMshrFull by line, kOther
     /// in due_.
     void enlist(std::uint64_t seq, Addr base, Wait why);
@@ -285,7 +291,6 @@ private:
     std::vector<std::pair<std::uint64_t, std::uint64_t>> parkedByRetry_;
     std::uint64_t nextPark_ = 0;
     std::optional<std::uint64_t> retrying_; ///< park key being retried
-    Wait retryWait_ = Wait::kNone;
     std::unordered_set<Addr> everFilled_; ///< line numbers ever present here
     std::uint64_t nextTxn_ = 1;
     Tick supplyPortFreeAt_ = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <utility>
+#include <vector>
 
 #include "check/coherence_checker.h"
 
@@ -12,12 +13,12 @@ HomeController::HomeController(std::string name, SimContext& ctx, Params params)
     : SimObject(std::move(name), ctx), params_(std::move(params))
 {
     assert(params_.requestNet && params_.forwardNet && params_.responseNet);
-    assert(params_.dram && params_.store && params_.peersOf);
+    assert(params_.dram && params_.store);
 }
 
 void HomeController::handleRequest(const Message& msg)
 {
-    if (params_.shardOf && params_.shardOf(msg.addr) != params_.shardId) {
+    if (params_.homeMap.homeOf(msg.addr) != params_.shardId) {
         if (CoherenceChecker* c = checking())
             c->reportExternal(name(),
                               "request " + std::string(to_string(msg.type)) +
@@ -67,28 +68,28 @@ void HomeController::process(const Message& msg, LineState& ls)
     }
 }
 
-std::vector<NodeId> HomeController::snoopTargets(const Message& msg,
-                                                 const LineState& ls)
+template <typename F>
+void HomeController::forEachSnoopTarget(const Message& msg,
+                                        const LineState& ls, F&& send) const
 {
-    std::vector<NodeId> targets;
     if (!params_.directoryMode) {
-        // Hammer: broadcast to every peer that may hold the line (with this
-        // topology that is at most one other agent).
-        for (const NodeId peer : params_.peersOf(msg.addr))
-            if (peer != msg.src)
-                targets.push_back(peer);
-        return targets;
+        // Hammer: broadcast to every cache that may hold the line.
+        if (!params_.noSnoop)
+            params_.homeMap.forEachHolder(msg.addr, [&](NodeId peer) {
+                if (peer != msg.src)
+                    send(peer);
+            });
+        return;
     }
     // Directory: only believed holders. GetS needs just the owner (sharers
     // keep their copies); GetX must reach the owner and every sharer.
     if (ls.owner != kInvalidNode && ls.owner != msg.src)
-        targets.push_back(ls.owner);
+        send(ls.owner);
     if (msg.type == MsgType::kGetX) {
         for (const NodeId sharer : ls.sharers)
             if (sharer != msg.src && sharer != ls.owner)
-                targets.push_back(sharer);
+                send(sharer);
     }
-    return targets;
 }
 
 void HomeController::issueMemRead(Addr addr, LineState& ls)
@@ -96,9 +97,10 @@ void HomeController::issueMemRead(Addr addr, LineState& ls)
     ls.memReadIssued = true;
     if (TxnProfiler* p = profiling())
         p->hop(ls.req.prof, TxnStage::kDramIssue, name(), curTick());
-    params_.dram->read(addr, [this, addr, txn = ls.activeTxn] {
-        onMemData(addr, txn);
-    });
+    auto done = [this, addr, txn = ls.activeTxn] { onMemData(addr, txn); };
+    static_assert(DramCallback::fitsInline<decltype(done)>(),
+                  "a DRAM read's callback is its completion event");
+    params_.dram->read(addr, std::move(done));
 }
 
 void HomeController::startTransaction(const Message& msg, LineState& ls)
@@ -115,7 +117,7 @@ void HomeController::startTransaction(const Message& msg, LineState& ls)
     ls.responded = false;
     ls.unblockReceived = false;
 
-    for (const NodeId peer : snoopTargets(msg, ls)) {
+    forEachSnoopTarget(msg, ls, [&](NodeId peer) {
         Message snp;
         snp.type = msg.type == MsgType::kGetS ? MsgType::kSnpGetS
                                               : MsgType::kSnpGetX;
@@ -128,7 +130,7 @@ void HomeController::startTransaction(const Message& msg, LineState& ls)
         params_.forwardNet->send(std::move(snp));
         snoopsSent_.inc();
         ++ls.snpOutstanding;
-    }
+    });
     if (ls.snpOutstanding > 0) {
         if (TxnProfiler* p = profiling())
             p->hop(msg.prof, TxnStage::kSnpSend, name(), curTick());

@@ -21,10 +21,9 @@
 #include <cstdint>
 #include <deque>
 #include <set>
-#include <functional>
 #include <unordered_map>
-#include <vector>
 
+#include "coherence/home_map.h"
 #include "mem/dram.h"
 #include "net/network.h"
 #include "sim/sim_object.h"
@@ -33,10 +32,6 @@ namespace dscoh {
 
 class HomeController final : public SimObject {
 public:
-    /// Returns every cache agent that may cache @p addr (the CPU agent and
-    /// the owning GPU L2 slice in the full system).
-    using PeersOf = std::function<std::vector<NodeId>(Addr)>;
-
     struct Params {
         NodeId self = kInvalidNode;
         Network* requestNet = nullptr;
@@ -44,18 +39,22 @@ public:
         Network* responseNet = nullptr;
         MemoryInterface* dram = nullptr;
         BackingStore* store = nullptr;
-        PeersOf peersOf;
+        /// The caches a broadcast snoops: the CPU agent, then the line's
+        /// slice on every GPU. Also names the shard that orders each line.
+        HomeMap homeMap{};
         /// Directory mode: snoop only believed holders instead of
         /// broadcasting, and skip the speculative DRAM read when an owner
         /// should supply.
         bool directoryMode = false;
-        /// Sharded directory (multi-GPU): this controller's shard index,
-        /// and the address->shard map. When shardOf is set, a request for
-        /// an address this shard does not order is reported to the
-        /// attached checker (misroute detection) — it is still processed,
-        /// so the divergence is observable rather than fatal.
+        /// Broadcast to no cache at all (§III-H replacement mode): every
+        /// transaction is a plain memory fetch.
+        bool noSnoop = false;
+        /// Sharded directory (multi-GPU): this controller's shard index. A
+        /// request for an address homeMap homes on another shard is
+        /// reported to the attached checker (misroute detection) — it is
+        /// still processed, so the divergence is observable rather than
+        /// fatal.
         std::uint32_t shardId = 0;
-        std::function<std::uint32_t(Addr)> shardOf;
     };
 
     HomeController(std::string name, SimContext& ctx, Params params);
@@ -104,7 +103,10 @@ private:
     void process(const Message& msg, LineState& ls);
     void startTransaction(const Message& msg, LineState& ls);
     void issueMemRead(Addr addr, LineState& ls);
-    std::vector<NodeId> snoopTargets(const Message& msg, const LineState& ls);
+    /// Calls @p send for each cache this transaction snoops, in send order.
+    template <typename F>
+    void forEachSnoopTarget(const Message& msg, const LineState& ls,
+                            F&& send) const;
     void updateDirectoryOnComplete(LineState& ls);
     void processPut(const Message& msg, LineState& ls);
     void onMemData(Addr addr, std::uint64_t txn);

@@ -123,8 +123,9 @@ std::string System::sliceCheckerLabel(std::size_t flatIndex) const
 }
 
 System::System(const SystemConfig& config)
-    : config_(config), interleave_(config.gpuL2Slices),
-      homeMap_(config.numGpus, config.shardPolicy)
+    : config_(config),
+      homeMap_(config.numGpus, config.shardPolicy, config.gpuL2Slices,
+               config.cpuCores, config.numSms)
 {
     // Before any component divides by or indexes with a zero count.
     if (std::string error; !validateConfig(config_, &error))
@@ -188,41 +189,27 @@ System::System(const SystemConfig& config)
     // --- home controllers (one directory shard per GPU) -------------------
     for (std::uint32_t h = 0; h < config_.numGpus; ++h) {
         HomeController::Params homeParams;
-        homeParams.self = homeNode(h);
+        homeParams.self = homeMap_.homeNode(h);
         homeParams.requestNet = requestNet_.get();
         homeParams.forwardNet = forwardNet_.get();
         homeParams.responseNet = responseNet_.get();
         homeParams.dram = dram_.get();
         homeParams.store = store_.get();
         homeParams.directoryMode = config_.directoryHome;
-        if (config_.mode == CoherenceMode::kDirectStoreOnly) {
-            // SIII-H replacement mode: there is no CPU<->GPU coherence to
-            // keep. The CPU only caches private data (which no slice may
-            // hold) and the slices partition the shared addresses among
-            // themselves, so the home never needs to snoop anyone: every
-            // transaction is a plain memory fetch. This is the
-            // protocol-simplicity claim made concrete (see
-            // bench/ablation_replacement).
-            homeParams.peersOf = [](Addr) { return std::vector<NodeId>{}; };
-        } else {
-            // Hammer broadcast reaches every cache that may hold the line:
-            // the CPU agent and the matching slice of every GPU.
-            homeParams.peersOf = [this](Addr a) {
-                std::vector<NodeId> peers;
-                peers.reserve(1 + config_.numGpus);
-                peers.push_back(kCpuAgentNode);
-                for (std::uint32_t g = 0; g < config_.numGpus; ++g)
-                    peers.push_back(sliceNodeOf(a, g));
-                return peers;
-            };
-        }
+        // Hammer broadcast reaches every cache that may hold the line: the
+        // CPU agent and the matching slice of every GPU. SIII-H replacement
+        // mode has no CPU<->GPU coherence to keep: the CPU only caches
+        // private data (which no slice may hold) and the slices partition
+        // the shared addresses among themselves, so the home never needs to
+        // snoop anyone and every transaction is a plain memory fetch. This
+        // is the protocol-simplicity claim made concrete (see
+        // bench/ablation_replacement).
+        homeParams.homeMap = homeMap_;
+        homeParams.noSnoop = config_.mode == CoherenceMode::kDirectStoreOnly;
         // Misrouted requests (a bug in homeFor routing, or a scenario
         // mutation) are reported to the attached checker instead of being
         // silently ordered by the wrong shard.
         homeParams.shardId = h;
-        if (config_.numGpus > 1) {
-            homeParams.shardOf = [this](Addr a) { return homeMap_.homeOf(a); };
-        }
         homes_.push_back(std::make_unique<HomeController>(
             h == 0 ? std::string("home") : "home" + std::to_string(h), ctx_,
             std::move(homeParams)));
@@ -236,8 +223,7 @@ System::System(const SystemConfig& config)
     cpuL2.geometry.replacementSeed = config_.seed;
     cpuL2.mshrs = config_.agentMshrs;
     cpuL2.writebackEntries = config_.writebackEntries;
-    cpuL2.self = kCpuAgentNode;
-    cpuL2.home = homeNode(0);
+    cpuL2.self = HomeMap::kCpuAgentNode;
     cpuL2.homeMap = homeMap_;
     cpuL2.requestNet = requestNet_.get();
     cpuL2.forwardNet = forwardNet_.get();
@@ -263,9 +249,9 @@ System::System(const SystemConfig& config)
         coreParams.l2Latency = config_.cpuL2Latency;
         coreParams.storeBufferEntries = config_.storeBufferEntries;
         coreParams.rsbEntries = config_.rsbEntries;
-        coreParams.self = cpuCoreNode(c);
+        coreParams.self = homeMap_.cpuCoreNode(c);
         coreParams.dsNet = dsNet_.get();
-        coreParams.sliceOf = [this](Addr a) { return sliceNodeOf(a); };
+        coreParams.homeMap = homeMap_;
         coreParams.dsAckTimeout = config_.dsAckTimeout;
         coreParams.dsMaxRetries = config_.dsMaxRetries;
         coreParams.dsInFlightMax = config_.dsInFlightMax;
@@ -284,12 +270,7 @@ System::System(const SystemConfig& config)
                                 config_.gpuL2TagLatency + 2048;
         coreParams.dsVerifyChecksum =
             config_.dsAckTimeout != 0 && dsFault_ != nullptr;
-        if (dsFault_ != nullptr) {
-            FaultInjector* inj = dsFault_;
-            coreParams.dsNetDown = [this, inj] {
-                return inj->linkDownNow(ctx_.queue.curTick());
-            };
-        }
+        coreParams.dsFault = dsFault_;
         cpuCores_.push_back(std::make_unique<CpuCore>(
             c == 0 ? std::string("cpu.core") : "cpu.core" + std::to_string(c),
             ctx_, std::move(coreParams), *tlb_, *cpuAgent_));
@@ -302,14 +283,13 @@ System::System(const SystemConfig& config)
             sliceAgent.geometry.sizeBytes =
                 config_.gpuL2Size / config_.gpuL2Slices;
             sliceAgent.geometry.ways = config_.gpuL2Ways;
-            sliceAgent.geometry.setShift = interleave_.bits();
+            sliceAgent.geometry.setShift = homeMap_.sliceBits();
             sliceAgent.geometry.replacement = config_.replacement;
             sliceAgent.geometry.replacementSeed =
                 config_.seed + 10 + g * config_.gpuL2Slices + s;
             sliceAgent.mshrs = config_.gpuL2Mshrs;
             sliceAgent.writebackEntries = config_.writebackEntries;
-            sliceAgent.self = sliceNode(g, s);
-            sliceAgent.home = homeNode(0);
+            sliceAgent.self = homeMap_.sliceNode(g, s);
             sliceAgent.homeMap = homeMap_;
             sliceAgent.requestNet = requestNet_.get();
             sliceAgent.forwardNet = forwardNet_.get();
@@ -325,7 +305,6 @@ System::System(const SystemConfig& config)
             sliceParams.dsNet = dsNet_.get();
             sliceParams.dram = dram_.get();
             sliceParams.prefetchDepth = config_.gpuL2PrefetchDepth;
-            sliceParams.slices = config_.gpuL2Slices;
             sliceParams.harden = config_.dsAckTimeout != 0;
             sliceParams.mergeOnly =
                 sliceParams.harden &&
@@ -334,7 +313,6 @@ System::System(const SystemConfig& config)
                 sliceParams.harden && dsFault_ != nullptr;
             sliceParams.tsLeaseTicks = config_.tsLeaseTicks;
             sliceParams.myGpu = g;
-            sliceParams.firstSliceNode = kFirstSliceNode;
             slices_.push_back(std::make_unique<GpuL2Slice>(
                 gpuPrefix(g) + "l2.slice" + std::to_string(s), ctx_,
                 sliceAgent, sliceParams));
@@ -347,11 +325,10 @@ System::System(const SystemConfig& config)
             smParams.l1Latency = config_.gpuL1Latency;
             smParams.smemLatency = config_.gpuSmemLatency;
             smParams.maxOutstandingStores = config_.maxOutstandingStores;
-            smParams.self = smNode(g, i);
+            smParams.self = homeMap_.smNode(g, i);
             smParams.gpuNet = gpuNet_.get();
-            smParams.sliceOf = [this, g](Addr a) {
-                return sliceNodeOf(a, g);
-            };
+            smParams.homeMap = homeMap_;
+            smParams.gpu = g;
             smParams.l1Geometry.sizeBytes = config_.gpuL1Size;
             smParams.l1Geometry.ways = config_.gpuL1Ways;
             smParams.l1Geometry.replacement = config_.replacement;
@@ -377,21 +354,21 @@ System::System(const SystemConfig& config)
     for (std::uint32_t h = 0; h < config_.numGpus; ++h) {
         HomeController* homePtr = homes_[h].get();
         requestNet_->connect(
-            homeNode(h),
+            homeMap_.homeNode(h),
             Network::handlerFor<&HomeController::handleRequest>(homePtr));
         responseNet_->connect(
-            homeNode(h),
+            homeMap_.homeNode(h),
             Network::handlerFor<&HomeController::handleResponse>(homePtr));
     }
     forwardNet_->connect(
-        kCpuAgentNode,
+        HomeMap::kCpuAgentNode,
         Network::handlerFor<&CacheAgent::handleForward>(cpuAgent_.get()));
     responseNet_->connect(
-        kCpuAgentNode,
+        HomeMap::kCpuAgentNode,
         Network::handlerFor<&CacheAgent::handleResponse>(cpuAgent_.get()));
     for (std::uint32_t c = 0; c < config_.cpuCores; ++c) {
         dsNet_->connect(
-            cpuCoreNode(c),
+            homeMap_.cpuCoreNode(c),
             Network::handlerFor<&CpuCore::handleDsMessage>(
                 cpuCores_[c].get()));
     }
@@ -399,24 +376,25 @@ System::System(const SystemConfig& config)
         for (std::uint32_t s = 0; s < config_.gpuL2Slices; ++s) {
             GpuL2Slice* slicePtr =
                 slices_[g * config_.gpuL2Slices + s].get();
+            const NodeId node = homeMap_.sliceNode(g, s);
             forwardNet_->connect(
-                sliceNode(g, s),
+                node,
                 Network::handlerFor<&GpuL2Slice::handleForward>(slicePtr));
             responseNet_->connect(
-                sliceNode(g, s),
+                node,
                 Network::handlerFor<&GpuL2Slice::handleResponse>(slicePtr));
             dsNet_->connect(
-                sliceNode(g, s),
+                node,
                 Network::handlerFor<&GpuL2Slice::handleDsMessage>(slicePtr));
             gpuNet_->connect(
-                sliceNode(g, s),
+                node,
                 Network::handlerFor<&GpuL2Slice::handleGpuMessage>(slicePtr));
         }
     }
     for (std::size_t i = 0; i < sms_.size(); ++i) {
         gpuNet_->connect(
-            smNode(static_cast<std::uint32_t>(i / config_.numSms),
-                   static_cast<std::uint32_t>(i % config_.numSms)),
+            homeMap_.smNode(static_cast<std::uint32_t>(i / config_.numSms),
+                            static_cast<std::uint32_t>(i % config_.numSms)),
             Network::handlerFor<&StreamingMultiprocessor::handleGpuMessage>(
                 sms_[i].get()));
     }
@@ -428,10 +406,10 @@ System::System(const SystemConfig& config)
         // crossbar config never calls setRing and keeps historical timing.
         std::vector<NodeId> ring;
         for (std::uint32_t c = 0; c < config_.cpuCores; ++c)
-            ring.push_back(cpuCoreNode(c));
+            ring.push_back(homeMap_.cpuCoreNode(c));
         for (std::uint32_t g = 0; g < config_.numGpus; ++g)
             for (std::uint32_t s = 0; s < config_.gpuL2Slices; ++s)
-                ring.push_back(sliceNode(g, s));
+                ring.push_back(homeMap_.sliceNode(g, s));
         dsNet_->setRing(ring);
     }
     if (config_.tsLeaseTicks != 0)
@@ -508,20 +486,18 @@ Addr System::allocateArrayHomed(std::uint64_t bytes, std::uint32_t gpu)
     }
 }
 
-void System::runCpuProgram(const CpuProgram& program,
-                           std::function<void()> onDone)
+void System::runCpuProgram(const CpuProgram& program, InlineCallback onDone)
 {
     cpuCores_[0]->run(program, std::move(onDone));
 }
 
 void System::runCpuProgramOn(std::uint32_t core, const CpuProgram& program,
-                             std::function<void()> onDone)
+                             InlineCallback onDone)
 {
     cpuCores_.at(core)->run(program, std::move(onDone));
 }
 
-void System::launchKernel(const KernelDesc& kernel,
-                          std::function<void()> onDone)
+void System::launchKernel(const KernelDesc& kernel, InlineCallback onDone)
 {
     gpuDevices_.at(kernel.gpu)->launch(kernel, std::move(onDone));
 }
@@ -571,7 +547,7 @@ std::uint64_t System::configHash() const
 
 void System::snapshotSave(
     const std::string& path,
-    const std::function<void(snap::SnapWriter&)>& extra) const
+    BasicInlineCallback<void(snap::SnapWriter&)> extra) const
 {
     snap::SnapWriter w(ctx_.queue.curTick(), configHash());
     const auto section = [&w](const std::string& name, const auto& obj) {
@@ -624,7 +600,7 @@ void System::snapshotSave(
 
 void System::snapshotRestore(
     const std::string& path,
-    const std::function<void(snap::SnapReader&)>& extra)
+    BasicInlineCallback<void(snap::SnapReader&)> extra)
 {
     if (ctx_.queue.curTick() != 0)
         throw snap::SnapError(

@@ -20,7 +20,6 @@
 #include "gpu/gpu_device.h"
 #include "gpu/gpu_l2_slice.h"
 #include "mem/dram_pool.h"
-#include "mem/interleave.h"
 #include "obs/epoch_sampler.h"
 #include "vm/address_space.h"
 
@@ -122,16 +121,16 @@ public:
     /// Runs @p program on CPU core 0; @p onDone fires when it (and its
     /// trailing implicit fence) completes. Program storage must outlive the
     /// run.
-    void runCpuProgram(const CpuProgram& program, std::function<void()> onDone);
+    void runCpuProgram(const CpuProgram& program, InlineCallback onDone);
 
     /// Runs @p program on CPU core @p core (multi-core scale-out).
     void runCpuProgramOn(std::uint32_t core, const CpuProgram& program,
-                         std::function<void()> onDone);
+                         InlineCallback onDone);
 
     /// Launches @p kernel on the GPU its descriptor names (kernel.gpu);
     /// @p onDone fires at grid completion. Kernel storage must outlive the
     /// run.
-    void launchKernel(const KernelDesc& kernel, std::function<void()> onDone);
+    void launchKernel(const KernelDesc& kernel, InlineCallback onDone);
 
     /// Drains the event queue (runs the simulation to completion) and
     /// returns the final tick.
@@ -143,44 +142,20 @@ public:
     // unqualified singular accessors name instance 0, which is the whole
     // machine in the default 1-GPU / 1-core configuration.
     CpuCore& cpu() { return *cpuCores_[0]; }
-    CpuCore& cpuCore(std::size_t c) { return *cpuCores_[c]; }
-    std::size_t cpuCoreCount() const { return cpuCores_.size(); }
     CpuCacheAgent& cpuCache() { return *cpuAgent_; }
     GpuDevice& gpu() { return *gpuDevices_[0]; }
-    GpuDevice& gpuDevice(std::size_t g) { return *gpuDevices_[g]; }
-    std::size_t gpuCount() const { return gpuDevices_.size(); }
     /// Slices are indexed flat: GPU g's slice s is slice(g * slicesPerGpu +
     /// s); sliceCount() spans every GPU.
     GpuL2Slice& slice(std::size_t i) { return *slices_[i]; }
     std::size_t sliceCount() const { return slices_.size(); }
     StreamingMultiprocessor& sm(std::size_t i) { return *sms_[i]; }
-    std::size_t smCount() const { return sms_.size(); }
     HomeController& home() { return *homes_[0]; }
-    HomeController& homeShard(std::size_t h) { return *homes_[h]; }
-    std::size_t homeShardCount() const { return homes_.size(); }
-    /// The static interleaving that assigns each address a home GPU/shard.
+    /// The address routing and node-id layout every component shares.
     const HomeMap& homeMap() const { return homeMap_; }
     BackingStore& backingStore() { return *store_; }
-    Network& dsNetwork() { return *dsNet_; }
     /// The DS network's fault injector, or nullptr when faults are off (or
     /// not selected for that network).
     FaultInjector* dsFaultInjector() { return dsFault_; }
-
-    /// The slice where a direct store / uncached read for @p pa lands: the
-    /// address's home GPU, then the slice interleave within that GPU.
-    NodeId sliceNodeOf(Addr pa) const
-    {
-        return kFirstSliceNode +
-               homeMap_.homeOf(pa) * config_.gpuL2Slices +
-               interleave_.sliceOf(pa);
-    }
-
-    /// GPU @p g's slice serving @p pa (the SM-side routing).
-    NodeId sliceNodeOf(Addr pa, std::uint32_t g) const
-    {
-        return kFirstSliceNode + g * config_.gpuL2Slices +
-               interleave_.sliceOf(pa);
-    }
 
     /// Verifies protocol invariants over the quiesced system (no in-flight
     /// transactions): single owner per line, exclusivity of MM/M, shared
@@ -207,7 +182,7 @@ public:
     /// driver-level progress (WorkloadRun phase position).
     void snapshotSave(
         const std::string& path,
-        const std::function<void(snap::SnapWriter&)>& extra = {}) const;
+        BasicInlineCallback<void(snap::SnapWriter&)> extra = {}) const;
 
     /// Restores a snapshot written by snapshotSave() into this System.
     /// Must be called on a freshly constructed instance (nothing run yet)
@@ -216,34 +191,9 @@ public:
     /// attached requires the snapshot to carry the oracle's shadow state.
     /// @p extra, when set, consumes the "runner" section (which must then
     /// be present).
-    void snapshotRestore(const std::string& path,
-                         const std::function<void(snap::SnapReader&)>& extra = {});
-
-    // Node-id layout (one global space across all networks). With G GPUs,
-    // S slices per GPU and C CPU cores: the CPU cache agent is node 0,
-    // GPU g's slice s is 1 + g*S + s, directory shard h is 1 + G*S + h
-    // (one shard per GPU), CPU core c is 1 + G*S + G + c, and GPU g's
-    // SM i follows the cores. At G=1, C=1 this is exactly the historical
-    // layout.
-    static constexpr NodeId kCpuAgentNode = 0;
-    static constexpr NodeId kFirstSliceNode = 1;
-    NodeId sliceNode(std::uint32_t g, std::uint32_t s) const
-    {
-        return kFirstSliceNode + g * config_.gpuL2Slices + s;
-    }
-    NodeId homeNode(std::uint32_t h = 0) const
-    {
-        return kFirstSliceNode + config_.numGpus * config_.gpuL2Slices + h;
-    }
-    NodeId cpuCoreNode(std::uint32_t c = 0) const
-    {
-        return homeNode(0) + config_.numGpus + c;
-    }
-    NodeId firstSmNode() const { return cpuCoreNode(0) + config_.cpuCores; }
-    NodeId smNode(std::uint32_t g, std::uint32_t i) const
-    {
-        return firstSmNode() + g * config_.numSms + i;
-    }
+    void snapshotRestore(
+        const std::string& path,
+        BasicInlineCallback<void(snap::SnapReader&)> extra = {});
 
 private:
     /// Checker/invariant label for the slice at flat index @p flatIndex
@@ -253,7 +203,6 @@ private:
     SystemConfig config_;
     SimContext ctx_;
     StatRegistry stats_;
-    SliceInterleave interleave_;
     HomeMap homeMap_;
     std::unique_ptr<EpochSampler> sampler_;
 

@@ -51,7 +51,7 @@ void CpuCacheAgent::onInvalidate(Addr base)
         l1_.invalidate(*l1Line);
 }
 
-void CpuCacheAgent::prepareRemoteStore(Addr addr, std::function<void()> ready)
+void CpuCacheAgent::prepareRemoteStore(Addr addr, InlineCallback ready)
 {
     const Addr base = lineAlign(addr);
     if (const Wait why = tryRemoteStore(base, ready); why != Wait::kNone)
@@ -61,7 +61,7 @@ void CpuCacheAgent::prepareRemoteStore(Addr addr, std::function<void()> ready)
 }
 
 CacheAgent::Wait CpuCacheAgent::tryRemoteStore(Addr base,
-                                              std::function<void()>& ready)
+                                              InlineCallback& ready)
 {
     // A writeback for this line (possibly our own, below) is draining:
     // wait for its ack.

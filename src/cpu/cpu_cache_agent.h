@@ -11,8 +11,6 @@
 // MM/O -> writeback then I) before the store is pushed to the GPU L2.
 #pragma once
 
-#include <functional>
-
 #include "coherence/cache_agent.h"
 
 namespace dscoh {
@@ -42,12 +40,9 @@ public:
     ///            fetch-merge at the GPU L2 observes the written-back bytes.
     /// In a translated program the DS region is never CPU-cached, so the
     /// non-I cases only trigger for hand-built programs and tests.
-    void prepareRemoteStore(Addr addr, std::function<void()> ready);
+    void prepareRemoteStore(Addr addr, InlineCallback ready);
 
     void regStats(StatRegistry& registry) override;
-
-    std::uint64_t l1Hits() const { return l1Hits_.value(); }
-    std::uint64_t l1Misses() const { return l1Misses_.value(); }
 
     /// L2 agent state plus the L1 tag filter.
     void snapSave(snap::SnapWriter& w) const override
@@ -68,7 +63,7 @@ protected:
 private:
     /// One attempt at prepareRemoteStore(): fires @p ready once no local
     /// copy of the line is left.
-    Wait tryRemoteStore(Addr base, std::function<void()>& ready);
+    Wait tryRemoteStore(Addr base, InlineCallback& ready);
 
     struct L1Meta {};
     mutable CacheArray<L1Meta> l1_;

@@ -15,7 +15,7 @@ CpuCore::CpuCore(std::string name, SimContext& ctx, Params params, Tlb& tlb,
 {
 }
 
-void CpuCore::run(const CpuProgram& program, std::function<void()> onDone)
+void CpuCore::run(const CpuProgram& program, InlineCallback onDone)
 {
     assert(program_ == nullptr && "core already running a program");
     program_ = &program;
@@ -74,8 +74,7 @@ void CpuCore::maybeFinishFence()
     fencing_ = false;
     if (pc_ >= program_->size()) {
         program_ = nullptr;
-        auto done = std::move(onDone_);
-        onDone_ = nullptr;
+        InlineCallback done = std::move(onDone_);
         if (done)
             done();
         return;
@@ -166,7 +165,7 @@ void CpuCore::drainStoreEntry(Addr base)
 
 void CpuCore::remoteStore(Addr pa, const CpuOp& op)
 {
-    assert(params_.dsNet != nullptr && params_.sliceOf &&
+    assert(params_.dsNet != nullptr &&
            "direct-store path used without a DS network");
     remoteStores_.inc();
     const Addr base = lineAlign(pa);
@@ -220,7 +219,7 @@ void CpuCore::flushRsbEntry(std::size_t index)
         msg.type = MsgType::kDsPutX;
         msg.addr = e.base;
         msg.src = params_.self;
-        msg.dst = params_.sliceOf(e.base);
+        msg.dst = params_.homeMap.homeSlice(e.base);
         msg.requester = params_.self;
         msg.data = e.data;
         msg.mask = e.mask;
@@ -263,7 +262,7 @@ void CpuCore::sendDsPutX(std::uint64_t txn)
     msg.type = MsgType::kDsPutX;
     msg.addr = f.base;
     msg.src = params_.self;
-    msg.dst = params_.sliceOf(f.base);
+    msg.dst = params_.homeMap.homeSlice(f.base);
     msg.requester = params_.self;
     msg.txn = txn;
     msg.data = f.data;
@@ -379,13 +378,17 @@ void CpuCore::completeDsStore()
         dsBacklog_.pop_front();
         startDsStore(std::move(e));
     }
-    if (pendingDsAcks_ == 0) {
-        std::deque<std::function<void()>> thunks;
-        thunks.swap(awaitingDsDrain_);
-        for (auto& t : thunks)
-            t();
-    }
+    if (pendingDsAcks_ == 0)
+        runDsDrainWaiters();
     maybeFinishFence();
+}
+
+void CpuCore::runDsDrainWaiters()
+{
+    std::deque<InlineCallback> thunks;
+    thunks.swap(awaitingDsDrain_);
+    for (auto& t : thunks)
+        t();
 }
 
 void CpuCore::flushAllRsb()
@@ -510,7 +513,7 @@ void CpuCore::doUncachedLoad(Addr pa, const CpuOp& op, Tick extraLatency)
         msg.type = MsgType::kUcRead;
         msg.addr = lineAlign(pa);
         msg.src = params_.self;
-        msg.dst = params_.sliceOf(pa);
+        msg.dst = params_.homeMap.homeSlice(pa);
         msg.requester = params_.self;
         msg.prof = ucProf_;
         if (TxnProfiler* p = profiling())
@@ -531,7 +534,7 @@ void CpuCore::sendUcRead()
     msg.type = MsgType::kUcRead;
     msg.addr = lineAlign(ucPa_);
     msg.src = params_.self;
-    msg.dst = params_.sliceOf(ucPa_);
+    msg.dst = params_.homeMap.homeSlice(ucPa_);
     msg.requester = params_.self;
     msg.txn = ucTxn_;
     msg.prof = ucProf_;
@@ -575,7 +578,7 @@ void CpuCore::retryUcLoad()
 void CpuCore::fallbackUcLoad()
 {
     assert(pendingUcLoad_);
-    pendingUcLoad_ = nullptr;
+    pendingUcLoad_ = {};
     ++ucSeq_; // disarm any in-flight timeout
     dsFallbackLoads_.inc();
     if (TxnProfiler* p = profiling()) {
@@ -629,12 +632,8 @@ void CpuCore::handleDsMessage(const Message& msg)
             p->end(msg.prof, curTick());
         }
         --pendingDsAcks_;
-        if (pendingDsAcks_ == 0) {
-            std::deque<std::function<void()>> thunks;
-            thunks.swap(awaitingDsDrain_);
-            for (auto& t : thunks)
-                t();
-        }
+        if (pendingDsAcks_ == 0)
+            runDsDrainWaiters();
         maybeFinishFence();
         break;
     }
@@ -662,7 +661,6 @@ void CpuCore::handleDsMessage(const Message& msg)
                 p->end(msg.prof, curTick());
             }
             auto handler = std::move(pendingUcLoad_);
-            pendingUcLoad_ = nullptr;
             handler(msg);
             break;
         }
@@ -673,7 +671,6 @@ void CpuCore::handleDsMessage(const Message& msg)
             p->end(msg.prof, curTick());
         }
         auto handler = std::move(pendingUcLoad_);
-        pendingUcLoad_ = nullptr;
         handler(msg);
         break;
     }

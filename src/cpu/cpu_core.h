@@ -19,7 +19,6 @@
 #pragma once
 
 #include <deque>
-#include <functional>
 #include <map>
 #include <optional>
 #include <vector>
@@ -27,6 +26,7 @@
 #include "cpu/cpu_cache_agent.h"
 #include "cpu/program.h"
 #include "cpu/tlb.h"
+#include "fault/fault_injector.h"
 #include "net/network.h"
 
 namespace dscoh {
@@ -40,7 +40,7 @@ public:
         std::size_t rsbEntries = 4;
         NodeId self = kInvalidNode;         ///< this core's id on the DS network
         Network* dsNet = nullptr;           ///< dedicated CPU -> GPU L2 network
-        std::function<NodeId(Addr)> sliceOf; ///< PA -> owning slice's node id
+        HomeMap homeMap{}; ///< routes a PA to its home slice
 
         // --- delivery hardening (0 / empty = legacy fire-and-forget) ---
         Tick dsAckTimeout = 0;         ///< ticks before a retransmit fires
@@ -51,8 +51,9 @@ public:
         /// enough that no copy of the abandoned push is still on the wire
         /// (System computes it from the network and fault parameters).
         Tick dsMslTicks = 0;
-        std::function<bool()> dsNetDown; ///< DS-network outage probe
-        bool dsVerifyChecksum = false;   ///< verify UcData payload integrity
+        /// The DS network's fault injector (its outage window), or null.
+        const FaultInjector* dsFault = nullptr;
+        bool dsVerifyChecksum = false; ///< verify UcData payload integrity
     };
 
     CpuCore(std::string name, SimContext& ctx, Params params, Tlb& tlb,
@@ -61,7 +62,7 @@ public:
     /// Starts executing @p program; @p onDone fires once every op has
     /// executed AND all buffered stores (local and remote) are globally
     /// performed (implicit trailing fence).
-    void run(const CpuProgram& program, std::function<void()> onDone);
+    void run(const CpuProgram& program, InlineCallback onDone);
 
     /// Entry point for DsAck / UcData arriving on the dedicated network.
     void handleDsMessage(const Message& msg);
@@ -128,7 +129,8 @@ private:
     bool hardened() const { return params_.dsAckTimeout != 0; }
     bool dsNetMarkedDown() const
     {
-        return params_.dsFallback && params_.dsNetDown && params_.dsNetDown();
+        return params_.dsFallback && params_.dsFault != nullptr &&
+               params_.dsFault->linkDownNow(curTick());
     }
     void startDsStore(RsbEntry entry);
     void sendDsPutX(std::uint64_t txn);
@@ -138,6 +140,8 @@ private:
     void beginDsFallback(std::uint64_t txn);
     void applyDsFallback(std::uint64_t txn);
     void completeDsStore();
+    /// Runs the loads waiting for every direct store to be acknowledged.
+    void runDsDrainWaiters();
     void sendUcRead();
     void onUcTimeout(std::uint64_t txn, std::uint64_t seq);
     void retryUcLoad();
@@ -156,7 +160,7 @@ private:
 
     const CpuProgram* program_ = nullptr;
     std::size_t pc_ = 0;
-    std::function<void()> onDone_;
+    InlineCallback onDone_;
     bool fencing_ = false;
 
     std::deque<StoreBufferEntry> storeBuffer_;
@@ -173,14 +177,14 @@ private:
     std::deque<RsbEntry> dsBacklog_; ///< overflow past dsInFlightMax
     std::uint64_t nextDsTxn_ = 1;
 
-    std::function<void(const Message&)> pendingUcLoad_;
+    BasicInlineCallback<void(const Message&)> pendingUcLoad_;
     std::uint64_t ucTxn_ = 0; ///< txn of the outstanding hardened UcRead
     std::uint64_t ucSeq_ = 0; ///< bumped to invalidate armed UcRead timeouts
     std::uint32_t ucRetries_ = 0;
     std::uint64_t ucProf_ = 0; ///< TxnProfiler span of the outstanding UcRead
     Addr ucPa_ = 0;
     CpuOp ucOp_{};
-    std::deque<std::function<void()>> awaitingDsDrain_;
+    std::deque<InlineCallback> awaitingDsDrain_;
 
     Counter loads_;
     Counter stores_;

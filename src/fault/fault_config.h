@@ -67,12 +67,6 @@ struct FaultConfig {
     bool linkDownConfigured() const { return linkDownUntil != 0; }
     /// True when this configuration can ever perturb a message.
     bool enabled() const { return anyProbabilistic() || linkDownConfigured(); }
-    /// True when a fault class the DS protocol must recover from is on.
-    bool anyUnsafe() const
-    {
-        return dropPpm != 0 || dupPpm != 0 || corruptPpm != 0 ||
-               linkDownConfigured();
-    }
 };
 
 } // namespace dscoh

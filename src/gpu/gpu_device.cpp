@@ -12,7 +12,7 @@ GpuDevice::GpuDevice(std::string name, SimContext& ctx, Params params,
     assert(!sms_.empty());
 }
 
-void GpuDevice::launch(const KernelDesc& kernel, std::function<void()> onDone)
+void GpuDevice::launch(const KernelDesc& kernel, InlineCallback onDone)
 {
     assert(!active_ && "kernels launch serially");
     active_ = true;
@@ -25,10 +25,8 @@ void GpuDevice::launch(const KernelDesc& kernel, std::function<void()> onDone)
         t->instant(TraceCat::kKernel, name(), "launch", curTick());
 
     queue().scheduleAfterInline(params_.launchLatency, [this] {
-        for (StreamingMultiprocessor* sm : sms_) {
-            sm->beginKernel(*kernel_, [this] { return nextBlock(); },
-                            [this] { onSmIdle(); });
-        }
+        for (StreamingMultiprocessor* sm : sms_)
+            sm->beginKernel(*kernel_, *this);
         onSmIdle(); // zero-block grids complete immediately
     }, EventPriority::kCore);
 }
@@ -55,8 +53,7 @@ void GpuDevice::onSmIdle()
                 "blocks", kernel_->blocks);
     active_ = false;
     kernel_ = nullptr;
-    auto done = std::move(onDone_);
-    onDone_ = nullptr;
+    InlineCallback done = std::move(onDone_);
     if (done)
         done();
 }

@@ -1,7 +1,7 @@
 // GPU device: dispatches kernel grids across the SMs and tracks completion.
 #pragma once
 
-#include <functional>
+#include <optional>
 #include <vector>
 
 #include "gpu/sm.h"
@@ -20,7 +20,7 @@ public:
     /// Launches @p kernel; @p onDone fires when every block retired and all
     /// write-through stores are globally performed. Kernels are serial (the
     /// benchmarks under study launch one grid at a time).
-    void launch(const KernelDesc& kernel, std::function<void()> onDone);
+    void launch(const KernelDesc& kernel, InlineCallback onDone);
 
     bool busy() const { return active_; }
 
@@ -38,10 +38,14 @@ public:
             throw snap::SnapError(name() + ": bad quiescence marker");
     }
 
-private:
+    /// The next block id of the active grid for an SM to run (nullopt
+    /// once the grid is exhausted).
     std::optional<std::uint32_t> nextBlock();
+    /// An SM drained; completes the kernel once every SM is idle and no
+    /// block is left.
     void onSmIdle();
 
+private:
     Params params_;
     std::vector<StreamingMultiprocessor*> sms_;
 
@@ -49,7 +53,7 @@ private:
     std::uint32_t nextBlock_ = 0;
     bool active_ = false;
     Tick launchedAt_ = 0; ///< launch tick of the active kernel (trace span)
-    std::function<void()> onDone_;
+    InlineCallback onDone_;
 
     Counter kernelsLaunched_;
     Counter blocksDispatched_;

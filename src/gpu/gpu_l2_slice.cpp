@@ -35,10 +35,10 @@ void GpuL2Slice::maybePrefetch(Addr missAddr)
 {
     // Sequential next-line prefetcher, striding over the lines this slice
     // owns. Pure pull-based comparison point for direct store.
+    const Addr stride =
+        static_cast<Addr>(params().homeMap.slicesPerGpu()) * kLineSize;
     for (std::uint32_t i = 1; i <= slice_.prefetchDepth; ++i) {
-        const Addr next =
-            lineAlign(missAddr) +
-            static_cast<Addr>(i) * slice_.slices * kLineSize;
+        const Addr next = lineAlign(missAddr) + i * stride;
         if (array().find(next) != nullptr)
             continue;
         prefetches_.inc();
@@ -320,7 +320,7 @@ CacheAgent::Wait GpuL2Slice::tryDirectStore(const Message& msg)
             c->onStoreApplied(base, msg.data, msg.mask);
         noteTransition(CohState::kI, CohEvent::kRemoteStore, CohState::kM,
                        base);
-        slice_.dram->writeMasked(base, msg.data, msg.mask, nullptr);
+        slice_.dram->writeMasked(base, msg.data, msg.mask);
         noteFilled(base);
         dsFills_.inc();
         onFill(installed);
@@ -397,14 +397,6 @@ bool GpuL2Slice::remoteHomed(Addr addr) const
     return params().homeMap.homeOf(addr) != slice_.myGpu;
 }
 
-NodeId GpuL2Slice::homeSliceFor(Addr base) const
-{
-    const std::uint32_t homeGpu = params().homeMap.homeOf(base);
-    const std::uint32_t sliceIndex = static_cast<std::uint32_t>(
-        lineNumber(base) % slice_.slices);
-    return slice_.firstSliceNode + homeGpu * slice_.slices + sliceIndex;
-}
-
 Tick GpuL2Slice::holdUntil(Addr base) const
 {
     if (params().injectBug == InjectedBug::kCrossShardOrder)
@@ -459,7 +451,7 @@ void GpuL2Slice::startTsRead(const Message& msg)
     req.type = MsgType::kTsRead;
     req.addr = base;
     req.src = params().self;
-    req.dst = homeSliceFor(base);
+    req.dst = params().homeMap.homeSlice(base);
     req.requester = params().self;
     slice_.dsNet->send(std::move(req));
 }

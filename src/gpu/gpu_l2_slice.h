@@ -29,7 +29,6 @@ public:
         /// Used by the prefetching-vs-direct-store ablation (§IV-C notes
         /// direct store beats prefetching; bench/ablation_prefetch checks).
         std::uint32_t prefetchDepth = 0;
-        std::uint32_t slices = 4; ///< stride between slice-local lines
 
         // --- delivery hardening (PROTOCOL.md "Delivery hardening") ---
         /// Track DsPutX transaction ids, squash duplicates idempotently and
@@ -51,10 +50,6 @@ public:
         /// Which GPU this slice belongs to (the shard index the agent's
         /// homeMap reports for locally-homed addresses).
         std::uint32_t myGpu = 0;
-        /// Node id of GPU 0's slice 0: slice s of GPU g is firstSliceNode +
-        /// g * slices + s, which is how a requester addresses the remote
-        /// home slice of a line.
-        NodeId firstSliceNode = 1;
     };
 
     GpuL2Slice(std::string name, SimContext& ctx,
@@ -75,13 +70,9 @@ public:
     std::uint64_t compulsoryMisses() const { return compulsory_.value(); }
     std::uint64_t dsFills() const { return dsFills_.value(); }
     std::uint64_t dsBypasses() const { return dsBypassed_.value(); }
-    std::uint64_t prefetchesIssued() const { return prefetches_.value(); }
 
     // Timestamp fast path (multi-GPU): lease traffic observed by tests.
-    std::uint64_t tsReadsSent() const { return tsReads_.value(); }
-    std::uint64_t tsLeaseHits() const { return tsHits_.value(); }
     std::uint64_t tsGrantsIssued() const { return tsGrants_.value(); }
-    std::uint64_t tsLeaseHolds() const { return tsHolds_.value(); }
 
     /// Adds the lease buffer and the granted-lease table to the coherent
     /// agent's snapshot (only when the fast path is configured, so 1-GPU
@@ -116,8 +107,6 @@ private:
     // --- timestamp fast path (multi-GPU) ---
     /// Is @p addr ordered by another GPU's directory shard?
     bool remoteHomed(Addr addr) const;
-    /// The remote home slice holding @p base (same slice interleave there).
-    NodeId homeSliceFor(Addr base) const;
     /// Serve a load from the lease buffer if a valid epoch covers it;
     /// expired entries self-invalidate lazily (HALCONE-style).
     bool tryServeLeased(const Message& msg);

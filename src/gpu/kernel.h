@@ -40,11 +40,6 @@ struct GpuOp {
 };
 static_assert(sizeof(GpuOp) == 24, "GpuOp layout grew");
 
-constexpr bool isGlobalMem(GpuOp::Kind k)
-{
-    return k == GpuOp::Kind::kLoad || k == GpuOp::Kind::kStore;
-}
-
 /// Records one thread's op stream. The SM records a whole warp's lanes
 /// into one builder, back to back, and clear()s it for the next warp.
 class ThreadBuilder {

@@ -5,8 +5,11 @@
 #include <cassert>
 #include <cstddef>
 #include <memory_resource>
+#include <optional>
 #include <unordered_map>
 #include <utility>
+
+#include "gpu/gpu_device.h"
 
 namespace dscoh {
 
@@ -76,7 +79,7 @@ StreamingMultiprocessor::StreamingMultiprocessor(std::string name,
     : SimObject(std::move(name), ctx), params_(std::move(params)),
       space_(space), l1_(params_.l1Geometry)
 {
-    assert(params_.gpuNet && params_.sliceOf);
+    assert(params_.gpuNet);
     blockSlots_.resize(params_.maxResidentBlocks);
     laneBounds_.resize(params_.lanes + 1);
     laneOffset_.resize(params_.lanes);
@@ -86,15 +89,12 @@ StreamingMultiprocessor::StreamingMultiprocessor(std::string name,
     storeLines_.resize(params_.lanes);
 }
 
-void StreamingMultiprocessor::beginKernel(
-    const KernelDesc& kernel,
-    std::function<std::optional<std::uint32_t>()> requestBlock,
-    std::function<void()> onIdle)
+void StreamingMultiprocessor::beginKernel(const KernelDesc& kernel,
+                                          GpuDevice& device)
 {
     assert(idle() && "SM still busy with the previous kernel");
     kernel_ = &kernel;
-    requestBlock_ = std::move(requestBlock);
-    onIdle_ = std::move(onIdle);
+    device_ = &device;
     gridExhausted_ = false;
 
     // Software coherence at kernel boundaries: flash-invalidate the L1 so
@@ -108,7 +108,7 @@ void StreamingMultiprocessor::beginKernel(
 void StreamingMultiprocessor::pullBlocks()
 {
     while (!gridExhausted_ && residentBlocks_ < params_.maxResidentBlocks) {
-        const std::optional<std::uint32_t> block = requestBlock_();
+        const std::optional<std::uint32_t> block = device_->nextBlock();
         if (!block) {
             gridExhausted_ = true;
             break;
@@ -362,7 +362,7 @@ void StreamingMultiprocessor::execLoads(Warp& warp)
             req.type = MsgType::kL1Load;
             req.addr = lineAddr;
             req.src = params_.self;
-            req.dst = params_.sliceOf(lineAddr);
+            req.dst = params_.homeMap.sliceOn(params_.gpu, lineAddr);
             req.requester = params_.self;
             if (TxnProfiler* p = profiling())
                 req.prof = p->begin(TxnKind::kGpuLoad, lineAddr, name(),
@@ -406,7 +406,7 @@ bool StreamingMultiprocessor::execStores(Warp& warp)
         st.type = MsgType::kL1Store;
         st.addr = lineAddr;
         st.src = params_.self;
-        st.dst = params_.sliceOf(lineAddr);
+        st.dst = params_.homeMap.sliceOn(params_.gpu, lineAddr);
         st.requester = params_.self;
         st.data = payload.data;
         st.mask = payload.mask;
@@ -467,8 +467,8 @@ bool StreamingMultiprocessor::idle() const
 
 void StreamingMultiprocessor::maybeReportIdle()
 {
-    if (idle() && gridExhausted_ && onIdle_)
-        onIdle_();
+    if (idle() && gridExhausted_ && device_ != nullptr)
+        device_->onSmIdle();
 }
 
 void StreamingMultiprocessor::regStats(StatRegistry& registry)

@@ -17,12 +17,11 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
+#include "coherence/home_map.h"
 #include "gpu/gpu_l1.h"
 #include "gpu/kernel.h"
 #include "net/network.h"
@@ -52,6 +51,8 @@ private:
     std::uint64_t acc_ = 0;
 };
 
+class GpuDevice;
+
 class StreamingMultiprocessor final : public SimObject {
 public:
     struct Params {
@@ -62,20 +63,19 @@ public:
         std::size_t maxOutstandingStores = 64;
         NodeId self = kInvalidNode;
         Network* gpuNet = nullptr;
-        std::function<NodeId(Addr)> sliceOf;
+        HomeMap homeMap{};     ///< routes a line to this GPU's slice
+        std::uint32_t gpu = 0; ///< the GPU this SM belongs to
         CacheGeometry l1Geometry;
     };
 
     StreamingMultiprocessor(std::string name, SimContext& ctx, Params params,
                             const AddressSpace& space);
 
-    /// Called by the device at kernel launch. @p requestBlock hands out the
-    /// next block id (nullopt when the grid is exhausted); @p onIdle fires
-    /// every time this SM drains completely (no warps, no blocks to pull,
-    /// no outstanding stores).
-    void beginKernel(const KernelDesc& kernel,
-                     std::function<std::optional<std::uint32_t>()> requestBlock,
-                     std::function<void()> onIdle);
+    /// Called by @p device at kernel launch. The SM pulls block ids from
+    /// device.nextBlock() until the grid is exhausted, and calls
+    /// device.onSmIdle() every time it drains completely (no warps, no
+    /// blocks to pull, no outstanding stores).
+    void beginKernel(const KernelDesc& kernel, GpuDevice& device);
 
     /// kL1LoadResp / kL1StoreAck from the L2 slices.
     void handleGpuMessage(const Message& msg);
@@ -85,7 +85,6 @@ public:
     void regStats(StatRegistry& registry) override;
 
     std::uint64_t checkFailures() const { return checkFailures_.value(); }
-    std::uint64_t warpsRetired() const { return warpsRetired_.value(); }
     GpuL1& l1() { return l1_; }
 
     /// L1 contents plus the clock-conversion remainder. Everything else
@@ -179,8 +178,7 @@ private:
     GpuClock clock_;
 
     const KernelDesc* kernel_ = nullptr;
-    std::function<std::optional<std::uint32_t>()> requestBlock_;
-    std::function<void()> onIdle_;
+    GpuDevice* device_ = nullptr; ///< set by the first beginKernel
 
     std::vector<std::unique_ptr<Warp>> warps_;
     std::deque<Warp*> readyQ_;

@@ -5,7 +5,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -111,7 +110,8 @@ public:
     /// Selects a victim among valid lines in @p a's set for which
     /// @p evictable returns true. Returns nullptr when nothing is evictable
     /// (every way pinned by an in-flight transaction).
-    Line* selectVictim(Addr a, const std::function<bool(const Line&)>& evictable)
+    template <typename Pred>
+    Line* selectVictim(Addr a, Pred&& evictable)
     {
         const std::uint32_t set = setIndex(a);
         std::vector<bool> candidates(geom_.ways, false);
@@ -147,15 +147,24 @@ public:
     }
 
     /// Iterates over every valid line (for invariant checks and flushes).
-    void forEachValid(const std::function<void(Line&)>& fn)
+    template <typename Fn>
+    void forEachValid(Fn&& fn)
     {
         for (auto& line : lines_)
             if (line.valid)
                 fn(line);
     }
+    template <typename Fn>
+    void forEachValid(Fn&& fn) const
+    {
+        for (const auto& line : lines_)
+            if (line.valid)
+                fn(line);
+    }
 
     /// Counts valid lines in @p a's set matching @p pred.
-    std::uint32_t countInSet(Addr a, const std::function<bool(const Line&)>& pred) const
+    template <typename Pred>
+    std::uint32_t countInSet(Addr a, Pred&& pred) const
     {
         const std::uint32_t set =
             const_cast<CacheArray*>(this)->setIndex(a);
@@ -181,9 +190,8 @@ public:
     /// Serializes every way in index order (tag, data, caller-encoded meta)
     /// plus the replacement-policy state. Geometry is config-derived;
     /// restore runs on an identically configured array.
-    void snapSave(snap::SnapWriter& w,
-                  const std::function<void(snap::SnapWriter&, const MetaT&)>&
-                      metaSave) const
+    template <typename MetaSave>
+    void snapSave(snap::SnapWriter& w, MetaSave&& metaSave) const
     {
         for (const Line& line : lines_) {
             w.u8(line.valid ? 1 : 0);
@@ -196,9 +204,8 @@ public:
         policy_->snapSave(w);
     }
 
-    void snapRestore(snap::SnapReader& r,
-                     const std::function<void(snap::SnapReader&, MetaT&)>&
-                         metaRestore)
+    template <typename MetaRestore>
+    void snapRestore(snap::SnapReader& r, MetaRestore&& metaRestore)
     {
         for (Line& line : lines_) {
             line.valid = r.u8() != 0;

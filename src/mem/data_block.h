@@ -43,8 +43,6 @@ public:
         std::memcpy(bytes_.data() + offset, src.bytes_.data() + offset, size);
     }
 
-    void copyFrom(const DataBlock& src) { bytes_ = src.bytes_; }
-
     bool operator==(const DataBlock& other) const { return bytes_ == other.bytes_; }
 
     const std::uint8_t* data() const { return bytes_.data(); }

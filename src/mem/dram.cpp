@@ -65,8 +65,7 @@ void Dram::read(Addr addr, DramCallback done)
     const Tick when = scheduleAccess(addr);
     if (TraceSession* t = tracing(TraceCat::kDram))
         t->span(TraceCat::kDram, name(), "read", curTick(), when, addr);
-    queue().scheduleInline(when, [cb = std::move(done)] { cb(); },
-                           EventPriority::kController);
+    queue().schedule(when, std::move(done), EventPriority::kController);
 }
 
 void Dram::write(Addr addr, const DataBlock& data, DramCallback done)
@@ -85,7 +84,6 @@ void Dram::write(Addr addr, const DataBlock& data, DramCallback done)
                            [this, p] {
                                store_.writeLine(p->addr, p->data);
                                DramCallback cb = std::move(p->done);
-                               p->done = nullptr;
                                writePool_.release(p);
                                if (cb)
                                    cb();
@@ -109,7 +107,6 @@ void Dram::writeMasked(Addr addr, const DataBlock& data, const ByteMask& mask,
                            [this, p] {
                                store_.writeMasked(p->addr, p->data, p->mask);
                                DramCallback cb = std::move(p->done);
-                               p->done = nullptr;
                                writePool_.release(p);
                                if (cb)
                                    cb();

@@ -5,10 +5,10 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "mem/backing_store.h"
+#include "sim/inline_callback.h"
 #include "sim/object_pool.h"
 #include "sim/sim_object.h"
 #include "sim/stats.h"
@@ -29,8 +29,9 @@ struct DramTiming {
 };
 
 /// DRAM access completion callback: invoked at the tick the data is available
-/// (reads) or globally visible (writes).
-using DramCallback = std::function<void()>;
+/// (reads) or globally visible (writes). A read schedules it as the
+/// completion event itself, so its capture must fit the event's buffer.
+using DramCallback = InlineCallback;
 
 /// Abstract memory channel interface: what the coherence side needs from
 /// memory. Implemented by a single Dram channel and by DramPool.
@@ -39,10 +40,10 @@ public:
     virtual ~MemoryInterface() = default;
     virtual void read(Addr addr, DramCallback done) = 0;
     virtual void write(Addr addr, const DataBlock& data,
-                       DramCallback done = nullptr) = 0;
+                       DramCallback done = {}) = 0;
     virtual void writeMasked(Addr addr, const DataBlock& data,
                              const ByteMask& mask,
-                             DramCallback done = nullptr) = 0;
+                             DramCallback done = {}) = 0;
 };
 
 class Dram final : public SimObject, public MemoryInterface {
@@ -50,17 +51,17 @@ public:
     Dram(std::string name, SimContext& ctx, BackingStore& store,
          const DramTiming& timing = DramTiming{});
 
-    /// Queues a line read. @p done fires when data is ready; read the bytes
-    /// from the backing store at that point.
+    /// Queues a line read. @p done is the completion event: it fires when
+    /// data is ready; read the bytes from the backing store at that point.
     void read(Addr addr, DramCallback done) override;
 
     /// Queues a full-line write of @p data.
     void write(Addr addr, const DataBlock& data,
-               DramCallback done = nullptr) override;
+               DramCallback done = {}) override;
 
     /// Queues a masked (partial-line) write.
     void writeMasked(Addr addr, const DataBlock& data, const ByteMask& mask,
-                     DramCallback done = nullptr) override;
+                     DramCallback done = {}) override;
 
     void regStats(StatRegistry& registry) override;
 

@@ -31,8 +31,9 @@ public:
         return static_cast<std::uint32_t>(channels_.size());
     }
 
-    /// The channel owning @p addr (line-interleaved above the GPU-slice
-    /// bits so slices spread evenly over channels).
+    /// The channel owning @p addr: the low line-number bits, the same bits
+    /// that pick the GPU L2 slice. With as many channels as slices, slice s
+    /// only ever reaches channel s.
     Dram& channelOf(Addr addr)
     {
         const std::size_t c = static_cast<std::size_t>(

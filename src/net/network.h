@@ -115,7 +115,6 @@ public:
     void send(Message msg);
 
     const NetworkParams& params() const { return params_; }
-    void setHopLatency(Tick l) { params_.hopLatency = l; }
 
     /// Lays the listed nodes out on a ring: a message between two ring
     /// members pays hopLatency per traversed link (shortest direction)
@@ -134,7 +133,6 @@ public:
     /// regStats (the injector's presence decides which counters exist).
     /// Without one, send() costs a single null-pointer test extra.
     void attachFaultInjector(FaultInjector* f) { fault_ = f; }
-    FaultInjector* faultInjector() const { return fault_; }
 
     void regStats(StatRegistry& registry) override;
 
@@ -146,10 +144,6 @@ public:
 
     std::uint64_t messagesSent() const { return messages_.value(); }
     std::uint64_t bytesSent() const { return bytes_.value(); }
-    std::uint64_t messagesOfType(MsgType t) const
-    {
-        return byType_[static_cast<std::size_t>(t)].value();
-    }
 
 private:
     struct HolderBase {

@@ -113,18 +113,4 @@ void EpochSampler::writeJson(std::ostream& os) const
     os << w.end().end().str();
 }
 
-void EpochSampler::writeCsv(std::ostream& os) const
-{
-    os << "tick";
-    for (const std::string& name : names_)
-        os << ',' << name;
-    os << '\n';
-    for (const Sample& s : samples_) {
-        os << s.tick;
-        for (const std::uint64_t v : s.values)
-            os << ',' << v;
-        os << '\n';
-    }
-}
-
 } // namespace dscoh

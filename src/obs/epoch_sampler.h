@@ -58,9 +58,6 @@ public:
     /// per-epoch rates.
     void writeJson(std::ostream& os) const;
 
-    /// Header row plus one CSV row per epoch, for quick plotting.
-    void writeCsv(std::ostream& os) const;
-
     /// Serializes epochTicks (verified on restore), the resolved counter
     /// names and every sample taken so far. Safe points never have the
     /// sampling event armed, so there is no transient state to lose.

@@ -62,7 +62,6 @@ public:
     TraceSession& operator=(const TraceSession&) = delete;
 
     bool enabled(TraceCat c) const { return (mask_ & traceCatBit(c)) != 0; }
-    std::uint32_t categoryMask() const { return mask_; }
 
     /// An instantaneous event on @p track at @p ts. @p name (and the
     /// optional from/to/valueKey strings passed to the overloads below) must
@@ -128,8 +127,6 @@ public:
         e.value = id;
         e.isFlow = true;
     }
-
-    std::size_t eventCount() const { return events_.size(); }
 
     /// Writes the whole session as a Chrome trace-event JSON object:
     /// {"traceEvents": [...]} with one thread_name metadata record per

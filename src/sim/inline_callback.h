@@ -1,12 +1,14 @@
-// Small-buffer-optimized type-erased callback for the event engine.
+// Small-buffer-optimized type-erased callback: the simulated machine's one
+// owning callback type.
 //
 // The event queue executes tens of millions of callbacks per simulated run;
 // std::function's allocation behavior (heap for any capture beyond ~16 bytes)
 // made every network delivery and most controller steps pay a malloc/free
-// pair. InlineCallback stores captures up to kInlineSize bytes inside the
-// object itself — enough for every hot scheduling site in the simulator —
+// pair. BasicInlineCallback<R(Args...)> stores captures up to its inline size
+// inside the object itself — enough for every hot site in the simulator —
 // and falls back to the heap only for oversized or throwing-move captures.
-// The queue counts those spills (queue.heap_spilled_callbacks) so a capture
+// InlineCallback is the void() form with the 64-byte buffer the event queue
+// uses. The queue counts spills (queue.heap_spilled_callbacks) so a capture
 // that silently outgrows the buffer shows up in the stats, and the hot sites
 // additionally static_assert the fit via EventQueue::scheduleInline.
 #pragma once
@@ -20,12 +22,17 @@
 
 namespace dscoh {
 
-class InlineCallback {
+template <typename Signature, std::size_t InlineSize = 64>
+class BasicInlineCallback;
+
+template <typename R, typename... Args, std::size_t InlineSize>
+class BasicInlineCallback<R(Args...), InlineSize> {
 public:
-    /// Inline capture budget, sized to the largest hot capture in the tree
-    /// ([this, pa, op] in the CPU core: 8 + 8 + sizeof(CpuOp)=48 bytes).
-    /// Anything bigger belongs in a pooled slot (see sim/object_pool.h).
-    static constexpr std::size_t kInlineSize = 64;
+    /// Inline capture budget. The default is sized to the largest hot event
+    /// capture in the tree ([this, pa, op] in the CPU core: 8 + 8 +
+    /// sizeof(CpuOp)=48 bytes); anything bigger belongs in a pooled slot
+    /// (see sim/object_pool.h).
+    static constexpr std::size_t kInlineSize = InlineSize;
     static constexpr std::size_t kInlineAlign = alignof(std::max_align_t);
 
     /// True when a callable of type F would live in the inline buffer.
@@ -40,16 +47,16 @@ public:
                std::is_nothrow_move_constructible_v<D>;
     }
 
-    InlineCallback() = default;
+    BasicInlineCallback() = default;
 
     template <typename F,
               typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<F>, InlineCallback>>>
-    InlineCallback(F&& f) // NOLINT: implicit by design, mirrors std::function
+                  !std::is_same_v<std::decay_t<F>, BasicInlineCallback>>>
+    BasicInlineCallback(F&& f) // NOLINT: implicit by design, mirrors std::function
     {
         using D = std::decay_t<F>;
-        static_assert(std::is_invocable_r_v<void, D&>,
-                      "callback must be invocable as void()");
+        static_assert(std::is_invocable_r_v<R, D&, Args...>,
+                      "callback must be invocable with the signature");
         if constexpr (fitsInline<F>()) {
             ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
             ops_ = &InlineModel<D>::kOps;
@@ -59,45 +66,33 @@ public:
         }
     }
 
-    InlineCallback(InlineCallback&& other) noexcept : ops_(other.ops_)
+    BasicInlineCallback(BasicInlineCallback&& other) noexcept
+        : ops_(other.ops_)
     {
-        if (ops_ != nullptr) {
-            // Almost every capture in the simulator is trivially copyable
-            // (pointers + PODs), so a move is a fixed-size memcpy the
-            // compiler turns into a few vector loads — no indirect call.
-            if (ops_->trivialMove)
-                std::memcpy(storage_, other.storage_, kInlineSize);
-            else
-                ops_->relocate(storage_, other.storage_);
-            other.ops_ = nullptr;
-        }
+        if (ops_ != nullptr)
+            takeStorage(other);
     }
 
-    InlineCallback& operator=(InlineCallback&& other) noexcept
+    BasicInlineCallback& operator=(BasicInlineCallback&& other) noexcept
     {
         if (this != &other) {
             reset();
             ops_ = other.ops_;
-            if (ops_ != nullptr) {
-                if (ops_->trivialMove)
-                    std::memcpy(storage_, other.storage_, kInlineSize);
-                else
-                    ops_->relocate(storage_, other.storage_);
-                other.ops_ = nullptr;
-            }
+            if (ops_ != nullptr)
+                takeStorage(other);
         }
         return *this;
     }
 
-    InlineCallback(const InlineCallback&) = delete;
-    InlineCallback& operator=(const InlineCallback&) = delete;
+    BasicInlineCallback(const BasicInlineCallback&) = delete;
+    BasicInlineCallback& operator=(const BasicInlineCallback&) = delete;
 
-    ~InlineCallback() { reset(); }
+    ~BasicInlineCallback() { reset(); }
 
-    void operator()()
+    R operator()(Args... args)
     {
         assert(ops_ != nullptr && "invoking an empty InlineCallback");
-        ops_->invoke(storage_);
+        return ops_->invoke(storage_, std::forward<Args>(args)...);
     }
 
     explicit operator bool() const { return ops_ != nullptr; }
@@ -108,7 +103,7 @@ public:
 
 private:
     struct Ops {
-        void (*invoke)(void* storage);
+        R (*invoke)(void* storage, Args&&... args);
         /// Move-construct into @p dst from @p src and destroy @p src. Only
         /// consulted when trivialMove is false.
         void (*relocate)(void* dst, void* src) noexcept;
@@ -128,7 +123,11 @@ private:
         {
             return std::launder(static_cast<D*>(s));
         }
-        static void invoke(void* s) { (*self(s))(); }
+        // static_cast<void> drops a result the void() form does not want.
+        static R invoke(void* s, Args&&... args)
+        {
+            return static_cast<R>((*self(s))(std::forward<Args>(args)...));
+        }
         static void relocate(void* dst, void* src) noexcept
         {
             ::new (dst) D(std::move(*self(src)));
@@ -147,7 +146,10 @@ private:
         {
             return *std::launder(static_cast<D**>(s));
         }
-        static void invoke(void* s) { (*self(s))(); }
+        static R invoke(void* s, Args&&... args)
+        {
+            return static_cast<R>((*self(s))(std::forward<Args>(args)...));
+        }
         static void relocate(void* dst, void* src) noexcept
         {
             ::new (dst) D*(self(src));
@@ -155,6 +157,29 @@ private:
         static void destroy(void* s) noexcept { delete self(s); }
         static constexpr Ops kOps{&invoke, &relocate, &destroy, true, true};
     };
+
+    /// Moves @p other's stored state (ops_ already copied) and empties it.
+    void takeStorage(BasicInlineCallback& other) noexcept
+    {
+        // Almost every capture in the simulator is trivially copyable
+        // (pointers + PODs), so a move is a fixed-size memcpy the compiler
+        // turns into a few vector loads — no indirect call. The buffer's
+        // bytes past the capture are indeterminate; copying them as
+        // unsigned char is well-defined, which GCC cannot always see once
+        // a small capture's construction is inlined into the caller.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
+        if (ops_->trivialMove)
+            std::memcpy(storage_, other.storage_, kInlineSize);
+        else
+            ops_->relocate(storage_, other.storage_);
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+        other.ops_ = nullptr;
+    }
 
     void reset() noexcept
     {
@@ -168,5 +193,8 @@ private:
     alignas(kInlineAlign) unsigned char storage_[kInlineSize];
     const Ops* ops_ = nullptr;
 };
+
+/// The event queue's callback, and every other owned void() callback.
+using InlineCallback = BasicInlineCallback<void()>;
 
 } // namespace dscoh

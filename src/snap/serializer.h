@@ -80,7 +80,6 @@ public:
     /// names must be unique within a file.
     void beginSection(const std::string& name);
     void endSection();
-    bool inSection() const { return open_; }
 
     void u8(std::uint8_t v) { raw(&v, 1); }
     void u32(std::uint32_t v);

@@ -7,6 +7,7 @@
 
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -45,13 +46,22 @@ enum class ReadStatus {
     kStalled, ///< peer started a line but never finished it
 };
 
+/// Idle timeout between lines (a silent client gets dropped).
+constexpr std::chrono::milliseconds kRecvTimeout{30000};
+/// Stall deadline for one line: a client that starts a request but has
+/// not finished it this long later gets an error and the boot — a
+/// drip-feeding peer cannot monopolize the single-connection loop.
+constexpr std::chrono::milliseconds kLineDeadline{10000};
+/// The socket's receive timeout: both deadlines are checked at this
+/// granularity.
+constexpr timeval kRecvTick{1, 0};
+
 /// Reads one framed line. Two distinct timeouts guard the loop: an idle
-/// peer (no line started) gets recvTimeoutMs before the connection drops
+/// peer (no line started) gets kRecvTimeout before the connection drops
 /// silently; a SLOW-WRITING peer (line started, bytes trickling or
-/// stopped) gets lineDeadlineMs from its first byte — a drip-feeding
+/// stopped) gets kLineDeadline from its first byte — a drip-feeding
 /// client cannot hold the single-connection server hostage.
-ReadStatus readLine(int fd, LineFramer& framer, const ServerOptions& opts,
-                    std::string* line)
+ReadStatus readLine(int fd, LineFramer& framer, std::string* line)
 {
     using Clock = std::chrono::steady_clock;
     const auto start = Clock::now();
@@ -70,12 +80,9 @@ ReadStatus readLine(int fd, LineFramer& framer, const ServerOptions& opts,
                 return ReadStatus::kClosed;
             // recv timed out (SO_RCVTIMEO tick): check the deadlines.
             const auto now = Clock::now();
-            if (lineStart &&
-                now - *lineStart >=
-                    std::chrono::milliseconds(opts.lineDeadlineMs))
+            if (lineStart && now - *lineStart >= kLineDeadline)
                 return ReadStatus::kStalled;
-            if (!lineStart &&
-                now - start >= std::chrono::milliseconds(opts.recvTimeoutMs))
+            if (!lineStart && now - start >= kRecvTimeout)
                 return ReadStatus::kClosed;
             continue;
         }
@@ -129,17 +136,14 @@ int serveSocket(SweepService& svc, const ServerOptions& options,
         const int conn = ::accept(listenFd, nullptr, nullptr);
         if (conn < 0)
             continue;
-        // Short recv ticks, so the per-line stall deadline is checked at
-        // this granularity regardless of how patient the idle timeout is.
-        const int tickMs = std::min(1000, std::max(1, options.recvTimeoutMs));
-        timeval tv{tickMs / 1000, (tickMs % 1000) * 1000};
-        ::setsockopt(conn, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+        ::setsockopt(conn, SOL_SOCKET, SO_RCVTIMEO, &kRecvTick,
+                     sizeof kRecvTick);
 
         LineFramer framer;
         std::string line;
         bool alive = true;
         while (alive && !shutdown) {
-            switch (readLine(conn, framer, options, &line)) {
+            switch (readLine(conn, framer, &line)) {
             case ReadStatus::kLine:
                 if (line.empty())
                     continue;

@@ -19,12 +19,6 @@ struct ServerOptions {
     /// poll() timeout between accepts; each timeout runs a service tick
     /// (the degraded-storage probe).
     int pollMs = 500;
-    /// Idle timeout between lines (a silent client gets dropped).
-    int recvTimeoutMs = 30000;
-    /// Stall deadline for one line: a client that starts a request but
-    /// has not finished it this many ms later gets an error and the boot —
-    /// a drip-feeding peer cannot monopolize the single-connection loop.
-    int lineDeadlineMs = 10000;
 };
 
 /// Runs the accept loop until a shutdown op arrives or @p stop becomes

@@ -147,21 +147,61 @@ void SweepService::recover()
 
     // Pass 2: re-admit everything with no terminal record, in WAL order,
     // so ids and scheduling order replay deterministically.
-    for (SweepRequest& r : accepted) {
+    for (const SweepRequest& r : accepted) {
         // Keep nextId_ ahead of every id ever issued, terminal or not.
         unsigned long long n = 0;
         if (r.id.size() > 1 &&
             std::sscanf(r.id.c_str(), "r%llu", &n) == 1)
             nextId_ = std::max<std::uint64_t>(nextId_, n + 1);
-        if (terminal.count(r.id) != 0)
+        if (const auto t = terminal.find(r.id); t != terminal.end()) {
+            finished_[r.id] = finishedRecord(r, t->second);
             continue;
+        }
         std::string idOut, err;
-        if (!admitLocked(std::move(r), /*fromWal=*/true, &idOut, &err,
-                         nullptr))
+        if (!admitLocked(r, /*fromWal=*/true, &idOut, &err, nullptr)) {
             // An unreplayable request (e.g. a benchmark removed between
             // versions) is terminally failed rather than wedged forever.
             walAppendLocked(walRecord("failed", idOut));
+            finished_[idOut] = finishedRecord(r, "failed");
+        }
     }
+}
+
+ProgressSnapshot SweepService::finishedRecord(const SweepRequest& r,
+                                              const std::string& state) const
+{
+    ProgressSnapshot s;
+    s.id = r.id;
+    s.tenant = r.tenant;
+    s.state = state;
+    std::vector<ExperimentJob> jobs;
+    std::string error;
+    if (expandJobs(r, &jobs, &error))
+        s.total = jobs.size();
+    if (state == "cancelled") {
+        // No results were published; the last status.json says how far
+        // the request got.
+        const jsonlite::ValuePtr v =
+            jsonlite::parseFile(requestDir(r.id) + "/status.json", error);
+        const auto count = [&v](const char* key) -> std::size_t {
+            const jsonlite::Value* n = v != nullptr ? v->get(key) : nullptr;
+            return n != nullptr ? n->asUint() : 0;
+        };
+        s.done = count("jobsDone");
+        s.failed = count("jobsFailed");
+        return s;
+    }
+    // done or failed: every job ran, and results.json marks the failures
+    // (an unreplayable request has neither jobs nor results).
+    s.done = s.total;
+    try {
+        for (const ExperimentResult& res :
+             readResultsJson(requestDir(r.id) + "/results.json"))
+            s.failed += res.ok ? 0 : 1;
+    } catch (const std::runtime_error&) {
+        // No readable results.json: no failure to count.
+    }
+    return s;
 }
 
 bool SweepService::submit(SweepRequest r, std::string* idOut,
@@ -403,7 +443,10 @@ bool SweepService::cancel(const std::string& id, std::string* error)
     const std::lock_guard<std::mutex> lock(mu_);
     auto it = requests_.find(id);
     if (it == requests_.end()) {
-        *error = "unknown request id '" + id + "'";
+        if (const auto f = finished_.find(id); f != finished_.end())
+            *error = "request " + id + " is already " + f->second.state;
+        else
+            *error = "unknown request id '" + id + "'";
         return false;
     }
     RequestState& rs = it->second;
@@ -485,13 +528,15 @@ bool SweepService::statusJson(const std::string& id, std::string* out,
                               std::string* error) const
 {
     const std::lock_guard<std::mutex> lock(mu_);
-    const auto it = requests_.find(id);
-    if (it == requests_.end()) {
+    JsonWriter w;
+    if (const auto it = requests_.find(id); it != requests_.end())
+        writeProgressJson(w, snapshotLocked(id, it->second));
+    else if (const auto f = finished_.find(id); f != finished_.end())
+        writeProgressJson(w, f->second);
+    else {
         *error = "unknown request id '" + id + "'";
         return false;
     }
-    JsonWriter w;
-    writeProgressJson(w, snapshotLocked(id, it->second));
     *out = w.take();
     return true;
 }
@@ -501,8 +546,19 @@ std::string SweepService::listJson() const
     const std::lock_guard<std::mutex> lock(mu_);
     JsonWriter w;
     w.object().key("schema").value("dscoh-svc-list-v1").key("requests").array();
-    for (const auto& [id, rs] : requests_)
-        writeProgressJson(w, snapshotLocked(id, rs));
+    // Both maps are ordered by id; merge them.
+    auto live = requests_.begin();
+    auto past = finished_.begin();
+    while (live != requests_.end() || past != finished_.end()) {
+        if (past == finished_.end() ||
+            (live != requests_.end() && live->first < past->first)) {
+            writeProgressJson(w, snapshotLocked(live->first, live->second));
+            ++live;
+        } else {
+            writeProgressJson(w, past->second);
+            ++past;
+        }
+    }
     return w.end().end().take();
 }
 
@@ -511,18 +567,22 @@ std::string SweepService::statsJson() const
     const std::lock_guard<std::mutex> lock(mu_);
     std::size_t queued = 0, running = 0, done = 0, failed = 0,
                 cancelled = 0;
-    for (const auto& [id, rs] : requests_) {
-        if (rs.state == "queued")
+    const auto count = [&](const std::string& state) {
+        if (state == "queued")
             ++queued;
-        else if (rs.state == "running")
+        else if (state == "running")
             ++running;
-        else if (rs.state == "done")
+        else if (state == "done")
             ++done;
-        else if (rs.state == "failed")
+        else if (state == "failed")
             ++failed;
-        else if (rs.state == "cancelled")
+        else if (state == "cancelled")
             ++cancelled;
-    }
+    };
+    for (const auto& [id, rs] : requests_)
+        count(rs.state);
+    for (const auto& [id, s] : finished_)
+        count(s.state);
     JsonWriter w;
     w.object()
         .key("schema").value("dscoh-svc-stats-v2")
@@ -533,7 +593,7 @@ std::string SweepService::statsJson() const
     if (degraded_)
         w.key("degradedReason").value(degradedReason_);
     w.key("requests").object()
-        .key("total").value(requests_.size())
+        .key("total").value(requests_.size() + finished_.size())
         .key("queued").value(queued)
         .key("running").value(running)
         .key("done").value(done)

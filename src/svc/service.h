@@ -20,7 +20,9 @@
 //      / "failed" / "cancelled" AFTER results are published. Every record
 //      is CRC-framed (svc/wal.h) and fsync'ed (snap::durableAppendLine);
 //      recovery validates the log, truncates a torn tail, and re-admits
-//      every request with no terminal record.
+//      every request with no terminal record. A request with one keeps a
+//      compact status record (see finished_), so a restarted daemon still
+//      answers status and list for it.
 //   2. Each request has its own completed-job journal (jobs/<id>/journal,
 //      the PR 4 format, durably appended); recovery replays it so finished
 //      jobs are never re-simulated; only the jobs a crash interrupted
@@ -83,9 +85,9 @@ struct SubmitInfo {
 class SweepService {
 public:
     /// Creates the state directory tree, replays the WAL (truncating a
-    /// torn tail, re-admitting every non-terminal request), and starts the
-    /// worker pool. Throws std::runtime_error when the state dir cannot be
-    /// created.
+    /// torn tail, re-admitting every non-terminal request, recording every
+    /// terminal one), and starts the worker pool. Throws
+    /// std::runtime_error when the state dir cannot be created.
     explicit SweepService(const ServiceOptions& options);
     /// Finishes in-flight jobs (queued ones stay journaled for the next
     /// start), then joins the pool. Prefer drain() first for a clean stop.
@@ -103,12 +105,13 @@ public:
                 SubmitInfo* info = nullptr);
 
     /// The request's dscoh-progress-v3 document, one line with no trailing
-    /// newline, or false + @p error for an unknown id.
+    /// newline, or false + @p error for an unknown id. A request finished
+    /// before this process started reports its WAL terminal state.
     bool statusJson(const std::string& id, std::string* out,
                     std::string* error) const;
 
     /// Every known request as a JSON array document (dscoh-svc-list-v1),
-    /// ordered by id.
+    /// ordered by id, including those finished before this process started.
     std::string listJson() const;
 
     /// Drops the request's still-queued jobs and raises its cancel flag so
@@ -165,8 +168,13 @@ private:
         bool finishPending = false;
     };
 
-    /// Re-admits every non-terminal WAL request (locked ctor context).
+    /// Re-admits every non-terminal WAL request and records every terminal
+    /// one in finished_ (locked ctor context).
     void recover();
+    /// The status record of @p r, which finished as @p state before this
+    /// process started.
+    ProgressSnapshot finishedRecord(const SweepRequest& r,
+                                    const std::string& state) const;
     /// Core admission; assumes @p mu_ is held. @p fromWal skips the WAL
     /// append (the record is already there) and preserves r.id.
     bool admitLocked(SweepRequest r, bool fromWal, std::string* idOut,
@@ -196,6 +204,10 @@ private:
     std::size_t inflight_ = 0;
     FairScheduler sched_;
     std::map<std::string, RequestState> requests_;
+    /// Requests with a terminal WAL record at startup, by id: the WAL's
+    /// state, the tenant and the job counts only (no job, hash or result
+    /// vectors), since the WAL is never compacted.
+    std::map<std::string, ProgressSnapshot> finished_;
     bool degraded_ = false;
     std::string degradedReason_;
     std::uint64_t degradedRejects_ = 0;

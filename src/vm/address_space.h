@@ -51,12 +51,7 @@ public:
 
     bool isMapped(Addr va) const;
 
-    std::uint64_t mappedBytes() const
-    {
-        return static_cast<std::uint64_t>(pages_.size()) * kPageSize;
-    }
     std::uint64_t physBytes() const { return physBytes_; }
-    std::uint64_t physAllocated() const { return nextPhysPage_ * kPageSize; }
 
     /// Page table plus allocator cursors (std::map iterates in key order,
     /// so the serialized form is deterministic).

@@ -72,18 +72,6 @@ inline void gridStrideWrite(ThreadBuilder& t, Addr base, std::uint64_t bytes,
     }
 }
 
-/// Re-read pass without value checks (values may have been overwritten by
-/// earlier kernels): models iterative algorithms revisiting their data.
-inline void gridStrideReadNoCheck(ThreadBuilder& t, Addr base,
-                                  std::uint64_t bytes, std::uint32_t tid,
-                                  std::uint32_t totalThreads,
-                                  std::uint32_t computePerElem,
-                                  std::uint32_t elemsPerThread = 0xffffffff)
-{
-    gridStrideRead(t, base, bytes, tid, totalThreads, computePerElem,
-                   elemsPerThread, /*check=*/false);
-}
-
 /// 2D 5-point stencil step over a rows x cols grid of 4-byte cells:
 /// each thread owns a strip of cells, reads the cross neighbourhood from
 /// `in` and writes `out`. Staged through shared memory when @p useSmem.
@@ -141,21 +129,6 @@ inline void csrTraverse(ThreadBuilder& t, Addr offsets, Addr edges,
         t.ld(nodeData + neighbor * kElem, kElem);
         if (computePerEdge > 0)
             t.compute(computePerEdge);
-    }
-}
-
-/// Dense dot-product row: reads `k` elements from a row of A (contiguous)
-/// and `k` elements from a column of B (strided by rowElems), the classic
-/// GEMM inner loop from the thread's point of view.
-inline void dotRowCol(ThreadBuilder& t, Addr a, Addr b, std::uint32_t rowElems,
-                      std::uint32_t row, std::uint32_t col, std::uint32_t k,
-                      std::uint32_t computePerStep)
-{
-    for (std::uint32_t i = 0; i < k; ++i) {
-        t.ld(a + (static_cast<Addr>(row) * rowElems + i) * kElem, kElem);
-        t.ld(b + (static_cast<Addr>(i) * rowElems + col) * kElem, kElem);
-        if (computePerStep > 0)
-            t.compute(computePerStep);
     }
 }
 

@@ -314,7 +314,7 @@ void runHardenedDeliveryScenario()
     SystemConfig lostAcks = SystemConfig::paper(CoherenceMode::kDirectStore);
     lostAcks.faults.dropPpm = 1'000'000;
     lostAcks.faults.dstFilter =
-        System::kFirstSliceNode + lostAcks.gpuL2Slices + 1; // the CPU core
+        HomeMap(1, ShardPolicy::kPage, lostAcks.gpuL2Slices).cpuCoreNode();
     lostAcks.faults.windowStart = 0;
     lostAcks.faults.windowEnd = 6000;
     lostAcks.dsAckTimeout = 20'000;

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "coherence/cache_agent.h"
 #include "coherence/home_controller.h"
@@ -19,6 +21,10 @@ namespace {
 constexpr NodeId kAgentA = 0;
 constexpr NodeId kAgentB = 1;
 constexpr NodeId kHome = 2;
+
+/// Agent A is the map's CPU agent and agent B its one GPU slice, so a
+/// broadcast snoops both and node 2 is the home.
+const HomeMap kMap(1, ShardPolicy::kPage);
 
 struct HomeFixture : ::testing::Test {
     SimContext ctx;
@@ -43,7 +49,7 @@ struct HomeFixture : ::testing::Test {
         hp.responseNet = &resp;
         hp.dram = &dram;
         hp.store = &store;
-        hp.peersOf = [](Addr) { return std::vector<NodeId>{kAgentA, kAgentB}; };
+        hp.homeMap = kMap;
         home = std::make_unique<HomeController>("home", ctx, std::move(hp));
 
         CacheAgent::Params p;
@@ -51,7 +57,7 @@ struct HomeFixture : ::testing::Test {
         p.geometry.ways = 2;
         p.mshrs = 8;
         p.writebackEntries = 4;
-        p.home = kHome;
+        p.homeMap = kMap;
         p.requestNet = &req;
         p.forwardNet = &fwd;
         p.responseNet = &resp;
@@ -238,6 +244,64 @@ TEST(HomeMapPolicies, ParseShardPolicyRoundTrips)
     }
     EXPECT_FALSE(parseShardPolicy("diagonal", p));
     EXPECT_EQ(p, ShardPolicy::kPage) << "failed parse must not write";
+}
+
+TEST(HomeMapRouting, MatchesTheReferenceFormulas)
+{
+    // The routing value against the reference formulas, written out: for
+    // 1, 2 and 4 GPUs under every shard policy, over a run of addresses
+    // (line offsets included), the slice nodes, the home node and the
+    // snoop peers agree, and so does the node-id layout.
+    constexpr std::uint32_t kSlices = 4;
+    constexpr std::uint32_t kCores = 2;
+    constexpr std::uint32_t kSms = 3;
+    for (const std::uint32_t gpus : {1u, 2u, 4u}) {
+        for (const ShardPolicy policy :
+             {ShardPolicy::kPage, ShardPolicy::kLine, ShardPolicy::kRange}) {
+            SCOPED_TRACE(std::to_string(gpus) + " GPUs, " + to_string(policy));
+            const HomeMap map(gpus, policy, kSlices, kCores, kSms);
+            const auto homeGpu = [&](Addr pa) -> std::uint32_t {
+                if (gpus == 1)
+                    return 0;
+                if (policy == ShardPolicy::kLine)
+                    return static_cast<std::uint32_t>(pa / kLineSize % gpus);
+                if (policy == ShardPolicy::kRange)
+                    return static_cast<std::uint32_t>(
+                        pa / (16 * kPageSize) % gpus);
+                return static_cast<std::uint32_t>(pa / kPageSize % gpus);
+            };
+            // GPU g's slice for pa: the slice interleave masks line bits.
+            const auto sliceOnGpu = [&](Addr pa, std::uint32_t g) {
+                return 1 + g * kSlices +
+                       static_cast<NodeId>((pa / kLineSize) & (kSlices - 1));
+            };
+            for (Addr pa = 0; pa < 128 * kPageSize; pa += kLineSize + 24) {
+                const std::uint32_t home = homeGpu(pa);
+                ASSERT_EQ(map.homeOf(pa), home) << std::hex << pa;
+                // The home GPU's slice, in its mask and its modulo form.
+                ASSERT_EQ(map.homeSlice(pa), sliceOnGpu(pa, home));
+                ASSERT_EQ(map.homeSlice(pa),
+                          1 + home * kSlices + (pa / kLineSize) % kSlices);
+                // The home shard: shard 0's node plus the home GPU.
+                ASSERT_EQ(map.homeNodeOf(pa), 1 + gpus * kSlices + home);
+                // The home's broadcast: the CPU agent, then GPU 0..G-1.
+                std::vector<NodeId> want{0};
+                for (std::uint32_t g = 0; g < gpus; ++g) {
+                    want.push_back(sliceOnGpu(pa, g));
+                    ASSERT_EQ(map.sliceOn(g, pa), sliceOnGpu(pa, g));
+                }
+                std::vector<NodeId> peers;
+                map.forEachHolder(pa, [&](NodeId n) { peers.push_back(n); });
+                ASSERT_EQ(peers, want) << std::hex << pa;
+            }
+            for (std::uint32_t c = 0; c < kCores; ++c)
+                EXPECT_EQ(map.cpuCoreNode(c), 1 + gpus * kSlices + gpus + c);
+            for (std::uint32_t g = 0; g < gpus; ++g)
+                for (std::uint32_t i = 0; i < kSms; ++i)
+                    EXPECT_EQ(map.smNode(g, i), 1 + gpus * kSlices + gpus +
+                                                    kCores + g * kSms + i);
+        }
+    }
 }
 
 TEST_F(HomeFixture, QuiescentReflectsInFlightTransactions)

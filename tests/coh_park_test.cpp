@@ -23,6 +23,10 @@ constexpr NodeId kAgent = 0;
 constexpr NodeId kHome = 1;
 constexpr NodeId kCpu = 2; ///< direct-store sender (acks land here)
 
+/// A machine with no GPU: the agent is the map's CPU agent, the one cache
+/// a broadcast can snoop, and node 1 is the home.
+const HomeMap kMap(0, ShardPolicy::kPage);
+
 /// Lines this far apart share a set of the 8-set test geometry.
 constexpr Addr kSetStride = 8 * kLineSize;
 
@@ -52,7 +56,7 @@ struct ParkFixture : ::testing::Test {
         hp.responseNet = &resp;
         hp.dram = &dram;
         hp.store = &store;
-        hp.peersOf = [](Addr) { return std::vector<NodeId>{kAgent}; };
+        hp.homeMap = kMap;
         home = std::make_unique<HomeController>("home", ctx, std::move(hp));
         req.connect(kHome,
                     [this](const Message& m) { home->handleRequest(m); });
@@ -73,7 +77,7 @@ struct ParkFixture : ::testing::Test {
         p.mshrs = mshrs;
         p.writebackEntries = wbEntries;
         p.self = kAgent;
-        p.home = kHome;
+        p.homeMap = kMap;
         p.requestNet = &req;
         p.forwardNet = &fwd;
         p.responseNet = &resp;
@@ -227,6 +231,32 @@ TEST_F(ParkFixture, ParkedRequestsProceedInParkOrderAsSlotsFree)
                                        3 * kLineSize}));
     EXPECT_EQ(agent->blockedRequests(), 0u);
     EXPECT_EQ(deferrals(), 3u) << "three requests parked, once each";
+}
+
+TEST_F(ParkFixture, ParkedAccessKeepsASixtyFourByteCallback)
+{
+    // The largest capture an AccessDone holds inline rides along in the
+    // parked retry: the access parks, wakes and completes with it intact.
+    make<CacheAgent>(params(1));
+    load(0); // takes the only MSHR
+    struct Words {
+        std::uint64_t w[7];
+    };
+    const Words words{{1, 2, 3, 4, 5, 6, 7}};
+    std::uint64_t sum = 0;
+    std::uint64_t* out = &sum;
+    auto callback = [words, out](CacheAgent::Line&) {
+        for (const std::uint64_t w : words.w)
+            *out += w;
+    };
+    static_assert(sizeof(callback) == 64);
+    static_assert(CacheAgent::AccessDone::fitsInline<decltype(callback)>());
+    agent->access(kLineSize, false, std::move(callback));
+    EXPECT_EQ(agent->blockedRequests(), 1u) << "the MSHR file is full";
+    queue.run();
+    EXPECT_EQ(sum, 28u);
+    EXPECT_EQ(agent->blockedRequests(), 0u);
+    EXPECT_EQ(deferrals(), 1u);
 }
 
 TEST_F(ParkFixture, ParkedRequestMergesWhenItsLineGainsAnEntry)

@@ -19,6 +19,10 @@ constexpr NodeId kAgentA = 0;
 constexpr NodeId kAgentB = 1;
 constexpr NodeId kHome = 2;
 
+/// Agent A is the map's CPU agent and agent B its one GPU slice, so a
+/// broadcast snoops both and node 2 is the home.
+const HomeMap kMap(1, ShardPolicy::kPage);
+
 struct ProtoFixture : ::testing::Test {
     SimContext ctx;
     EventQueue& queue = ctx.queue;
@@ -41,9 +45,7 @@ struct ProtoFixture : ::testing::Test {
         hp.responseNet = &resp;
         hp.dram = &dram;
         hp.store = &store;
-        hp.peersOf = [](Addr) {
-            return std::vector<NodeId>{kAgentA, kAgentB};
-        };
+        hp.homeMap = kMap;
         home = std::make_unique<HomeController>("home", ctx, std::move(hp));
 
         a = std::make_unique<CacheAgent>("agentA", ctx, agentParams(kAgentA));
@@ -65,7 +67,7 @@ struct ProtoFixture : ::testing::Test {
         p.mshrs = 8;
         p.writebackEntries = 4;
         p.self = self;
-        p.home = kHome;
+        p.homeMap = kMap;
         p.requestNet = &req;
         p.forwardNet = &fwd;
         p.responseNet = &resp;

@@ -22,6 +22,10 @@ constexpr NodeId kAgentA = 0;
 constexpr NodeId kAgentB = 1;
 constexpr NodeId kHome = 2;
 
+/// Agent A is the map's CPU agent and agent B its one GPU slice, so a
+/// broadcast snoops both and node 2 is the home.
+const HomeMap kMap(1, ShardPolicy::kPage);
+
 struct Harness {
     SimContext ctx;
     EventQueue& queue = ctx.queue;
@@ -42,7 +46,7 @@ struct Harness {
         hp.responseNet = &resp;
         hp.dram = &dram;
         hp.store = &store;
-        hp.peersOf = [](Addr) { return std::vector<NodeId>{kAgentA, kAgentB}; };
+        hp.homeMap = kMap;
         home = std::make_unique<HomeController>("home", ctx, std::move(hp));
 
         for (NodeId id : {kAgentA, kAgentB}) {
@@ -52,7 +56,7 @@ struct Harness {
             p.mshrs = 6;
             p.writebackEntries = 3;
             p.self = id;
-            p.home = kHome;
+            p.homeMap = kMap;
             p.requestNet = &req;
             p.forwardNet = &fwd;
             p.responseNet = &resp;

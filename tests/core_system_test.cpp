@@ -59,10 +59,10 @@ TEST(System, SliceInterleavingCoversAllSlices)
     System sys(cfg);
     std::vector<int> hits(cfg.gpuL2Slices, 0);
     for (Addr line = 0; line < 64; ++line) {
-        const NodeId node = sys.sliceNodeOf(line * kLineSize);
-        ASSERT_GE(node, System::kFirstSliceNode);
-        ASSERT_LT(node, System::kFirstSliceNode + cfg.gpuL2Slices);
-        ++hits[node - System::kFirstSliceNode];
+        const NodeId node = sys.homeMap().homeSlice(line * kLineSize);
+        ASSERT_GE(node, HomeMap::kFirstSliceNode);
+        ASSERT_LT(node, HomeMap::kFirstSliceNode + cfg.gpuL2Slices);
+        ++hits[node - HomeMap::kFirstSliceNode];
     }
     for (const int h : hits)
         EXPECT_EQ(h, 16);

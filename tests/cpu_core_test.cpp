@@ -98,7 +98,7 @@ TEST(CpuCore, RemoteStoresGoToGpuL2NotCpuCache)
     EXPECT_EQ(dsFills, 1u);
     // Pushed lines install exclusive-clean (M): the push writes through to
     // DRAM, so memory stays current and evictions are silent.
-    const NodeId owner = sys.sliceNodeOf(pa) - System::kFirstSliceNode;
+    const NodeId owner = sys.homeMap().homeSlice(pa) - HomeMap::kFirstSliceNode;
     EXPECT_EQ(sys.slice(owner).stateOf(pa), CohState::kM);
 }
 

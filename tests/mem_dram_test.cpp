@@ -99,7 +99,7 @@ TEST_F(DramFixture, StatsCountAccesses)
     dram.regStats(reg);
     dram.read(0, [] {});
     DataBlock d;
-    dram.write(0x100, d, nullptr);
+    dram.write(0x100, d);
     queue.run();
     EXPECT_EQ(reg.counter("dram.reads"), 1u);
     EXPECT_EQ(reg.counter("dram.writes"), 1u);

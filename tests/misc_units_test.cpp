@@ -1,8 +1,8 @@
 // Small-unit coverage: the helpers that everything else leans on.
 #include <gtest/gtest.h>
 
+#include "coherence/home_map.h"
 #include "gpu/sm.h"
-#include "mem/interleave.h"
 #include "net/message.h"
 #include "sim/sim_context.h"
 #include "sim/sim_object.h"
@@ -33,24 +33,25 @@ TEST(GpuClock, BulkAndIncrementalAgree)
     EXPECT_EQ(incremental, bulk);
 }
 
-// ------------------------------------------------------ SliceInterleave --
+// ------------------------------------------------- HomeMap slice routing --
 
-TEST(SliceInterleave, MapsLinesRoundRobin)
+TEST(HomeMapSlices, MapsLinesRoundRobin)
 {
-    SliceInterleave il(4);
-    EXPECT_EQ(il.bits(), 2u);
+    const HomeMap map(1, ShardPolicy::kPage, 4);
+    EXPECT_EQ(map.sliceBits(), 2u);
     for (Addr line = 0; line < 16; ++line)
-        EXPECT_EQ(il.sliceOf(line * kLineSize), line % 4);
+        EXPECT_EQ(map.sliceIndexOf(line * kLineSize), line % 4);
     // Offsets within a line never change the slice.
-    EXPECT_EQ(il.sliceOf(5 * kLineSize + 127), il.sliceOf(5 * kLineSize));
+    EXPECT_EQ(map.sliceIndexOf(5 * kLineSize + 127),
+              map.sliceIndexOf(5 * kLineSize));
 }
 
-TEST(SliceInterleave, RejectsBadCounts)
+TEST(HomeMapSlices, RejectsBadCounts)
 {
-    EXPECT_THROW(SliceInterleave il(3), std::invalid_argument);
-    EXPECT_THROW(SliceInterleave il(0), std::invalid_argument);
-    EXPECT_NO_THROW(SliceInterleave il(1));
-    EXPECT_EQ(SliceInterleave(1).bits(), 0u);
+    EXPECT_THROW(HomeMap(1, ShardPolicy::kPage, 3), std::invalid_argument);
+    EXPECT_THROW(HomeMap(1, ShardPolicy::kPage, 0), std::invalid_argument);
+    EXPECT_NO_THROW(HomeMap(1, ShardPolicy::kPage, 1));
+    EXPECT_EQ(HomeMap(1, ShardPolicy::kPage, 1).sliceBits(), 0u);
 }
 
 // --------------------------------------------------------------- Message --

@@ -10,6 +10,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -93,6 +94,77 @@ TEST(InlineCallback, NonTrivialCaptureDestroyedExactlyOnce)
         EXPECT_FALSE(watch.expired());
     }
     EXPECT_TRUE(watch.expired());
+}
+
+TEST(InlineCallback, SignatureFormPassesArgumentsAndReturnsAValue)
+{
+    int base = 10;
+    BasicInlineCallback<int(int, const std::string&)> add(
+        [&base](int n, const std::string& s) {
+            return base + n + static_cast<int>(s.size());
+        });
+    EXPECT_EQ(add(5, "abc"), 18);
+    base = 0;
+    EXPECT_EQ(add(1, ""), 1);
+
+    // A reference argument reaches the callee as the caller's object.
+    BasicInlineCallback<void(std::vector<int>&)> append(
+        [](std::vector<int>& v) { v.push_back(7); });
+    std::vector<int> seen;
+    append(seen);
+    append(seen);
+    EXPECT_EQ(seen, (std::vector<int>{7, 7}));
+}
+
+TEST(InlineCallback, MoveOnlyCaptureStaysInlineAndMoves)
+{
+    auto owned = std::make_unique<int>(41);
+    BasicInlineCallback<int()> a([p = std::move(owned)] { return *p + 1; });
+    EXPECT_FALSE(a.onHeap());
+    BasicInlineCallback<int()> b(std::move(a));
+    EXPECT_FALSE(static_cast<bool>(a)); // NOLINT: probing moved-from state
+    EXPECT_EQ(b(), 42);
+}
+
+TEST(InlineCallback, SpilledSignatureCaptureDestroyedExactlyOnce)
+{
+    struct Big {
+        std::uint64_t pad[12]; // 96 bytes > kInlineSize
+    };
+    auto token = std::make_shared<int>(3);
+    std::weak_ptr<int> watch = token;
+    {
+        BasicInlineCallback<int(int)> a([token, big = Big{}](int n) {
+            return *token * n + static_cast<int>(big.pad[0]);
+        });
+        token.reset();
+        EXPECT_TRUE(a.onHeap());
+        BasicInlineCallback<int(int)> b(std::move(a));
+        BasicInlineCallback<int(int)> c;
+        c = std::move(b);
+        EXPECT_EQ(c(2), 6);
+        EXPECT_FALSE(watch.expired());
+    }
+    EXPECT_TRUE(watch.expired());
+}
+
+TEST(InlineCallback, SixtyFourByteTrivialCaptureStaysInline)
+{
+    struct Words {
+        std::uint64_t w[8]; // exactly kInlineSize bytes
+    };
+    static_assert(sizeof(Words) == InlineCallback::kInlineSize);
+    static_assert(std::is_trivially_copyable_v<Words>);
+    Words words{};
+    words.w[7] = 99;
+    auto f = [words] { return words.w[7]; };
+    static_assert(sizeof(f) == InlineCallback::kInlineSize);
+    static_assert(InlineCallback::fitsInline<decltype(f)>());
+    BasicInlineCallback<std::uint64_t()> cb(f);
+    EXPECT_FALSE(cb.onHeap());
+    BasicInlineCallback<std::uint64_t()> moved(std::move(cb)); // memcpy
+    EXPECT_FALSE(moved.onHeap());
+    EXPECT_EQ(moved(), 99u);
 }
 
 // --- ObjectPool -----------------------------------------------------------

@@ -22,6 +22,7 @@
 #include "obs/json_lite.h"
 #include "svc/protocol.h"
 #include "svc/service.h"
+#include "svc/wal.h"
 
 namespace dscoh::svc {
 namespace {
@@ -302,6 +303,110 @@ TEST(SweepService, RecoveryFailsAnAcceptedZeroGpuRequest)
     EXPECT_NE(error.find("num-gpus"), std::string::npos) << error;
     EXPECT_EQ(slurp(walPath), wal);
     EXPECT_FALSE(fs::exists(dir.path() + "/jobs/r000002"));
+}
+
+/// The status document of @p id, parsed (null when the id is unknown).
+jsonlite::ValuePtr statusOf(const SweepService& svc, const std::string& id)
+{
+    std::string status, error;
+    if (!svc.statusJson(id, &status, &error))
+        return nullptr;
+    return jsonlite::parse(status, error);
+}
+
+TEST(SweepService, FinishedRequestsAnswerAfterRestart)
+{
+    // A restarted daemon still answers status and list for the requests
+    // it finished before: the WAL's terminal state and the same jobsTotal;
+    // a done or failed request has every job done and counts the
+    // "ok": false jobs of its results.json.
+    ScratchDir dir("svc_finished_restart");
+    ServiceOptions opts;
+    opts.stateDir = dir.path();
+    opts.workers = 1;
+
+    SweepRequest req;
+    req.tenant = "alice";
+    req.codes = {"VA"};
+    std::string doneId, cancelledId, error;
+    std::uint64_t doneTotal = 0, cancelledTotal = 0;
+    {
+        SweepService svc(opts);
+        ASSERT_TRUE(svc.submit(req, &doneId, &error)) << error;
+        waitTerminal(svc, doneId);
+        doneTotal = statusOf(svc, doneId)->get("jobsTotal")->asUint();
+        req.tenant = "bob";
+        req.codes = {"VA", "NN", "BP"};
+        ASSERT_TRUE(svc.submit(req, &cancelledId, &error)) << error;
+        ASSERT_TRUE(svc.cancel(cancelledId, &error)) << error;
+        svc.drain();
+        cancelledTotal =
+            statusOf(svc, cancelledId)->get("jobsTotal")->asUint();
+    }
+
+    // A third request that failed, as the WAL and its request directory
+    // record it: two jobs, one of them not ok.
+    req.tenant = "carol";
+    req.codes = {"NN"};
+    req.id = "r000003";
+    std::vector<ExperimentJob> jobs;
+    ASSERT_TRUE(expandJobs(req, &jobs, &error)) << error;
+    ASSERT_EQ(jobs.size(), 2u);
+    std::vector<ExperimentResult> results(jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        results[i].job = jobs[i];
+    results[0].ok = true;
+    results[1].error = "planted failure";
+    fs::create_directories(dir.path() + "/jobs/r000003");
+    writeResultsJsonAtomic(dir.path() + "/jobs/r000003/results.json",
+                           results);
+    {
+        std::ofstream wal(dir.path() + "/svc.journal", std::ios::app);
+        wal << walFrame("{\"event\": \"accepted\", \"id\": \"r000003\", "
+                        "\"request\": \"" +
+                        jsonEscape(renderRequestJson(req)) + "\"}")
+            << walFrame("{\"event\": \"failed\", \"id\": \"r000003\"}");
+    }
+
+    SweepService svc(opts);
+    const jsonlite::ValuePtr done = statusOf(svc, doneId);
+    ASSERT_NE(done, nullptr) << doneId << " unknown after the restart";
+    EXPECT_EQ(done->get("state")->string, "done");
+    EXPECT_EQ(done->get("tenant")->string, "alice");
+    EXPECT_EQ(done->get("jobsTotal")->asUint(), doneTotal);
+    EXPECT_EQ(done->get("jobsDone")->asUint(), doneTotal);
+    EXPECT_EQ(done->get("jobsFailed")->asUint(), 0u);
+
+    const jsonlite::ValuePtr cancelled = statusOf(svc, cancelledId);
+    ASSERT_NE(cancelled, nullptr);
+    EXPECT_EQ(cancelled->get("state")->string, "cancelled");
+    EXPECT_EQ(cancelled->get("jobsTotal")->asUint(), cancelledTotal);
+
+    const jsonlite::ValuePtr failed = statusOf(svc, "r000003");
+    ASSERT_NE(failed, nullptr);
+    EXPECT_EQ(failed->get("state")->string, "failed");
+    EXPECT_EQ(failed->get("tenant")->string, "carol");
+    EXPECT_EQ(failed->get("jobsTotal")->asUint(), 2u);
+    EXPECT_EQ(failed->get("jobsDone")->asUint(), 2u);
+    EXPECT_EQ(failed->get("jobsFailed")->asUint(), 1u);
+
+    std::string parseError;
+    const jsonlite::ValuePtr list = jsonlite::parse(svc.listJson(), parseError);
+    ASSERT_NE(list, nullptr) << parseError;
+    const auto& listed = list->get("requests")->array;
+    ASSERT_EQ(listed.size(), 3u);
+    EXPECT_EQ(listed[0]->get("id")->string, doneId);
+    EXPECT_EQ(listed[1]->get("id")->string, cancelledId);
+    EXPECT_EQ(listed[2]->get("id")->string, "r000003");
+
+    EXPECT_FALSE(svc.cancel(doneId, &error));
+    EXPECT_EQ(error, "request " + doneId + " is already done");
+    // New ids still continue past every finished one.
+    req.id.clear();
+    std::string nextId;
+    ASSERT_TRUE(svc.submit(req, &nextId, &error)) << error;
+    EXPECT_EQ(nextId, "r000004");
+    svc.drain();
 }
 
 TEST(SweepService, CancelDropsQueuedWorkAndPublishesNoResults)

@@ -25,6 +25,8 @@
 //      byte-identical to an in-process fault-free reference run of the
 //      same request. "failed" terminals are chaos failures (every request
 //      the driver submits is valid).
+//   5. Finished requests stay known: the fault-free incarnation answers
+//      status for every id with a terminal record.
 //
 // Exit 0 when every invariant holds, 1 otherwise. The whole run is
 // deterministic in --seed: the op schedule, request shapes, and each
@@ -299,8 +301,7 @@ void runSchedule(Daemon& daemon, const ChaosOptions& opts,
                 ++ledger.degraded;
             }
         } else if (dice < 62 && !knownIds.empty()) {
-            // Status poll of a random past request (terminal ids answer
-            // "unknown" after a restart; both replies are legal).
+            // Status poll of a random past request.
             const std::string& id = knownIds[rng.below(knownIds.size())];
             call(daemon, svc::requestLine("status", "id", id), ledger);
         } else if (dice < 70 && !knownIds.empty()) {
@@ -353,7 +354,8 @@ bool referenceResults(const svc::SweepRequest& req, std::string* bytes,
     return true;
 }
 
-int audit(const ChaosOptions& opts, const ChaosLedger& ledger)
+int audit(const ChaosOptions& opts, const ChaosLedger& ledger,
+          const svc::SvcClient& client)
 {
     std::size_t failures = 0;
     const auto fail = [&failures](const std::string& what) {
@@ -470,6 +472,19 @@ int audit(const ChaosOptions& opts, const ChaosLedger& ledger)
             ++compared;
     }
 
+    // 5. Finished requests stay known across the last restart.
+    for (const auto& [id, evs] : terminals) {
+        std::string reply, error;
+        const jsonlite::ValuePtr v =
+            client.call(svc::requestLine("status", "id", id), &reply, &error)
+                ? jsonlite::parse(reply, error)
+                : nullptr;
+        const jsonlite::Value* ok = v != nullptr ? v->get("ok") : nullptr;
+        if (ok == nullptr || !ok->boolean)
+            fail("request " + id + " has a terminal record but the "
+                 "restarted daemon does not know it");
+    }
+
     std::cout << "dscoh_chaos: seed " << opts.seed << ", " << opts.ops
               << " ops, " << ledger.restarts << " daemon restarts, "
               << acceptedCount.size() << " accepted ("
@@ -554,22 +569,20 @@ int main(int argc, char** argv)
         std::cerr << "dscoh_chaos: fault-free restart failed\n";
         return kExitFailure;
     }
-    {
-        const svc::SvcClient client(daemon.socketPath());
-        std::string reply, error;
-        if (!client.call(svc::requestLine("drain"), &reply, &error)) {
-            std::cerr << "dscoh_chaos: drain failed: " << error << "\n";
-            return kExitFailure;
-        }
-        client.call(svc::requestLine("shutdown"), &reply, &error);
+    const svc::SvcClient client(daemon.socketPath());
+    std::string reply, error;
+    if (!client.call(svc::requestLine("drain"), &reply, &error)) {
+        std::cerr << "dscoh_chaos: drain failed: " << error << "\n";
+        return kExitFailure;
     }
+    // The audit asks the drained daemon too (invariant 5).
+    const int verdict = audit(opts, ledger, client);
+    client.call(svc::requestLine("shutdown"), &reply, &error);
     const int rc = daemon.waitExit();
     if (rc != 0) {
         std::cerr << "dscoh_chaos: clean shutdown exited " << rc << "\n";
         return kExitFailure;
     }
-
-    const int verdict = audit(opts, ledger);
     if (verdict == kExitOk && !keep) {
         // Leave nothing behind on success unless asked to.
         std::error_code ignored;
