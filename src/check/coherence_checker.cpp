@@ -1,6 +1,5 @@
 #include "check/coherence_checker.h"
 
-#include <algorithm>
 #include <ostream>
 #include <sstream>
 #include <utility>
@@ -412,64 +411,6 @@ void CoherenceChecker::dump(std::ostream& os) const
     os << "\n";
     for (const std::string& v : violations_)
         os << "  " << v << "\n";
-}
-
-void CoherenceChecker::snapSave(snap::SnapWriter& w) const
-{
-    if (inFlight_ != 0)
-        throw snap::SnapError("checker: " + std::to_string(inFlight_) +
-                              " network messages in flight at snapshot");
-    for (const auto& [agent, live] : mshrLive_)
-        if (!live.empty())
-            throw snap::SnapError("checker: agent '" + agent +
-                                  "' has live MSHR entries at snapshot");
-    std::vector<Addr> bases;
-    bases.reserve(mirror_.size());
-    for (const auto& [base, line] : mirror_)
-        bases.push_back(base);
-    std::sort(bases.begin(), bases.end());
-    w.u64(bases.size());
-    for (const Addr base : bases) {
-        const MirrorLine& line = mirror_.at(base);
-        w.u64(base);
-        w.bytes(line.data.data(), kLineSize);
-        for (std::size_t i = 0; i < ByteMask::kWords; ++i)
-            w.u64(line.valid.word(i));
-    }
-    w.u64(violations_.size());
-    for (const std::string& v : violations_)
-        w.str(v);
-    w.u64(suppressed_);
-    w.u64(transitions_);
-    w.u64(storesMirrored_);
-    w.u64(activity_);
-    w.u64(lastActivity_);
-    w.u8(progressArmed_ ? 1 : 0);
-}
-
-void CoherenceChecker::snapRestore(snap::SnapReader& r)
-{
-    mirror_.clear();
-    mshrLive_.clear();
-    const std::uint64_t lines = r.u64();
-    for (std::uint64_t i = 0; i < lines; ++i) {
-        const Addr base = r.u64();
-        MirrorLine& line = mirror_[base];
-        r.bytes(line.data.data(), kLineSize);
-        for (std::size_t word = 0; word < ByteMask::kWords; ++word)
-            line.valid.setWord(word, r.u64());
-    }
-    violations_.clear();
-    const std::uint64_t nViolations = r.u64();
-    for (std::uint64_t i = 0; i < nViolations; ++i)
-        violations_.push_back(r.str());
-    suppressed_ = r.u64();
-    transitions_ = r.u64();
-    storesMirrored_ = r.u64();
-    activity_ = r.u64();
-    lastActivity_ = r.u64();
-    progressArmed_ = r.u8() != 0;
-    inFlight_ = 0;
 }
 
 } // namespace dscoh

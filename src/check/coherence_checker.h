@@ -135,10 +135,40 @@ public:
     /// violations and hook counters. MSHR live-sets and in-flight-message
     /// counts must be zero at a safe point (checked, not saved). Restoring
     /// keeps the oracle live across a checkpoint with full history.
-    void snapSave(snap::SnapWriter& w) const;
-    void snapRestore(snap::SnapReader& r);
+    void snapSave(snap::SnapWriter& w) const { snapState(*this, w); }
+    void snapRestore(snap::SnapReader& r) { snapState(*this, r); }
 
 private:
+    template <class Self, class Ar>
+    static void snapState(Self& self, Ar& ar)
+    {
+        if constexpr (Ar::kLoading) {
+            self.mshrLive_.clear();
+            self.inFlight_ = 0;
+        } else {
+            if (self.inFlight_ != 0)
+                throw snap::SnapError(
+                    "checker: " + std::to_string(self.inFlight_) +
+                    " network messages in flight at snapshot");
+            for (const auto& [agent, live] : self.mshrLive_)
+                if (!live.empty())
+                    throw snap::SnapError(
+                        "checker: agent '" + agent +
+                        "' has live MSHR entries at snapshot");
+        }
+        snap::keyed(ar, self.mirror_, [](Ar& a, auto& line) {
+            a.bytes(line.data.data(), kLineSize);
+            a.nested(line.valid);
+        });
+        snap::seq(ar, self.violations_, [](Ar& a, auto& v) { a.str(v); });
+        ar.u64(self.suppressed_);
+        ar.u64(self.transitions_);
+        ar.u64(self.storesMirrored_);
+        ar.u64(self.activity_);
+        ar.u64(self.lastActivity_);
+        ar.flag(self.progressArmed_);
+    }
+
     struct MirrorLine {
         DataBlock data;
         ByteMask valid;

@@ -644,37 +644,4 @@ void CacheAgent::regStats(StatRegistry& registry)
     registry.registerCounter(statName("deferrals"), &deferrals_);
 }
 
-void CacheAgent::snapSave(snap::SnapWriter& w) const
-{
-    requireQuiesced(mshr_.size() == 0,
-                    name() + " has in-flight MSHR transactions");
-    requireQuiesced(wbb_.empty(), name() + " has parked writebacks");
-    requireQuiesced(parked_.empty(), name() + " has deferred requests");
-    array_.snapSave(w, [](snap::SnapWriter& sw, const CohMeta& meta) {
-        sw.u8(static_cast<std::uint8_t>(meta.state));
-        sw.u8(meta.dsFilled ? 1 : 0);
-    });
-    w.u64(nextTxn_);
-    w.u64(supplyPortFreeAt_);
-    std::vector<Addr> filled(everFilled_.begin(), everFilled_.end());
-    std::sort(filled.begin(), filled.end());
-    w.u64(filled.size());
-    for (const Addr line : filled)
-        w.u64(line);
-}
-
-void CacheAgent::snapRestore(snap::SnapReader& r)
-{
-    array_.snapRestore(r, [](snap::SnapReader& sr, CohMeta& meta) {
-        meta.state = static_cast<CohState>(sr.u8());
-        meta.dsFilled = sr.u8() != 0;
-    });
-    nextTxn_ = r.u64();
-    supplyPortFreeAt_ = r.u64();
-    everFilled_.clear();
-    const std::uint64_t n = r.u64();
-    for (std::uint64_t i = 0; i < n; ++i)
-        everFilled_.insert(r.u64());
-}
-
 } // namespace dscoh

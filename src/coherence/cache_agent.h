@@ -132,8 +132,27 @@ public:
     /// the transaction-id counter and the data-supply port reservation.
     /// Transient structures (MSHRs, writeback buffer, parked requests)
     /// must be empty — a safe point has no transaction in flight.
-    void snapSave(snap::SnapWriter& w) const override;
-    void snapRestore(snap::SnapReader& r) override;
+    void snapSave(snap::SnapWriter& w) const override { snapState(*this, w); }
+    void snapRestore(snap::SnapReader& r) override { snapState(*this, r); }
+    template <class Self, class Ar>
+    static void snapState(Self& self, Ar& ar)
+    {
+        if constexpr (!Ar::kLoading) {
+            requireQuiesced(self.mshr_.size() == 0,
+                            self.name() + " has in-flight MSHR transactions");
+            requireQuiesced(self.wbb_.empty(),
+                            self.name() + " has parked writebacks");
+            requireQuiesced(self.parked_.empty(),
+                            self.name() + " has deferred requests");
+        }
+        ar.nested(self.array_, [](Ar& a, auto& meta) {
+            a.u8(meta.state);
+            a.flag(meta.dsFilled);
+        });
+        ar.u64(self.nextTxn_);
+        ar.u64(self.supplyPortFreeAt_);
+        snap::keyed(ar, self.everFilled_);
+    }
 
 protected:
     /// Hook: a line was filled (protocol fill or direct-store install).

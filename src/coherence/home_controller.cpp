@@ -1,9 +1,7 @@
 #include "coherence/home_controller.h"
 
-#include <algorithm>
 #include <cassert>
 #include <utility>
-#include <vector>
 
 #include "check/coherence_checker.h"
 
@@ -335,44 +333,6 @@ void HomeController::regStats(StatRegistry& registry)
     registry.registerCounter(statName("puts_accepted"), &putsAccepted_);
     registry.registerCounter(statName("puts_stale"), &putsStale_);
     registry.registerCounter(statName("queued_requests"), &queued_);
-}
-
-void HomeController::snapSave(snap::SnapWriter& w) const
-{
-    requireQuiesced(quiescent(), name() + " has in-flight transactions");
-    // Only entries with persistent content survive (owner registered or
-    // directory sharers remembered); emitted in address order so the file
-    // does not depend on hash-map iteration order.
-    std::vector<Addr> bases;
-    for (const auto& [base, ls] : lines_)
-        if (ls.owner != kInvalidNode || !ls.sharers.empty())
-            bases.push_back(base);
-    std::sort(bases.begin(), bases.end());
-    w.u64(txnSeq_);
-    w.u64(bases.size());
-    for (const Addr base : bases) {
-        const LineState& ls = lines_.at(base);
-        w.u64(base);
-        w.u64(ls.owner);
-        w.u64(ls.sharers.size());
-        for (const NodeId sharer : ls.sharers)
-            w.u64(sharer);
-    }
-}
-
-void HomeController::snapRestore(snap::SnapReader& r)
-{
-    lines_.clear();
-    txnSeq_ = r.u64();
-    const std::uint64_t n = r.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-        const Addr base = r.u64();
-        LineState& ls = lines_[base];
-        ls.owner = static_cast<NodeId>(r.u64());
-        const std::uint64_t sharers = r.u64();
-        for (std::uint64_t s = 0; s < sharers; ++s)
-            ls.sharers.insert(static_cast<NodeId>(r.u64()));
-    }
 }
 
 } // namespace dscoh

@@ -78,10 +78,31 @@ public:
     /// sharer sets and the transaction-id counter. Requires quiescent()
     /// (no busy line, nothing queued) — active-transaction bookkeeping is
     /// transient and never serialized.
-    void snapSave(snap::SnapWriter& w) const override;
-    void snapRestore(snap::SnapReader& r) override;
+    void snapSave(snap::SnapWriter& w) const override { snapState(*this, w); }
+    void snapRestore(snap::SnapReader& r) override { snapState(*this, r); }
 
 private:
+    template <class Self, class Ar>
+    static void snapState(Self& self, Ar& ar)
+    {
+        if constexpr (!Ar::kLoading)
+            requireQuiesced(self.quiescent(),
+                            self.name() + " has in-flight transactions");
+        ar.u64(self.txnSeq_);
+        // Only entries with persistent content survive: an owner registered or
+        // directory sharers remembered.
+        snap::keyed(
+            ar, self.lines_,
+            [](Ar& a, auto& ls) {
+                a.u64(ls.owner);
+                snap::keyed(a, ls.sharers);
+            },
+            [](const auto& entry) {
+                return entry.second.owner != kInvalidNode ||
+                       !entry.second.sharers.empty();
+            });
+    }
+
     struct LineState {
         bool busy = false;
         std::deque<Message> pending;

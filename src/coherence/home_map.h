@@ -80,8 +80,13 @@ public:
           sliceBits_(static_cast<std::uint32_t>(std::countr_zero(slices_))),
           cpuCores_(cpuCores), smsPerGpu_(smsPerGpu)
     {
-        if (!std::has_single_bit(slicesPerGpu))
+        if (!takesSlices(slicesPerGpu))
             throw std::invalid_argument("slice count must be a power of two");
+    }
+
+    static bool takesSlices(std::uint32_t slicesPerGpu)
+    {
+        return std::has_single_bit(slicesPerGpu);
     }
 
     std::uint32_t shards() const { return shards_; }

@@ -60,6 +60,8 @@ struct SystemConfig {
     std::uint64_t gpuL2Size = 2 * 1024 * 1024; ///< 2 MB, 16 ways, 4 slices
     std::uint32_t gpuL2Ways = 16;
     std::uint32_t gpuL2Slices = 4;
+    /// The capacity of one GPU L2 slice.
+    std::uint64_t gpuL2SliceBytes() const { return gpuL2Size / gpuL2Slices; }
     Tick gpuL1Latency = 24;
     Tick gpuSmemLatency = 30;
     Tick gpuL2TagLatency = 16;

@@ -5,6 +5,10 @@
 #include <limits>
 #include <map>
 #include <sstream>
+#include <tuple>
+
+#include "mem/cache_array.h"
+#include "mem/dram_pool.h"
 
 namespace dscoh {
 
@@ -264,17 +268,48 @@ bool applyConfigText(const std::string& text, SystemConfig* cfg,
 
 bool validateConfig(const SystemConfig& cfg, std::string* error)
 {
-    const std::pair<const char*, std::uint64_t> counts[] = {
-        {"num-gpus", cfg.numGpus},         {"cpu-cores", cfg.cpuCores},
-        {"rsb-entries", cfg.rsbEntries},   {"cpu-l1d-ways", cfg.cpuL1dWays},
-        {"cpu-l2-ways", cfg.cpuL2Ways},    {"gpu-l1-ways", cfg.gpuL1Ways},
-        {"gpu-l2-ways", cfg.gpuL2Ways},    {"lanes-per-sm", cfg.lanesPerSm},
+    const auto refuse = [error](const std::string& why) {
+        *error = why;
+        return false;
     };
-    for (const auto& [key, value] : counts) {
-        if (value == 0) {
-            *error = std::string("'") + key + "' must be at least 1";
-            return false;
-        }
+    // A zero here divides by zero, indexes nothing, or builds a machine
+    // that runs no kernel or never issues a request.
+    const std::pair<const char*, std::uint64_t> counts[] = {
+        {"num-gpus", cfg.numGpus},
+        {"cpu-cores", cfg.cpuCores},
+        {"rsb-entries", cfg.rsbEntries},
+        {"cpu-l1d-ways", cfg.cpuL1dWays},
+        {"cpu-l2-ways", cfg.cpuL2Ways},
+        {"gpu-l1-ways", cfg.gpuL1Ways},
+        {"gpu-l2-ways", cfg.gpuL2Ways},
+        {"lanes-per-sm", cfg.lanesPerSm},
+        {"num-sms", cfg.numSms},
+        {"max-resident-blocks", cfg.maxResidentBlocks},
+        {"agent-mshrs", cfg.agentMshrs},
+        {"gpu-l2-mshrs", cfg.gpuL2Mshrs},
+        {"store-buffer-entries", cfg.storeBufferEntries},
+    };
+    for (const auto& [key, value] : counts)
+        if (value == 0)
+            return refuse(std::string("'") + key + "' must be at least 1");
+    if (!HomeMap::takesSlices(cfg.gpuL2Slices))
+        return refuse("'gpu-l2-slices' must be a power of two");
+    if (!DramPool::takesChannels(cfg.memChannels))
+        return refuse("'mem-channels' must be a power of two");
+    const std::tuple<const char*, std::uint64_t, std::uint32_t> caches[] = {
+        {"'cpu-l1d-size' / 'cpu-l1d-ways'", cfg.cpuL1dSize, cfg.cpuL1dWays},
+        {"'cpu-l2-size' / 'cpu-l2-ways'", cfg.cpuL2Size, cfg.cpuL2Ways},
+        {"'gpu-l1-size' / 'gpu-l1-ways'", cfg.gpuL1Size, cfg.gpuL1Ways},
+        {"'gpu-l2-size' per 'gpu-l2-slices' / 'gpu-l2-ways'",
+         cfg.gpuL2SliceBytes(), cfg.gpuL2Ways},
+    };
+    for (const auto& [keys, size, ways] : caches) {
+        CacheGeometry geometry;
+        geometry.sizeBytes = size;
+        geometry.ways = ways;
+        geometry.replacement = cfg.replacement;
+        if (const std::string why = geometry.problem(); !why.empty())
+            return refuse(std::string(keys) + ": " + why);
     }
     return true;
 }

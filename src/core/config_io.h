@@ -19,10 +19,13 @@ namespace dscoh {
 bool applyConfigText(const std::string& text, SystemConfig* cfg,
                      std::string* error);
 
-/// Checks the counts the simulator divides by or indexes with (GPUs, CPU
-/// cores, RSB entries, cache ways, lanes per SM): each must be at least 1.
-/// On failure names the first offending key in @p error and returns false.
-/// applyConfigText() and System's constructor both call it.
+/// Refuses every machine that cannot be built or would silently skip
+/// work: a zero count (GPUs, cores, SMs, resident blocks, RSB and store
+/// buffer entries, MSHRs, cache ways, lanes), a slice or channel count
+/// that is not a power of two, and a cache geometry CacheArray refuses
+/// (CacheGeometry::problem()). On failure names the first offending key
+/// in @p error and returns false. applyConfigText() and System's
+/// constructor both call it.
 bool validateConfig(const SystemConfig& cfg, std::string* error);
 
 /// Reads @p path and applies it. File-open failures land in @p error.

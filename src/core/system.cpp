@@ -122,14 +122,24 @@ std::string System::sliceCheckerLabel(std::size_t flatIndex) const
     return "gpu" + std::to_string(g) + ".slice" + std::to_string(s);
 }
 
+namespace {
+
+/// @p config once validateConfig() accepts it, so no member is built from
+/// a machine that cannot be built.
+const SystemConfig& validated(const SystemConfig& config)
+{
+    if (std::string error; !validateConfig(config, &error))
+        throw std::invalid_argument("system config: " + error);
+    return config;
+}
+
+} // namespace
+
 System::System(const SystemConfig& config)
-    : config_(config),
+    : config_(validated(config)),
       homeMap_(config.numGpus, config.shardPolicy, config.gpuL2Slices,
                config.cpuCores, config.numSms)
 {
-    // Before any component divides by or indexes with a zero count.
-    if (std::string error; !validateConfig(config_, &error))
-        throw std::invalid_argument("system config: " + error);
     // Instance-0 component names are the historical single-GPU strings so
     // every stat key, snapshot section and checker label of a 1-GPU /
     // 1-core config stays byte-identical to the pre-sharding simulator.
@@ -280,8 +290,7 @@ System::System(const SystemConfig& config)
     for (std::uint32_t g = 0; g < config_.numGpus; ++g) {
         for (std::uint32_t s = 0; s < config_.gpuL2Slices; ++s) {
             CacheAgent::Params sliceAgent;
-            sliceAgent.geometry.sizeBytes =
-                config_.gpuL2Size / config_.gpuL2Slices;
+            sliceAgent.geometry.sizeBytes = config_.gpuL2SliceBytes();
             sliceAgent.geometry.ways = config_.gpuL2Ways;
             sliceAgent.geometry.setShift = homeMap_.sliceBits();
             sliceAgent.geometry.replacement = config_.replacement;
@@ -545,56 +554,54 @@ std::uint64_t System::configHash() const
     return configHashOf(config_);
 }
 
+template <class Self, class Ar, class Extra>
+void System::snapSections(Self& self, Ar& ar, Extra& extra)
+{
+    ar.section("queue", self.ctx_.queue);
+    ar.section("space", *self.space_);
+    ar.section("store", *self.store_);
+    ar.section("dram", *self.dram_);
+    ar.section("net.request", *self.requestNet_);
+    ar.section("net.forward", *self.forwardNet_);
+    ar.section("net.response", *self.responseNet_);
+    ar.section("net.ds", *self.dsNet_);
+    ar.section("net.gpu", *self.gpuNet_);
+    // Which injectors exist is a pure function of the config, and the
+    // config hash gates restore, so the section list stays in lockstep.
+    for (const auto& faultPtr : self.faults_)
+        ar.section(faultPtr->name(), *faultPtr);
+    for (const auto& homePtr : self.homes_)
+        ar.section(homePtr->name(), *homePtr);
+    ar.section("cpu.cache", *self.cpuAgent_);
+    ar.section("cpu.tlb", *self.tlb_);
+    for (const auto& corePtr : self.cpuCores_)
+        ar.section(corePtr->name(), *corePtr);
+    for (const auto& slicePtr : self.slices_)
+        ar.section(slicePtr->name(), *slicePtr);
+    for (const auto& smPtr : self.sms_)
+        ar.section(smPtr->name(), *smPtr);
+    for (const auto& devPtr : self.gpuDevices_)
+        ar.section(devPtr->name(), *devPtr);
+    ar.section("stats", self.stats_);
+    // Observer sections exist only with their observer attached, so
+    // snapshots taken without one stay byte-identical to what they always
+    // were.
+    if (self.ctx_.checker != nullptr)
+        ar.section("checker", *self.ctx_.checker);
+    if (self.ctx_.txnprof != nullptr)
+        ar.section("obs.txnprof", *self.ctx_.txnprof);
+    if (self.sampler_ != nullptr)
+        ar.section("obs.epochs", *self.sampler_);
+    if (extra)
+        ar.section("runner", extra);
+}
+
 void System::snapshotSave(
     const std::string& path,
     BasicInlineCallback<void(snap::SnapWriter&)> extra) const
 {
     snap::SnapWriter w(ctx_.queue.curTick(), configHash());
-    const auto section = [&w](const std::string& name, const auto& obj) {
-        w.beginSection(name);
-        obj.snapSave(w);
-        w.endSection();
-    };
-    section("queue", ctx_.queue);
-    section("space", *space_);
-    section("store", *store_);
-    section("dram", *dram_);
-    section("net.request", *requestNet_);
-    section("net.forward", *forwardNet_);
-    section("net.response", *responseNet_);
-    section("net.ds", *dsNet_);
-    section("net.gpu", *gpuNet_);
-    // Which injectors exist is a pure function of the config, and the
-    // config hash gates restore, so the section list stays in lockstep.
-    for (const auto& faultPtr : faults_)
-        section(faultPtr->name(), *faultPtr);
-    for (const auto& homePtr : homes_)
-        section(homePtr->name(), *homePtr);
-    section("cpu.cache", *cpuAgent_);
-    section("cpu.tlb", *tlb_);
-    for (const auto& corePtr : cpuCores_)
-        section(corePtr->name(), *corePtr);
-    for (const auto& slicePtr : slices_)
-        section(slicePtr->name(), *slicePtr);
-    for (const auto& smPtr : sms_)
-        section(smPtr->name(), *smPtr);
-    for (const auto& devPtr : gpuDevices_)
-        section(devPtr->name(), *devPtr);
-    section("stats", stats_);
-    if (ctx_.checker != nullptr)
-        section("checker", *ctx_.checker);
-    // Observability sections are conditional like the checker's: snapshots
-    // taken without a profiler/sampler attached stay byte-identical to
-    // what they always were.
-    if (ctx_.txnprof != nullptr)
-        section("obs.txnprof", *ctx_.txnprof);
-    if (sampler_ != nullptr)
-        section("obs.epochs", *sampler_);
-    if (extra) {
-        w.beginSection("runner");
-        extra(w);
-        w.endSection();
-    }
+    snapSections(*this, w, extra);
     w.writeFile(path);
 }
 
@@ -639,51 +646,11 @@ void System::snapshotRestore(
                    "miss every pre-checkpoint sample — snapshot with the "
                    "sampler enabled or restore without "
                    "enableEpochSampler()");
-
-    const auto section = [&r](const std::string& name, auto& obj) {
-        r.openSection(name);
-        obj.snapRestore(r);
-        r.closeSection();
-    };
-    section("queue", ctx_.queue);
-    section("space", *space_);
-    section("store", *store_);
-    section("dram", *dram_);
-    section("net.request", *requestNet_);
-    section("net.forward", *forwardNet_);
-    section("net.response", *responseNet_);
-    section("net.ds", *dsNet_);
-    section("net.gpu", *gpuNet_);
-    for (const auto& faultPtr : faults_)
-        section(faultPtr->name(), *faultPtr);
-    for (const auto& homePtr : homes_)
-        section(homePtr->name(), *homePtr);
-    section("cpu.cache", *cpuAgent_);
-    section("cpu.tlb", *tlb_);
-    for (const auto& corePtr : cpuCores_)
-        section(corePtr->name(), *corePtr);
-    for (const auto& slicePtr : slices_)
-        section(slicePtr->name(), *slicePtr);
-    for (const auto& smPtr : sms_)
-        section(smPtr->name(), *smPtr);
-    for (const auto& devPtr : gpuDevices_)
-        section(devPtr->name(), *devPtr);
-    section("stats", stats_);
-    if (ctx_.checker != nullptr)
-        section("checker", *ctx_.checker);
-    if (ctx_.txnprof != nullptr)
-        section("obs.txnprof", *ctx_.txnprof);
-    if (sampler_ != nullptr)
-        section("obs.epochs", *sampler_);
-    if (extra) {
-        if (!r.hasSection("runner"))
-            throw snap::SnapError(
-                path + ": no runner-progress section (this snapshot was "
-                       "not written by the workload runner)");
-        r.openSection("runner");
-        extra(r);
-        r.closeSection();
-    }
+    if (extra && !r.hasSection("runner"))
+        throw snap::SnapError(
+            path + ": no runner-progress section (this snapshot was "
+                   "not written by the workload runner)");
+    snapSections(*this, r, extra);
 }
 
 std::string System::describeOutstandingWork() const

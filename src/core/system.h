@@ -196,6 +196,11 @@ public:
         BasicInlineCallback<void(snap::SnapReader&)> extra = {});
 
 private:
+    /// The one ordered section list, walked by snapshotSave with a
+    /// SnapWriter and by snapshotRestore with a SnapReader.
+    template <class Self, class Ar, class Extra>
+    static void snapSections(Self& self, Ar& ar, Extra& extra);
+
     /// Checker/invariant label for the slice at flat index @p flatIndex
     /// ("slice<s>" on GPU 0, "gpu<g>.slice<s>" beyond).
     std::string sliceCheckerLabel(std::size_t flatIndex) const;

@@ -45,15 +45,13 @@ public:
     void regStats(StatRegistry& registry) override;
 
     /// L2 agent state plus the L1 tag filter.
-    void snapSave(snap::SnapWriter& w) const override
+    void snapSave(snap::SnapWriter& w) const override { snapState(*this, w); }
+    void snapRestore(snap::SnapReader& r) override { snapState(*this, r); }
+    template <class Self, class Ar>
+    static void snapState(Self& self, Ar& ar)
     {
-        CacheAgent::snapSave(w);
-        l1_.snapSave(w, [](snap::SnapWriter&, const L1Meta&) {});
-    }
-    void snapRestore(snap::SnapReader& r) override
-    {
-        CacheAgent::snapRestore(r);
-        l1_.snapRestore(r, [](snap::SnapReader&, L1Meta&) {});
+        CacheAgent::snapState(self, ar);
+        ar.nested(self.l1_, [](Ar&, auto&) {});
     }
 
 protected:

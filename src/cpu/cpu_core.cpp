@@ -728,22 +728,4 @@ void CpuCore::regStats(StatRegistry& registry)
     registry.registerHistogram(statName("load_latency"), &loadLatency_);
 }
 
-void CpuCore::snapSave(snap::SnapWriter& w) const
-{
-    requireQuiesced(idle(), name() + " is executing a program");
-    requireQuiesced(storesDrained(), name() + " has undrained stores");
-    requireQuiesced(stalledStores_.empty() && awaitingDsDrain_.empty() &&
-                        !pendingUcLoad_,
-                    name() + " has pending memory operations");
-    requireQuiesced(dsInFlight_.empty() && dsBacklog_.empty(),
-                    name() + " has unacknowledged direct stores");
-    w.u8(1); // quiescence marker: the core itself carries no state
-}
-
-void CpuCore::snapRestore(snap::SnapReader& r)
-{
-    if (r.u8() != 1)
-        throw snap::SnapError(name() + ": bad quiescence marker");
-}
-
 } // namespace dscoh

@@ -82,10 +82,29 @@ public:
     /// buffers, pending loads) and all of it drains before a safe point, so
     /// the section only asserts quiescence; counters live in the stats
     /// section.
-    void snapSave(snap::SnapWriter& w) const override;
-    void snapRestore(snap::SnapReader& r) override;
+    void snapSave(snap::SnapWriter& w) const override { snapState(*this, w); }
+    void snapRestore(snap::SnapReader& r) override { snapState(*this, r); }
 
 private:
+    template <class Self, class Ar>
+    static void snapState(Self& self, Ar& ar)
+    {
+        if constexpr (!Ar::kLoading) {
+            requireQuiesced(self.idle(),
+                            self.name() + " is executing a program");
+            requireQuiesced(self.storesDrained(),
+                            self.name() + " has undrained stores");
+            requireQuiesced(self.stalledStores_.empty() &&
+                                self.awaitingDsDrain_.empty() &&
+                                !self.pendingUcLoad_,
+                            self.name() + " has pending memory operations");
+            requireQuiesced(self.dsInFlight_.empty() && self.dsBacklog_.empty(),
+                            self.name() + " has unacknowledged direct stores");
+        }
+        // The core itself carries no state at a safe point.
+        ar.expect(std::uint8_t{1}, "quiescence marker");
+    }
+
     /// Line-granular write-combining store-buffer entry: stores to the same
     /// line merge into one entry and drain as a single ownership request, so
     /// several line misses overlap (as in any real LSQ+MSHR design).

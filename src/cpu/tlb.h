@@ -52,21 +52,17 @@ public:
 
     /// LRU recency order is machine state: after restore the next victim
     /// must match the uninterrupted run.
-    void snapSave(snap::SnapWriter& w) const override
+    void snapSave(snap::SnapWriter& w) const override { snapState(*this, w); }
+    void snapRestore(snap::SnapReader& r) override { snapState(*this, r); }
+    template <class Self, class Ar>
+    static void snapState(Self& self, Ar& ar)
     {
-        w.u64(lru_.size());
-        for (const Addr page : lru_) // front = most recent
-            w.u64(page);
-    }
-
-    void snapRestore(snap::SnapReader& r) override
-    {
-        lru_.clear();
-        entries_.clear();
-        const std::uint64_t n = r.u64();
-        for (std::uint64_t i = 0; i < n; ++i) {
-            lru_.push_back(r.u64());
-            entries_[lru_.back()] = std::prev(lru_.end());
+        // Front = most recent.
+        snap::seq(ar, self.lru_, [](Ar& a, auto& page) { a.u64(page); });
+        if constexpr (Ar::kLoading) {
+            self.entries_.clear();
+            for (auto it = self.lru_.begin(); it != self.lru_.end(); ++it)
+                self.entries_[*it] = it;
         }
     }
 

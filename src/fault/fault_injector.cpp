@@ -60,18 +60,4 @@ void FaultInjector::regStats(StatRegistry& registry)
     registry.registerCounter(statName("delays"), &delays_);
 }
 
-void FaultInjector::snapSave(snap::SnapWriter& w) const
-{
-    for (const std::uint64_t word : rng_.state())
-        w.u64(word);
-}
-
-void FaultInjector::snapRestore(snap::SnapReader& r)
-{
-    std::array<std::uint64_t, 4> s;
-    for (auto& word : s)
-        word = r.u64();
-    rng_.setState(s);
-}
-
 } // namespace dscoh

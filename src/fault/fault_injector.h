@@ -63,8 +63,13 @@ public:
 
     /// The RNG stream position is timing state: a restored run must replay
     /// the same fault schedule. Counters live in the stats section.
-    void snapSave(snap::SnapWriter& w) const override;
-    void snapRestore(snap::SnapReader& r) override;
+    void snapSave(snap::SnapWriter& w) const override { snapState(*this, w); }
+    void snapRestore(snap::SnapReader& r) override { snapState(*this, r); }
+    template <class Self, class Ar>
+    static void snapState(Self& self, Ar& ar)
+    {
+        ar.nested(self.rng_);
+    }
 
     std::uint64_t drops() const { return drops_.value(); }
     std::uint64_t linkDownDrops() const { return linkDownDrops_.value(); }

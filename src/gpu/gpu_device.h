@@ -27,15 +27,15 @@ public:
     void regStats(StatRegistry& registry) override;
 
     /// Kernels never span a safe point; the device only asserts that.
-    void snapSave(snap::SnapWriter& w) const override
+    void snapSave(snap::SnapWriter& w) const override { snapState(*this, w); }
+    void snapRestore(snap::SnapReader& r) override { snapState(*this, r); }
+    template <class Self, class Ar>
+    static void snapState(Self& self, Ar& ar)
     {
-        requireQuiesced(!active_, name() + " has an active kernel");
-        w.u8(1);
-    }
-    void snapRestore(snap::SnapReader& r) override
-    {
-        if (r.u8() != 1)
-            throw snap::SnapError(name() + ": bad quiescence marker");
+        if constexpr (!Ar::kLoading)
+            requireQuiesced(!self.active_,
+                            self.name() + " has an active kernel");
+        ar.expect(std::uint8_t{1}, "quiescence marker");
     }
 
     /// The next block id of the active grid for an SM to run (nullopt

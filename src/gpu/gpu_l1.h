@@ -78,13 +78,10 @@ public:
     std::uint64_t hits() const { return hits_.value(); }
     std::uint64_t misses() const { return misses_.value(); }
 
-    void snapSave(snap::SnapWriter& w) const
+    template <class Self, class Ar>
+    static void snapState(Self& self, Ar& ar)
     {
-        array_.snapSave(w, [](snap::SnapWriter&, const L1Meta&) {});
-    }
-    void snapRestore(snap::SnapReader& r)
-    {
-        array_.snapRestore(r, [](snap::SnapReader&, L1Meta&) {});
+        ar.nested(self.array_, [](Ar&, auto&) {});
     }
 
 private:

@@ -1,6 +1,5 @@
 #include "gpu/gpu_l2_slice.h"
 
-#include <algorithm>
 #include <cassert>
 
 #include "check/coherence_checker.h"
@@ -559,57 +558,6 @@ void GpuL2Slice::noteRemoteMiss(Addr addr, bool exclusive)
 void GpuL2Slice::onFill(Line& line)
 {
     static_cast<void>(line);
-}
-
-void GpuL2Slice::snapSave(snap::SnapWriter& w) const
-{
-    CacheAgent::snapSave(w);
-    if (slice_.tsLeaseTicks == 0)
-        return;
-    requireQuiesced(tsWaiting_.empty(),
-                    name() + " has in-flight lease requests");
-    std::vector<Addr> bases;
-    bases.reserve(tsLeased_.size());
-    for (const auto& [base, lease] : tsLeased_)
-        bases.push_back(base);
-    std::sort(bases.begin(), bases.end());
-    w.u64(bases.size());
-    for (const Addr base : bases) {
-        const LeasedLine& lease = tsLeased_.at(base);
-        w.u64(base);
-        w.u64(lease.expiry);
-        w.bytes(lease.data.data(), kLineSize);
-    }
-    bases.clear();
-    for (const auto& [base, expiry] : tsGranted_)
-        bases.push_back(base);
-    std::sort(bases.begin(), bases.end());
-    w.u64(bases.size());
-    for (const Addr base : bases) {
-        w.u64(base);
-        w.u64(tsGranted_.at(base));
-    }
-}
-
-void GpuL2Slice::snapRestore(snap::SnapReader& r)
-{
-    CacheAgent::snapRestore(r);
-    if (slice_.tsLeaseTicks == 0)
-        return;
-    tsLeased_.clear();
-    const std::uint64_t leased = r.u64();
-    for (std::uint64_t i = 0; i < leased; ++i) {
-        const Addr base = r.u64();
-        LeasedLine& lease = tsLeased_[base];
-        lease.expiry = r.u64();
-        r.bytes(lease.data.data(), kLineSize);
-    }
-    tsGranted_.clear();
-    const std::uint64_t granted = r.u64();
-    for (std::uint64_t i = 0; i < granted; ++i) {
-        const Addr base = r.u64();
-        tsGranted_[base] = r.u64();
-    }
 }
 
 void GpuL2Slice::regStats(StatRegistry& registry)

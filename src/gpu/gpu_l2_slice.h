@@ -77,8 +77,8 @@ public:
     /// Adds the lease buffer and the granted-lease table to the coherent
     /// agent's snapshot (only when the fast path is configured, so 1-GPU
     /// snapshot bytes are unchanged).
-    void snapSave(snap::SnapWriter& w) const override;
-    void snapRestore(snap::SnapReader& r) override;
+    void snapSave(snap::SnapWriter& w) const override { snapState(*this, w); }
+    void snapRestore(snap::SnapReader& r) override { snapState(*this, r); }
 
 protected:
     void onFill(Line& line) override;
@@ -87,6 +87,24 @@ protected:
     Tick holdUntil(Addr base) const override;
 
 private:
+    template <class Self, class Ar>
+    static void snapState(Self& self, Ar& ar)
+    {
+        CacheAgent::snapState(self, ar);
+        if (self.slice_.tsLeaseTicks == 0)
+            return;
+        if constexpr (!Ar::kLoading)
+            requireQuiesced(self.tsWaiting_.empty(),
+                            self.name() + " has in-flight lease requests");
+        snap::keyed(ar, self.tsLeased_, [](Ar& a, auto& lease) {
+            a.u64(lease.expiry);
+            a.bytes(lease.data.data(), kLineSize);
+        });
+        snap::keyed(ar, self.tsGranted_, [](Ar& a, auto& expiry) {
+            a.u64(expiry);
+        });
+    }
+
     void serveLoad(const Message& msg);
     void serveStore(const Message& msg);
     void maybePrefetch(Addr missAddr);

@@ -44,8 +44,11 @@ public:
 
     /// The carried remainder is machine state: restoring it keeps the
     /// cycle-to-tick conversion bit-exact across a checkpoint.
-    std::uint64_t accumulator() const { return acc_; }
-    void setAccumulator(std::uint64_t a) { acc_ = a; }
+    template <class Self, class Ar>
+    static void snapState(Self& self, Ar& ar)
+    {
+        ar.u64(self.acc_);
+    }
 
 private:
     std::uint64_t acc_ = 0;
@@ -90,16 +93,16 @@ public:
     /// L1 contents plus the clock-conversion remainder. Everything else
     /// (warps, block slots, outstanding lines/stores) exists only while a
     /// kernel runs, and safe points are between kernels.
-    void snapSave(snap::SnapWriter& w) const override
+    void snapSave(snap::SnapWriter& w) const override { snapState(*this, w); }
+    void snapRestore(snap::SnapReader& r) override { snapState(*this, r); }
+    template <class Self, class Ar>
+    static void snapState(Self& self, Ar& ar)
     {
-        requireQuiesced(idle(), name() + " is executing a kernel");
-        w.u64(clock_.accumulator());
-        l1_.snapSave(w);
-    }
-    void snapRestore(snap::SnapReader& r) override
-    {
-        clock_.setAccumulator(r.u64());
-        l1_.snapRestore(r);
+        if constexpr (!Ar::kLoading)
+            requireQuiesced(self.idle(),
+                            self.name() + " is executing a kernel");
+        ar.nested(self.clock_);
+        ar.nested(self.l1_);
     }
 
 private:

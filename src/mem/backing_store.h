@@ -3,9 +3,7 @@
 // evictions and the functional-correctness tests can compare end states.
 #pragma once
 
-#include <algorithm>
 #include <unordered_map>
-#include <vector>
 
 #include "mem/data_block.h"
 #include "sim/types.h"
@@ -44,30 +42,15 @@ public:
 
     std::size_t touchedLines() const { return lines_.size(); }
 
-    /// Serializes the sparse memory image in address order (iteration order
-    /// of the hash map is not deterministic; the file must be).
-    void snapSave(snap::SnapWriter& w) const
+    /// The sparse memory image, line by line in address order.
+    void snapSave(snap::SnapWriter& w) const { snapState(*this, w); }
+    void snapRestore(snap::SnapReader& r) { snapState(*this, r); }
+    template <class Self, class Ar>
+    static void snapState(Self& self, Ar& ar)
     {
-        std::vector<Addr> bases;
-        bases.reserve(lines_.size());
-        for (const auto& [base, data] : lines_)
-            bases.push_back(base);
-        std::sort(bases.begin(), bases.end());
-        w.u64(bases.size());
-        for (const Addr base : bases) {
-            w.u64(base);
-            w.bytes(lines_.at(base).data(), kLineSize);
-        }
-    }
-
-    void snapRestore(snap::SnapReader& r)
-    {
-        lines_.clear();
-        const std::uint64_t n = r.u64();
-        for (std::uint64_t i = 0; i < n; ++i) {
-            const Addr base = r.u64();
-            r.bytes(lines_[base].data(), kLineSize);
-        }
+        snap::keyed(ar, self.lines_, [](Ar& a, auto& data) {
+            a.bytes(data.data(), kLineSize);
+        });
     }
 
     /// Byte equality of the full memory image, treating never-written lines

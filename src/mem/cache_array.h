@@ -3,10 +3,12 @@
 // lookup, and victim selection.
 #pragma once
 
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "mem/data_block.h"
@@ -26,12 +28,29 @@ struct CacheGeometry {
     ReplacementKind replacement = ReplacementKind::kLru;
     std::uint64_t replacementSeed = 1;
 
-    std::uint32_t sets() const
+    /// Why no array can be built with this geometry ("" when one can):
+    /// the size must divide into `ways` ways of kLineSize-byte lines, the
+    /// set count must be a power of two and the replacement policy must
+    /// take the ways. CacheArray and validateConfig both ask here.
+    std::string problem() const
     {
         const std::uint64_t lines = sizeBytes / kLineSize;
-        if (lines == 0 || lines % ways != 0)
-            throw std::invalid_argument("cache size not divisible into ways");
-        return static_cast<std::uint32_t>(lines / ways);
+        if (ways == 0 || lines == 0 || lines % ways != 0)
+            return "cache size not divisible into ways";
+        if (!std::has_single_bit(lines / ways))
+            return "set count must be a power of two";
+        if (replacement == ReplacementKind::kTreePlru &&
+            !TreePlruPolicy::takesWays(ways))
+            return TreePlruPolicy::kWaysRule;
+        return {};
+    }
+
+    /// Throws std::invalid_argument with problem(), if any.
+    std::uint32_t sets() const
+    {
+        if (const std::string why = problem(); !why.empty())
+            throw std::invalid_argument(why);
+        return static_cast<std::uint32_t>(sizeBytes / kLineSize / ways);
     }
 };
 
@@ -52,8 +71,6 @@ public:
           policy_(ReplacementPolicy::create(geom.replacement, sets_, geom.ways,
                                             geom.replacementSeed))
     {
-        if ((sets_ & (sets_ - 1)) != 0)
-            throw std::invalid_argument("set count must be a power of two");
     }
 
     std::uint32_t sets() const { return sets_; }
@@ -187,38 +204,28 @@ public:
         return n;
     }
 
-    /// Serializes every way in index order (tag, data, caller-encoded meta)
-    /// plus the replacement-policy state. Geometry is config-derived;
-    /// restore runs on an identically configured array.
-    template <typename MetaSave>
-    void snapSave(snap::SnapWriter& w, MetaSave&& metaSave) const
+    /// Every way in index order (valid flag, then tag, the meta @p meta
+    /// archives and data) plus the replacement-policy state. Geometry is
+    /// config-derived; restore runs on an identically configured array.
+    template <class Self, class Ar, class Meta>
+    static void snapState(Self& self, Ar& ar, Meta&& meta)
     {
-        for (const Line& line : lines_) {
-            w.u8(line.valid ? 1 : 0);
+        for (auto& line : self.lines_) {
+            if constexpr (Ar::kLoading) {
+                line.base = 0;
+                line.meta = MetaT{};
+            }
+            ar.flag(line.valid);
             if (!line.valid)
                 continue;
-            w.u64(line.base);
-            metaSave(w, line.meta);
-            w.bytes(line.data.data(), kLineSize);
+            ar.u64(line.base);
+            meta(ar, line.meta);
+            ar.bytes(line.data.data(), kLineSize);
         }
-        policy_->snapSave(w);
-    }
-
-    template <typename MetaRestore>
-    void snapRestore(snap::SnapReader& r, MetaRestore&& metaRestore)
-    {
-        for (Line& line : lines_) {
-            line.valid = r.u8() != 0;
-            line.meta = MetaT{};
-            if (!line.valid) {
-                line.base = 0;
-                continue;
-            }
-            line.base = r.u64();
-            metaRestore(r, line.meta);
-            r.bytes(line.data.data(), kLineSize);
-        }
-        policy_->snapRestore(r);
+        if constexpr (Ar::kLoading)
+            self.policy_->snapRestore(ar);
+        else
+            self.policy_->snapSave(ar);
     }
 
 private:

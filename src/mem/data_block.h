@@ -110,10 +110,16 @@ public:
                 dst.data()[i] = src.data()[i];
     }
 
-    /// Raw word access for serialization.
+    /// Raw word access, for hashing.
     static constexpr std::size_t kWords = kLineSize / 64;
     std::uint64_t word(std::size_t i) const { return bits_[i]; }
-    void setWord(std::size_t i, std::uint64_t v) { bits_[i] = v; }
+
+    template <class Self, class Ar>
+    static void snapState(Self& self, Ar& ar)
+    {
+        for (auto& word : self.bits_)
+            ar.u64(word);
+    }
 
 private:
     std::array<std::uint64_t, kLineSize / 64> bits_{};

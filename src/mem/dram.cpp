@@ -123,28 +123,4 @@ void Dram::regStats(StatRegistry& registry)
     registry.registerHistogram(statName("latency"), &latency_);
 }
 
-void Dram::snapSave(snap::SnapWriter& w) const
-{
-    w.u64(busFreeAt_);
-    w.u64(banks_.size());
-    for (const Bank& bank : banks_) {
-        w.u64(bank.readyAt);
-        w.u8(bank.rowOpen ? 1 : 0);
-        w.u64(bank.openRow);
-    }
-}
-
-void Dram::snapRestore(snap::SnapReader& r)
-{
-    busFreeAt_ = r.u64();
-    const std::uint64_t n = r.u64();
-    if (n != banks_.size())
-        throw snap::SnapError(name() + ": bank count mismatch");
-    for (Bank& bank : banks_) {
-        bank.readyAt = r.u64();
-        bank.rowOpen = r.u8() != 0;
-        bank.openRow = r.u64();
-    }
-}
-
 } // namespace dscoh

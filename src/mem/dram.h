@@ -73,8 +73,19 @@ public:
     /// Bank/bus timing state can legitimately reach into the future at a
     /// safe point (the last access reserves the bus past its completion
     /// event), so it is serialized rather than asserted empty.
-    void snapSave(snap::SnapWriter& w) const override;
-    void snapRestore(snap::SnapReader& r) override;
+    void snapSave(snap::SnapWriter& w) const override { snapState(*this, w); }
+    void snapRestore(snap::SnapReader& r) override { snapState(*this, r); }
+    template <class Self, class Ar>
+    static void snapState(Self& self, Ar& ar)
+    {
+        ar.u64(self.busFreeAt_);
+        ar.expect(self.banks_.size(), "bank count");
+        for (auto& bank : self.banks_) {
+            ar.u64(bank.readyAt);
+            ar.flag(bank.rowOpen);
+            ar.u64(bank.openRow);
+        }
+    }
 
 private:
     struct Bank {

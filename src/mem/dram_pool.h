@@ -6,6 +6,7 @@
 // direct store's win is latency and which is bandwidth relief.
 #pragma once
 
+#include <bit>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -19,11 +20,17 @@ public:
     DramPool(const std::string& name, SimContext& ctx, BackingStore& store,
              const DramTiming& timing, std::uint32_t channels)
     {
-        if (channels == 0 || (channels & (channels - 1)) != 0)
+        if (!takesChannels(channels))
             throw std::invalid_argument("channel count must be a power of two");
         for (std::uint32_t c = 0; c < channels; ++c)
             channels_.push_back(std::make_unique<Dram>(
                 name + ".ch" + std::to_string(c), ctx, store, timing));
+    }
+
+    /// The channel is picked by masking line-number bits.
+    static bool takesChannels(std::uint32_t channels)
+    {
+        return std::has_single_bit(channels);
     }
 
     std::uint32_t channels() const
@@ -62,15 +69,13 @@ public:
             ch->regStats(registry);
     }
 
-    void snapSave(snap::SnapWriter& w) const
+    void snapSave(snap::SnapWriter& w) const { snapState(*this, w); }
+    void snapRestore(snap::SnapReader& r) { snapState(*this, r); }
+    template <class Self, class Ar>
+    static void snapState(Self& self, Ar& ar)
     {
-        for (const auto& ch : channels_)
-            ch->snapSave(w);
-    }
-    void snapRestore(snap::SnapReader& r)
-    {
-        for (auto& ch : channels_)
-            ch->snapRestore(r);
+        for (const auto& ch : self.channels_)
+            ar.nested(*ch);
     }
 
     /// Direct channel access for tests.

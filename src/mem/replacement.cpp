@@ -69,8 +69,8 @@ std::uint32_t LruPolicy::victim(std::uint32_t set, const std::vector<bool>& cand
 TreePlruPolicy::TreePlruPolicy(std::uint32_t sets, std::uint32_t ways)
     : ReplacementPolicy(sets, ways), nodesPerSet_(ways - 1)
 {
-    if (ways < 2 || (ways & (ways - 1)) != 0)
-        throw std::invalid_argument("tree-plru requires power-of-two ways >= 2");
+    if (!takesWays(ways))
+        throw std::invalid_argument(kWaysRule);
     bits_.resize(static_cast<std::size_t>(sets) * nodesPerSet_, false);
 }
 
@@ -113,53 +113,6 @@ std::uint32_t TreePlruPolicy::victim(std::uint32_t set,
             return w;
     assert(false && "victim() requires at least one candidate");
     return 0;
-}
-
-void LruPolicy::snapSave(snap::SnapWriter& w) const
-{
-    w.u64(clock_);
-    for (const std::uint64_t s : stamp_)
-        w.u64(s);
-}
-
-void LruPolicy::snapRestore(snap::SnapReader& r)
-{
-    clock_ = r.u64();
-    for (auto& s : stamp_)
-        s = r.u64();
-}
-
-void TreePlruPolicy::snapSave(snap::SnapWriter& w) const
-{
-    for (std::size_t i = 0; i < bits_.size(); i += 8) {
-        std::uint8_t packed = 0;
-        for (std::size_t b = 0; b < 8 && i + b < bits_.size(); ++b)
-            packed |= static_cast<std::uint8_t>((bits_[i + b] ? 1u : 0u) << b);
-        w.u8(packed);
-    }
-}
-
-void TreePlruPolicy::snapRestore(snap::SnapReader& r)
-{
-    for (std::size_t i = 0; i < bits_.size(); i += 8) {
-        const std::uint8_t packed = r.u8();
-        for (std::size_t b = 0; b < 8 && i + b < bits_.size(); ++b)
-            bits_[i + b] = ((packed >> b) & 1u) != 0;
-    }
-}
-
-void RandomPolicy::snapSave(snap::SnapWriter& w) const
-{
-    for (const std::uint64_t word : rng_.state())
-        w.u64(word);
-}
-
-void RandomPolicy::snapRestore(snap::SnapReader& r)
-{
-    std::array<std::uint64_t, 4> s;
-    for (auto& word : s)
-        word = r.u64();
-    rng_.setState(s);
 }
 
 std::uint32_t RandomPolicy::victim(std::uint32_t set, const std::vector<bool>& candidates)

@@ -5,6 +5,8 @@
 // excludes ways that are pinned by in-flight transactions).
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -46,12 +48,10 @@ public:
 
     /// Victim choice is part of deterministic machine state (LRU stamps,
     /// PLRU bits, the random policy's RNG), so it checkpoints with the
-    /// cache array that owns the policy.
-    virtual void snapSave(snap::SnapWriter& w) const
-    {
-        static_cast<void>(w);
-    }
-    virtual void snapRestore(snap::SnapReader& r) { static_cast<void>(r); }
+    /// cache array that owns the policy. Each policy forwards both to its
+    /// snapState.
+    virtual void snapSave(snap::SnapWriter& w) const = 0;
+    virtual void snapRestore(snap::SnapReader& r) = 0;
 
     static std::unique_ptr<ReplacementPolicy> create(ReplacementKind kind,
                                                      std::uint32_t sets,
@@ -79,10 +79,18 @@ public:
     std::uint32_t victim(std::uint32_t set,
                          const std::vector<bool>& candidates) override;
 
-    void snapSave(snap::SnapWriter& w) const override;
-    void snapRestore(snap::SnapReader& r) override;
+    void snapSave(snap::SnapWriter& w) const override { snapState(*this, w); }
+    void snapRestore(snap::SnapReader& r) override { snapState(*this, r); }
 
 private:
+    template <class Self, class Ar>
+    static void snapState(Self& self, Ar& ar)
+    {
+        ar.u64(self.clock_);
+        for (auto& s : self.stamp_)
+            ar.u64(s);
+    }
+
     std::size_t index(std::uint32_t set, std::uint32_t way) const
     {
         return static_cast<std::size_t>(set) * ways_ + way;
@@ -97,14 +105,40 @@ class TreePlruPolicy final : public ReplacementPolicy {
 public:
     TreePlruPolicy(std::uint32_t sets, std::uint32_t ways);
 
+    /// The tree needs a power-of-two number of ways, at least two.
+    static bool takesWays(std::uint32_t ways)
+    {
+        return ways >= 2 && std::has_single_bit(ways);
+    }
+    static constexpr const char* kWaysRule =
+        "tree-plru requires power-of-two ways >= 2";
+
     void touch(std::uint32_t set, std::uint32_t way) override;
     std::uint32_t victim(std::uint32_t set,
                          const std::vector<bool>& candidates) override;
 
-    void snapSave(snap::SnapWriter& w) const override;
-    void snapRestore(snap::SnapReader& r) override;
+    void snapSave(snap::SnapWriter& w) const override { snapState(*this, w); }
+    void snapRestore(snap::SnapReader& r) override { snapState(*this, r); }
 
 private:
+    template <class Self, class Ar>
+    static void snapState(Self& self, Ar& ar)
+    {
+        // Eight tree bits per byte.
+        auto& bits = self.bits_;
+        for (std::size_t i = 0; i < bits.size(); i += 8) {
+            const std::size_t n = std::min<std::size_t>(8, bits.size() - i);
+            std::uint8_t packed = 0;
+            for (std::size_t b = 0; b < n; ++b)
+                packed |= static_cast<std::uint8_t>((bits[i + b] ? 1u : 0u)
+                                                    << b);
+            ar.u8(packed);
+            if constexpr (Ar::kLoading)
+                for (std::size_t b = 0; b < n; ++b)
+                    bits[i + b] = ((packed >> b) & 1) != 0;
+        }
+    }
+
     // One bit per internal tree node, (ways - 1) nodes per set.
     std::vector<bool> bits_;
     std::uint32_t nodesPerSet_;
@@ -122,10 +156,16 @@ public:
     std::uint32_t victim(std::uint32_t set,
                          const std::vector<bool>& candidates) override;
 
-    void snapSave(snap::SnapWriter& w) const override;
-    void snapRestore(snap::SnapReader& r) override;
+    void snapSave(snap::SnapWriter& w) const override { snapState(*this, w); }
+    void snapRestore(snap::SnapReader& r) override { snapState(*this, r); }
 
 private:
+    template <class Self, class Ar>
+    static void snapState(Self& self, Ar& ar)
+    {
+        ar.nested(self.rng_);
+    }
+
     Rng rng_;
 };
 

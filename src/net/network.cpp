@@ -201,22 +201,4 @@ void Network::regStats(StatRegistry& registry)
     registry.registerHistogram(statName("delivery_latency"), &deliveryLatency_);
 }
 
-void Network::snapSave(snap::SnapWriter& w) const
-{
-    w.u64(portFreeAt_.size());
-    for (const Tick t : portFreeAt_)
-        w.u64(t);
-}
-
-void Network::snapRestore(snap::SnapReader& r)
-{
-    const std::uint64_t n = r.u64();
-    if (n != portFreeAt_.size())
-        throw snap::SnapError(name() + ": port count mismatch (snapshot " +
-                              std::to_string(n) + ", this system " +
-                              std::to_string(portFreeAt_.size()) + ")");
-    for (auto& t : portFreeAt_)
-        t = r.u64();
-}
-
 } // namespace dscoh

@@ -139,8 +139,15 @@ public:
     /// Messages never cross a safe point (delivery closures live in the
     /// event queue, which is drained), but the per-destination port
     /// reservations can extend past it and are timing state.
-    void snapSave(snap::SnapWriter& w) const override;
-    void snapRestore(snap::SnapReader& r) override;
+    void snapSave(snap::SnapWriter& w) const override { snapState(*this, w); }
+    void snapRestore(snap::SnapReader& r) override { snapState(*this, r); }
+    template <class Self, class Ar>
+    static void snapState(Self& self, Ar& ar)
+    {
+        ar.expect(self.portFreeAt_.size(), "port count");
+        for (auto& t : self.portFreeAt_)
+            ar.u64(t);
+    }
 
     std::uint64_t messagesSent() const { return messages_.value(); }
     std::uint64_t bytesSent() const { return bytes_.value(); }

@@ -58,45 +58,6 @@ void EpochSampler::arm()
                                EventPriority::kStats);
 }
 
-void EpochSampler::snapSave(snap::SnapWriter& w) const
-{
-    w.u64(params_.epochTicks);
-    w.u64(names_.size());
-    for (const std::string& name : names_)
-        w.str(name);
-    w.u64(samples_.size());
-    for (const Sample& s : samples_) {
-        w.u64(s.tick);
-        for (const std::uint64_t v : s.values)
-            w.u64(v);
-    }
-}
-
-void EpochSampler::snapRestore(snap::SnapReader& r)
-{
-    const std::uint64_t epochTicks = r.u64();
-    if (epochTicks != params_.epochTicks)
-        throw snap::SnapError(
-            "epoch sampler period differs from the snapshot's (" +
-            std::to_string(params_.epochTicks) + " vs " +
-            std::to_string(epochTicks) + ")");
-    names_.clear();
-    const std::uint64_t nNames = r.u64();
-    for (std::uint64_t i = 0; i < nNames; ++i)
-        names_.push_back(r.str());
-    samples_.clear();
-    const std::uint64_t nSamples = r.u64();
-    for (std::uint64_t i = 0; i < nSamples; ++i) {
-        Sample s;
-        s.tick = r.u64();
-        s.values.reserve(names_.size());
-        for (std::size_t v = 0; v < names_.size(); ++v)
-            s.values.push_back(r.u64());
-        samples_.push_back(std::move(s));
-    }
-    restored_ = true;
-}
-
 void EpochSampler::writeJson(std::ostream& os) const
 {
     JsonWriter w;

@@ -61,12 +61,29 @@ public:
     /// Serializes epochTicks (verified on restore), the resolved counter
     /// names and every sample taken so far. Safe points never have the
     /// sampling event armed, so there is no transient state to lose.
-    void snapSave(snap::SnapWriter& w) const;
+    void snapSave(snap::SnapWriter& w) const { snapState(*this, w); }
     /// Restores the series and freezes the sampler (see start()).
-    void snapRestore(snap::SnapReader& r);
+    void snapRestore(snap::SnapReader& r) { snapState(*this, r); }
     bool restored() const { return restored_; }
 
 private:
+    template <class Self, class Ar>
+    static void snapState(Self& self, Ar& ar)
+    {
+        ar.expect(self.params_.epochTicks, "epoch sampler period");
+        snap::seq(ar, self.names_, [](Ar& a, auto& name) { a.str(name); });
+        const std::size_t width = self.names_.size();
+        snap::seq(ar, self.samples_, [width](Ar& a, auto& s) {
+            a.u64(s.tick);
+            if constexpr (Ar::kLoading)
+                s.values.resize(width);
+            for (auto& v : s.values)
+                a.u64(v);
+        });
+        if constexpr (Ar::kLoading)
+            self.restored_ = true;
+    }
+
     void takeSample();
     void arm();
 

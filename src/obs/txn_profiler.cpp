@@ -284,132 +284,4 @@ void TxnProfiler::writeJson(std::ostream& os) const
     w.end().end();
 }
 
-void TxnProfiler::snapSave(snap::SnapWriter& w) const
-{
-    if (!open_.empty())
-        throw snap::SnapError(
-            "snapshot off a safe point: txnprof has " +
-            std::to_string(open_.size()) + " open span(s)");
-    w.u64(params_.topK);
-    w.u64(params_.histBucketTicks);
-    w.u64(params_.histBuckets);
-    w.u32(params_.regionShift);
-    w.u64(nextSpan_);
-    w.u64(begun_);
-    w.u64(completed_);
-
-    w.u64(trackNames_.size());
-    for (const std::string& t : trackNames_)
-        w.str(t);
-
-    for (const KindStats& ks : kinds_) {
-        w.u64(ks.count);
-        ks.latency.snapSave(w);
-        for (const std::uint64_t ticks : ks.stageTicks)
-            w.u64(ticks);
-    }
-
-    w.u64(slowest_.size());
-    for (const SpanRecord& rec : slowest_) {
-        w.u64(rec.id);
-        w.u8(static_cast<std::uint8_t>(rec.kind));
-        w.u64(rec.addr);
-        w.u64(rec.beginTick);
-        w.u64(rec.endTick);
-        w.u32(rec.beginTrack);
-        w.u64(rec.hops.size());
-        for (const Hop& h : rec.hops) {
-            w.u8(static_cast<std::uint8_t>(h.stage));
-            w.u64(h.at);
-            w.u32(h.track);
-        }
-    }
-
-    w.u64(regions_.size());
-    for (const auto& [page, r] : regions_) {
-        w.u64(page);
-        w.u64(r.pushes);
-        w.u64(r.installs);
-        w.u64(r.bypasses);
-        w.u64(r.merges);
-        w.u64(r.fallbacks);
-        w.u64(r.ucReads);
-        w.u64(r.pulls);
-        w.u64(r.gpuAccesses);
-        w.u64(r.gpuMisses);
-        w.u64(r.completed);
-        w.u64(r.latencyTicks);
-    }
-}
-
-void TxnProfiler::snapRestore(snap::SnapReader& r)
-{
-    const std::uint64_t topK = r.u64();
-    const std::uint64_t bucketTicks = r.u64();
-    const std::uint64_t buckets = r.u64();
-    const std::uint32_t regionShift = r.u32();
-    if (topK != params_.topK || bucketTicks != params_.histBucketTicks ||
-        buckets != params_.histBuckets || regionShift != params_.regionShift)
-        throw snap::SnapError("txnprof params differ from the snapshot's");
-    nextSpan_ = r.u64();
-    begun_ = r.u64();
-    completed_ = r.u64();
-
-    trackNames_.clear();
-    trackIds_.clear();
-    const std::uint64_t tracks = r.u64();
-    for (std::uint64_t i = 0; i < tracks; ++i) {
-        trackNames_.push_back(r.str());
-        trackIds_.emplace(trackNames_.back(),
-                          static_cast<std::uint32_t>(i));
-    }
-
-    for (KindStats& ks : kinds_) {
-        ks.count = r.u64();
-        ks.latency.snapRestore(r);
-        for (std::uint64_t& ticks : ks.stageTicks)
-            ticks = r.u64();
-    }
-
-    slowest_.clear();
-    const std::uint64_t nSlow = r.u64();
-    for (std::uint64_t i = 0; i < nSlow; ++i) {
-        SpanRecord rec;
-        rec.id = r.u64();
-        rec.kind = static_cast<TxnKind>(r.u8());
-        rec.addr = r.u64();
-        rec.beginTick = r.u64();
-        rec.endTick = r.u64();
-        rec.beginTrack = r.u32();
-        const std::uint64_t nHops = r.u64();
-        rec.hops.reserve(nHops);
-        for (std::uint64_t h = 0; h < nHops; ++h) {
-            Hop hop;
-            hop.stage = static_cast<TxnStage>(r.u8());
-            hop.at = r.u64();
-            hop.track = r.u32();
-            rec.hops.push_back(hop);
-        }
-        slowest_.push_back(std::move(rec));
-    }
-
-    regions_.clear();
-    const std::uint64_t nRegions = r.u64();
-    for (std::uint64_t i = 0; i < nRegions; ++i) {
-        const Addr page = r.u64();
-        RegionStats& reg = regions_[page];
-        reg.pushes = r.u64();
-        reg.installs = r.u64();
-        reg.bypasses = r.u64();
-        reg.merges = r.u64();
-        reg.fallbacks = r.u64();
-        reg.ucReads = r.u64();
-        reg.pulls = r.u64();
-        reg.gpuAccesses = r.u64();
-        reg.gpuMisses = r.u64();
-        reg.completed = r.u64();
-        reg.latencyTicks = r.u64();
-    }
-}
-
 } // namespace dscoh

@@ -238,10 +238,70 @@ public:
     /// Serializes the closed aggregate (histograms, stage sums, top-K,
     /// regions, track table, id counters). Throws snap::SnapError when
     /// spans are still open — the caller is off a safe point.
-    void snapSave(snap::SnapWriter& w) const;
-    void snapRestore(snap::SnapReader& r);
+    void snapSave(snap::SnapWriter& w) const { snapState(*this, w); }
+    void snapRestore(snap::SnapReader& r) { snapState(*this, r); }
 
 private:
+    template <class Self, class Ar>
+    static void snapState(Self& self, Ar& ar)
+    {
+        if constexpr (!Ar::kLoading)
+            if (!self.open_.empty())
+                throw snap::SnapError(
+                    "snapshot off a safe point: txnprof has " +
+                    std::to_string(self.open_.size()) + " open span(s)");
+        ar.expect(self.params_.topK, "txnprof top-K");
+        ar.expect(self.params_.histBucketTicks, "txnprof bucket width");
+        ar.expect(self.params_.histBuckets, "txnprof bucket count");
+        ar.expect(self.params_.regionShift, "txnprof region shift");
+        ar.u64(self.nextSpan_);
+        ar.u64(self.begun_);
+        ar.u64(self.completed_);
+
+        snap::seq(ar, self.trackNames_, [](Ar& a, auto& t) { a.str(t); });
+        if constexpr (Ar::kLoading) {
+            self.trackIds_.clear();
+            for (std::size_t i = 0; i < self.trackNames_.size(); ++i)
+                self.trackIds_.emplace(self.trackNames_[i],
+                                       static_cast<std::uint32_t>(i));
+        }
+
+        for (auto& ks : self.kinds_) {
+            ar.u64(ks.count);
+            ar.nested(ks.latency);
+            for (auto& ticks : ks.stageTicks)
+                ar.u64(ticks);
+        }
+
+        snap::seq(ar, self.slowest_, [](Ar& a, auto& rec) {
+            a.u64(rec.id);
+            a.u8(rec.kind);
+            a.u64(rec.addr);
+            a.u64(rec.beginTick);
+            a.u64(rec.endTick);
+            a.u32(rec.beginTrack);
+            snap::seq(a, rec.hops, [](Ar& h, auto& hop) {
+                h.u8(hop.stage);
+                h.u64(hop.at);
+                h.u32(hop.track);
+            });
+        });
+
+        snap::keyed(ar, self.regions_, [](Ar& a, auto& r) {
+            a.u64(r.pushes);
+            a.u64(r.installs);
+            a.u64(r.bypasses);
+            a.u64(r.merges);
+            a.u64(r.fallbacks);
+            a.u64(r.ucReads);
+            a.u64(r.pulls);
+            a.u64(r.gpuAccesses);
+            a.u64(r.gpuMisses);
+            a.u64(r.completed);
+            a.u64(r.latencyTicks);
+        });
+    }
+
     std::uint32_t trackId(const std::string& name);
     void insertTopK(SpanRecord&& rec);
     void emitFlow(const SpanRecord& rec) const;

@@ -234,36 +234,4 @@ void EventQueue::regStats(StatRegistry& registry)
     registry.registerCounter("queue.heap_spilled_callbacks", &heapSpills_);
 }
 
-void EventQueue::snapSave(snap::SnapWriter& w) const
-{
-    if (pendingCount() != 0)
-        throw snap::SnapError(
-            "EventQueue: " + std::to_string(pendingCount()) +
-            " pending events — snapshots only exist at drained safe points");
-    w.u64(now_);
-    w.u64(seq_);
-    w.u64(executed_.value());
-    w.u8(shuffleTies_ ? 1 : 0);
-    for (const std::uint64_t word : tieRng_.state())
-        w.u64(word);
-}
-
-void EventQueue::snapRestore(snap::SnapReader& r)
-{
-    if (pendingCount() != 0)
-        throw snap::SnapError("EventQueue: restore into a non-empty queue");
-    now_ = r.u64();
-    seq_ = r.u64();
-    executed_.set(r.u64());
-    shuffleTies_ = r.u8() != 0;
-    std::array<std::uint64_t, 4> s;
-    for (auto& word : s)
-        word = r.u64();
-    tieRng_.setState(s);
-    // The derived counters are not part of the frozen snapshot layout.
-    // schedule_calls mirrors the insertion sequence exactly; peak/spills
-    // restart (and are restored through the StatRegistry when registered).
-    scheduled_.set(seq_);
-}
-
 } // namespace dscoh

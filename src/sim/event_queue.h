@@ -146,8 +146,8 @@ public:
     /// tie-break-RNG state: restoring them gives every post-restore event
     /// the same (key, seq) tie-break identity it would have had in an
     /// uninterrupted run, so same-tick ordering is bit-identical.
-    void snapSave(snap::SnapWriter& w) const;
-    void snapRestore(snap::SnapReader& r);
+    void snapSave(snap::SnapWriter& w) const { snapState(*this, w); }
+    void snapRestore(snap::SnapReader& r) { snapState(*this, r); }
 
     /// Registers the queue's own counters under "queue.*". Opt-in
     /// (System::enableQueueStats): the default stat set — and with it the
@@ -163,6 +163,28 @@ public:
     std::uint64_t heapSpilledCallbacks() const { return heapSpills_.value(); }
 
 private:
+    template <class Self, class Ar>
+    static void snapState(Self& self, Ar& ar)
+    {
+        if (self.pendingCount() != 0)
+            throw snap::SnapError(
+                Ar::kLoading
+                    ? "EventQueue: restore into a non-empty queue"
+                    : "EventQueue: " + std::to_string(self.pendingCount()) +
+                          " pending events — snapshots only exist at drained "
+                          "safe points");
+        ar.u64(self.now_);
+        ar.u64(self.seq_);
+        ar.nested(self.executed_);
+        ar.flag(self.shuffleTies_);
+        ar.nested(self.tieRng_);
+        // The derived counters are not part of the frozen snapshot layout.
+        // schedule_calls mirrors the insertion sequence exactly; peak/spills
+        // restart (and are restored through the StatRegistry when registered).
+        if constexpr (Ar::kLoading)
+            self.scheduled_.set(self.seq_);
+    }
+
     struct Entry {
         Tick when;
         std::int32_t prio;

@@ -72,15 +72,12 @@ public:
     /// True with probability p.
     bool chance(double p) { return unit() < p; }
 
-    /// Raw engine state, for checkpointing a stream mid-sequence.
-    std::array<std::uint64_t, 4> state() const
+    /// Raw engine state, so a checkpointed stream resumes mid-sequence.
+    template <class Self, class Ar>
+    static void snapState(Self& self, Ar& ar)
     {
-        return {s_[0], s_[1], s_[2], s_[3]};
-    }
-    void setState(const std::array<std::uint64_t, 4>& s)
-    {
-        for (std::size_t i = 0; i < 4; ++i)
-            s_[i] = s[i];
+        for (auto& word : self.s_)
+            ar.u64(word);
     }
 
 private:

@@ -61,32 +61,6 @@ double Histogram::percentile(double p) const
     return static_cast<double>(max_);
 }
 
-void Histogram::snapSave(snap::SnapWriter& w) const
-{
-    w.u64(static_cast<std::uint64_t>(counts_.size()));
-    for (const std::uint64_t c : counts_)
-        w.u64(c);
-    w.u64(samples_);
-    w.u64(sum_);
-    w.u64(min_);
-    w.u64(max_);
-}
-
-void Histogram::snapRestore(snap::SnapReader& r)
-{
-    const std::uint64_t n = r.u64();
-    if (n != counts_.size())
-        throw snap::SnapError("histogram bucket count mismatch: snapshot " +
-                              std::to_string(n) + ", this build " +
-                              std::to_string(counts_.size()));
-    for (auto& c : counts_)
-        c = r.u64();
-    samples_ = r.u64();
-    sum_ = r.u64();
-    min_ = r.u64();
-    max_ = r.u64();
-}
-
 void StatRegistry::registerCounter(std::string name, Counter* c)
 {
     counters_.emplace(std::move(name), c);
@@ -172,69 +146,6 @@ void StatRegistry::dumpJson(std::ostream& os,
     if (!extraMember.empty())
         w.raw(extraMember);
     w.end();
-}
-
-void StatRegistry::snapSave(snap::SnapWriter& w) const
-{
-    w.u64(counters_.size());
-    for (const auto& [name, c] : counters_) {
-        w.str(name);
-        w.u64(c->value());
-    }
-    w.u64(scalars_.size());
-    for (const auto& [name, s] : scalars_) {
-        w.str(name);
-        w.f64(s->value());
-    }
-    w.u64(histograms_.size());
-    for (const auto& [name, h] : histograms_) {
-        w.str(name);
-        h->snapSave(w);
-    }
-}
-
-void StatRegistry::snapRestore(snap::SnapReader& r)
-{
-    const std::uint64_t nCounters = r.u64();
-    if (nCounters != counters_.size())
-        throw snap::SnapError("stat registry mismatch: snapshot has " +
-                              std::to_string(nCounters) +
-                              " counters, this build registered " +
-                              std::to_string(counters_.size()));
-    for (auto& [name, c] : counters_) {
-        const std::string saved = r.str();
-        if (saved != name)
-            throw snap::SnapError("stat registry mismatch: snapshot counter '" +
-                                  saved + "' vs registered '" + name + "'");
-        c->set(r.u64());
-    }
-    const std::uint64_t nScalars = r.u64();
-    if (nScalars != scalars_.size())
-        throw snap::SnapError("stat registry mismatch: snapshot has " +
-                              std::to_string(nScalars) +
-                              " scalars, this build registered " +
-                              std::to_string(scalars_.size()));
-    for (auto& [name, s] : scalars_) {
-        const std::string saved = r.str();
-        if (saved != name)
-            throw snap::SnapError("stat registry mismatch: snapshot scalar '" +
-                                  saved + "' vs registered '" + name + "'");
-        s->set(r.f64());
-    }
-    const std::uint64_t nHistograms = r.u64();
-    if (nHistograms != histograms_.size())
-        throw snap::SnapError("stat registry mismatch: snapshot has " +
-                              std::to_string(nHistograms) +
-                              " histograms, this build registered " +
-                              std::to_string(histograms_.size()));
-    for (auto& [name, h] : histograms_) {
-        const std::string saved = r.str();
-        if (saved != name)
-            throw snap::SnapError(
-                "stat registry mismatch: snapshot histogram '" + saved +
-                "' vs registered '" + name + "'");
-        h->snapRestore(r);
-    }
 }
 
 std::vector<std::string> StatRegistry::counterNames() const

@@ -24,6 +24,11 @@ public:
     void reset() { value_ = 0; }
     /// Snapshot restore only — counters otherwise only ever increment.
     void set(std::uint64_t v) { value_ = v; }
+    template <class Self, class Ar>
+    static void snapState(Self& self, Ar& ar)
+    {
+        ar.u64(self.value_);
+    }
 
 private:
     std::uint64_t value_ = 0;
@@ -36,6 +41,11 @@ public:
     void add(double v) { value_ += v; }
     double value() const { return value_; }
     void reset() { value_ = 0.0; }
+    template <class Self, class Ar>
+    static void snapState(Self& self, Ar& ar)
+    {
+        ar.f64(self.value_);
+    }
 
 private:
     double value_ = 0.0;
@@ -69,10 +79,19 @@ public:
     /// [0, 100].
     double percentile(double p) const;
 
-    /// Serializes counts/samples/sum/min/max (geometry is config-derived
-    /// and must already match on restore).
-    void snapSave(snap::SnapWriter& w) const;
-    void snapRestore(snap::SnapReader& r);
+    /// Counts/samples/sum/min/max (geometry is config-derived and must
+    /// already match on restore).
+    template <class Self, class Ar>
+    static void snapState(Self& self, Ar& ar)
+    {
+        ar.expect(self.counts_.size(), "histogram bucket count");
+        for (auto& c : self.counts_)
+            ar.u64(c);
+        ar.u64(self.samples_);
+        ar.u64(self.sum_);
+        ar.u64(self.min_);
+        ar.u64(self.max_);
+    }
 
 private:
     std::uint64_t width_;
@@ -121,10 +140,28 @@ public:
     /// restore side writes values back *through* the registered pointers
     /// into the owning components, and insists the two registries hold
     /// exactly the same names — a drifted stat set is a layout mismatch.
-    void snapSave(snap::SnapWriter& w) const;
-    void snapRestore(snap::SnapReader& r);
+    void snapSave(snap::SnapWriter& w) const { snapState(*this, w); }
+    void snapRestore(snap::SnapReader& r) { snapState(*this, r); }
 
 private:
+    template <class Self, class Ar>
+    static void snapState(Self& self, Ar& ar)
+    {
+        // Each kind by name in map order; a drifted stat set is a layout
+        // mismatch, refused by expect().
+        const auto kind = [&ar](auto& stats, const char* count,
+                                const char* name) {
+            ar.expect(stats.size(), count);
+            for (auto& [statName, stat] : stats) {
+                ar.expect(statName, name);
+                ar.nested(*stat);
+            }
+        };
+        kind(self.counters_, "counter count", "counter name");
+        kind(self.scalars_, "scalar count", "scalar name");
+        kind(self.histograms_, "histogram count", "histogram name");
+    }
+
     std::map<std::string, Counter*> counters_;
     std::map<std::string, Scalar*> scalars_;
     std::map<std::string, Histogram*> histograms_;

@@ -48,18 +48,6 @@ std::uint32_t loadLe32(const std::uint8_t* p)
            static_cast<std::uint32_t>(p[3]) << 24;
 }
 
-void appendLe32(std::string& out, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
-}
-
-void appendLe64(std::string& out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
-}
-
 } // namespace
 
 std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed)
@@ -337,46 +325,6 @@ void SnapWriter::endSection()
     open_ = false;
 }
 
-void SnapWriter::raw(const void* data, std::size_t size)
-{
-    if (!open_)
-        throw SnapError("snapshot write outside of a section");
-    sections_.back().payload.append(static_cast<const char*>(data), size);
-}
-
-void SnapWriter::u32(std::uint32_t v)
-{
-    if (!open_)
-        throw SnapError("snapshot write outside of a section");
-    appendLe32(sections_.back().payload, v);
-}
-
-void SnapWriter::u64(std::uint64_t v)
-{
-    if (!open_)
-        throw SnapError("snapshot write outside of a section");
-    appendLe64(sections_.back().payload, v);
-}
-
-void SnapWriter::f64(double v)
-{
-    static_assert(sizeof(double) == sizeof(std::uint64_t));
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    u64(bits);
-}
-
-void SnapWriter::str(const std::string& s)
-{
-    u32(static_cast<std::uint32_t>(s.size()));
-    raw(s.data(), s.size());
-}
-
-void SnapWriter::bytes(const void* data, std::size_t size)
-{
-    raw(data, size);
-}
-
 std::string SnapWriter::finish() const
 {
     if (open_)
@@ -384,17 +332,17 @@ std::string SnapWriter::finish() const
                         "' still open");
     std::string out;
     out.append(kMagic.data(), kMagic.size());
-    appendLe32(out, kFormatVersion);
-    appendLe64(out, tick_);
-    appendLe64(out, configHash_);
-    appendLe32(out, static_cast<std::uint32_t>(sections_.size()));
+    appendLe(out, kFormatVersion);
+    appendLe(out, tick_);
+    appendLe(out, configHash_);
+    appendLe(out, static_cast<std::uint32_t>(sections_.size()));
     for (const Section& s : sections_) {
-        appendLe32(out, static_cast<std::uint32_t>(s.name.size()));
+        appendLe(out, static_cast<std::uint32_t>(s.name.size()));
         out.append(s.name);
-        appendLe64(out, s.payload.size());
+        appendLe(out, static_cast<std::uint64_t>(s.payload.size()));
         out.append(s.payload);
     }
-    appendLe32(out, crc32(out.data(), out.size()));
+    appendLe(out, crc32(out.data(), out.size()));
     return out;
 }
 
@@ -537,12 +485,11 @@ void SnapReader::closeSection()
     open_ = false;
 }
 
-void SnapReader::throwBadRead() const
+void SnapReader::fail(const std::string& why) const
 {
     if (!open_)
         throw SnapError("snapshot read outside of a section");
-    throw SnapError("section '" + openName_ +
-                    "': read past end — reader/writer layout mismatch");
+    throw SnapError("section '" + openName_ + "': " + why);
 }
 
 SnapshotHeader readSnapshotHeader(const std::string& path)

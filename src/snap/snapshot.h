@@ -5,9 +5,17 @@
 // machine state is plain data (cache arrays, directory registries, timing
 // reservations, counters, RNG streams). Components that buffer transient
 // work (MSHRs, writeback buffers, pending-request deques) therefore do not
-// serialize it — they *assert it is empty* and throw SnapError otherwise,
-// which turns "snapshot taken at a non-safe point" into a loud failure
-// instead of silent state loss.
+// serialize it — saving *asserts it is empty* and throws SnapError
+// otherwise, which turns "snapshot taken at a non-safe point" into a loud
+// failure instead of silent state loss.
+//
+// A component with state describes its layout once, in a static
+//   template <class Self, class Ar> static void snapState(Self&, Ar&);
+// walked with (const X, SnapWriter) to save and (X, SnapReader) to
+// restore (serializer.h has the shared vocabulary). Its snapSave and
+// snapRestore overrides are one-line forwards to it; what differs by
+// direction — the save-only quiescence guards, the load-only fixups —
+// sits under `if constexpr (Ar::kLoading)`.
 #pragma once
 
 #include <string>
@@ -41,7 +49,7 @@ public:
     }
 
 protected:
-    /// Quiescence guard for snapSave implementations.
+    /// Save-side quiescence guard for snapState implementations.
     static void requireQuiesced(bool quiesced, const std::string& what)
     {
         if (!quiesced)

@@ -53,31 +53,16 @@ public:
 
     std::uint64_t physBytes() const { return physBytes_; }
 
-    /// Page table plus allocator cursors (std::map iterates in key order,
-    /// so the serialized form is deterministic).
-    void snapSave(snap::SnapWriter& w) const
+    /// Allocator cursors plus the page table in VA order.
+    void snapSave(snap::SnapWriter& w) const { snapState(*this, w); }
+    void snapRestore(snap::SnapReader& r) { snapState(*this, r); }
+    template <class Self, class Ar>
+    static void snapState(Self& self, Ar& ar)
     {
-        w.u64(heapCursor_);
-        w.u64(dsCursor_);
-        w.u64(nextPhysPage_);
-        w.u64(pages_.size());
-        for (const auto& [va, pa] : pages_) {
-            w.u64(va);
-            w.u64(pa);
-        }
-    }
-
-    void snapRestore(snap::SnapReader& r)
-    {
-        heapCursor_ = r.u64();
-        dsCursor_ = r.u64();
-        nextPhysPage_ = r.u64();
-        pages_.clear();
-        const std::uint64_t n = r.u64();
-        for (std::uint64_t i = 0; i < n; ++i) {
-            const Addr va = r.u64();
-            pages_[va] = r.u64();
-        }
+        ar.u64(self.heapCursor_);
+        ar.u64(self.dsCursor_);
+        ar.u64(self.nextPhysPage_);
+        snap::keyed(ar, self.pages_, [](Ar& a, auto& pa) { a.u64(pa); });
     }
 
 private:

@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <stdexcept>
+#include <string>
 
 #include "core/config_io.h"
 #include "core/system.h"
@@ -89,6 +90,110 @@ TEST(ConfigIo, SystemRefusesZeroCounts)
     SystemConfig noWays;
     noWays.gpuL2Ways = 0;
     EXPECT_THROW(System{noWays}, std::invalid_argument);
+}
+
+/// The error applyConfigText gives @p text on a default config; empty
+/// when it accepts the text.
+std::string refusal(const std::string& text)
+{
+    SystemConfig cfg;
+    std::string error;
+    return applyConfigText(text, &cfg, &error) ? std::string() : error;
+}
+
+// One case per rule validateConfig shares with the component that would
+// otherwise fail at construction, or run and silently skip work.
+
+TEST(ConfigIo, RefusesSliceCountThatIsNotAPowerOfTwo)
+{
+    EXPECT_EQ(refusal("gpu-l2-slices = 3\n"),
+              "'gpu-l2-slices' must be a power of two");
+}
+
+TEST(ConfigIo, RefusesChannelCountThatIsNotAPowerOfTwo)
+{
+    EXPECT_EQ(refusal("mem-channels = 3\n"),
+              "'mem-channels' must be a power of two");
+    EXPECT_EQ(refusal("mem-channels = 0\n"),
+              "'mem-channels' must be a power of two");
+}
+
+TEST(ConfigIo, RefusesCpuL2SizeThatDoesNotDivideIntoWays)
+{
+    EXPECT_EQ(refusal("cpu-l2-size = 3000000\n"),
+              "'cpu-l2-size' / 'cpu-l2-ways': cache size not divisible "
+              "into ways");
+}
+
+TEST(ConfigIo, RefusesGpuL1WithNonPowerOfTwoSets)
+{
+    // 12 KiB in 4 ways of 128 B is 24 sets.
+    EXPECT_EQ(refusal("gpu-l1-size = 12288\n"),
+              "'gpu-l1-size' / 'gpu-l1-ways': set count must be a power "
+              "of two");
+}
+
+TEST(ConfigIo, RefusesGpuL2SliceWithNonPowerOfTwoSets)
+{
+    // 3 MiB over 4 slices in 16 ways is 384 sets per slice.
+    EXPECT_EQ(refusal("gpu-l2-size = 3145728\n"),
+              "'gpu-l2-size' per 'gpu-l2-slices' / 'gpu-l2-ways': set "
+              "count must be a power of two");
+}
+
+TEST(ConfigIo, RefusesTreePlruWithNonPowerOfTwoWays)
+{
+    // 512 sets of 12 ways per slice: an LRU machine, not a tree-PLRU one.
+    const std::string twelveWays =
+        "gpu-l2-size = 3145728\ngpu-l2-ways = 12\n";
+    EXPECT_EQ(refusal(twelveWays), "");
+    EXPECT_EQ(refusal(twelveWays + "replacement = tree-plru\n"),
+              "'gpu-l2-size' per 'gpu-l2-slices' / 'gpu-l2-ways': tree-plru "
+              "requires power-of-two ways >= 2");
+}
+
+TEST(ConfigIo, RefusesZeroSms)
+{
+    EXPECT_EQ(refusal("num-sms = 0\n"), "'num-sms' must be at least 1");
+}
+
+TEST(ConfigIo, RefusesZeroResidentBlocks)
+{
+    EXPECT_EQ(refusal("max-resident-blocks = 0\n"),
+              "'max-resident-blocks' must be at least 1");
+}
+
+TEST(ConfigIo, RefusesZeroL2Mshrs)
+{
+    EXPECT_EQ(refusal("gpu-l2-mshrs = 0\n"),
+              "'gpu-l2-mshrs' must be at least 1");
+}
+
+TEST(ConfigIo, RefusesZeroAgentMshrs)
+{
+    EXPECT_EQ(refusal("agent-mshrs = 0\n"),
+              "'agent-mshrs' must be at least 1");
+}
+
+TEST(ConfigIo, RefusesZeroStoreBufferEntries)
+{
+    EXPECT_EQ(refusal("store-buffer-entries = 0\n"),
+              "'store-buffer-entries' must be at least 1");
+}
+
+TEST(ConfigIo, SystemRefusesAnUnbuildableMachineBeforeBuildingIt)
+{
+    // Built in code, past applyConfigText: the constructor's own check
+    // names the key before HomeMap would throw its own message.
+    SystemConfig threeSlices;
+    threeSlices.gpuL2Slices = 3;
+    try {
+        System sys(threeSlices);
+        FAIL() << "a 3-slice machine was built";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "system config: 'gpu-l2-slices' must be a power of two");
+    }
 }
 
 TEST(ConfigIo, DumpRoundTrips)

@@ -172,6 +172,56 @@ TEST(TxnProfiler, SnapshotWithOpenSpansThrows)
     EXPECT_THROW(p.snapSave(w), snap::SnapError);
 }
 
+TEST(TxnProfiler, HugeHopCountIsASnapError)
+{
+    // A CRC-valid section in the profiler's layout whose one top-K record
+    // claims 2^40 hops: the count is refused against the bytes left in the
+    // section, before anything is sized from it.
+    const TxnProfiler::Params params;
+    const std::string path = testing::TempDir() + "txnprof_hops.snap";
+    snap::SnapWriter w(0, 0);
+    w.beginSection("obs.txnprof");
+    w.u64(params.topK);
+    w.u64(params.histBucketTicks);
+    w.u64(params.histBuckets);
+    w.u32(params.regionShift);
+    w.u64(2u); // next span id
+    w.u64(1u); // begun
+    w.u64(1u); // completed
+    w.u64(0u); // track names
+    for (std::size_t k = 0; k < kTxnKindCount; ++k) {
+        w.u64(0u); // closed spans of this kind
+        w.u64(params.histBuckets + 1); // latency buckets, overflow included
+        for (std::size_t b = 0; b < params.histBuckets + 1 + 4; ++b)
+            w.u64(0u); // bucket counts, samples, sum, min, max
+        for (std::size_t s = 0; s < kStageBucketCount; ++s)
+            w.u64(0u);
+    }
+    w.u64(1u); // one top-K record: id, kind, addr, begin, end, track
+    w.u64(1u);
+    w.u8(static_cast<std::uint8_t>(TxnKind::kGetS));
+    for (int field = 0; field < 3; ++field)
+        w.u64(0u);
+    w.u32(0u);
+    w.u64(std::uint64_t{1} << 40); // its hop count
+    w.endSection();
+    w.writeFile(path);
+
+    TxnProfiler p;
+    snap::SnapReader r(path);
+    r.openSection("obs.txnprof");
+    try {
+        p.snapRestore(r);
+        ADD_FAILURE() << "a 2^40-hop record restored";
+    } catch (const snap::SnapError& e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "section 'obs.txnprof': count 1099511627776 exceeds"),
+                  std::string::npos)
+            << e.what();
+    }
+    std::remove(path.c_str());
+}
+
 TEST(TxnProfiler, EmitsFlowChainsOnlyWhenTheTxnCategoryRecords)
 {
     const auto flowTrace = [](std::uint32_t mask) {

@@ -163,6 +163,41 @@ TEST(SnapSerializer, OverreadPastSectionEndThrows)
     std::remove(path.c_str());
 }
 
+TEST(SnapSerializer, CountBeyondTheSectionIsASnapError)
+{
+    const std::string path = tempPath("count.snap");
+    SnapWriter w(0, 0);
+    w.beginSection("sized");
+    w.count(16); // 16 bytes follow: a count of 16 one-byte items fits
+    w.u64(1u);
+    w.u64(2u);
+    w.endSection();
+    w.beginSection("oversized");
+    w.count(17); // one more than the 16 bytes that follow
+    w.u64(1u);
+    w.u64(2u);
+    w.endSection();
+    spit(path, w.finish());
+
+    SnapReader r(path);
+    std::uint64_t n = 0;
+    r.openSection("sized");
+    r.count(n);
+    EXPECT_EQ(n, 16u);
+    EXPECT_EQ(r.u64(), 1u);
+    EXPECT_EQ(r.u64(), 2u);
+    r.closeSection();
+    r.openSection("oversized");
+    try {
+        r.count(n);
+        ADD_FAILURE() << "a count past the section was accepted";
+    } catch (const SnapError& e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "section 'oversized': count 17 exceeds the 16 bytes left");
+    }
+    std::remove(path.c_str());
+}
+
 TEST(SnapSerializer, MissingSectionThrows)
 {
     const std::string path = tempPath("missing.snap");
