@@ -377,6 +377,11 @@ FuzzReport runScenario(const FuzzScenario& sc, CoherenceMode mode,
         const auto quiesced = sys.checkCoherenceInvariants();
         report.violations.insert(report.violations.end(), quiesced.begin(),
                                  quiesced.end());
+        // Every callback that parked a payload has run and released it.
+        if (const std::size_t held = sys.context().msgPool.inUse(); held != 0)
+            report.violations.push_back(
+                "[leak] " + std::to_string(held) +
+                " msgPool slots still held after the run drained");
     }
 
     report.outWords.reserve(outWords);

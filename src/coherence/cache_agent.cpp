@@ -216,7 +216,6 @@ void CacheAgent::issueWriteback(Addr base, const DataBlock& data,
     msg.requester = params_.self;
     msg.data = data;
     msg.mask.set(0, kLineSize);
-    msg.hasData = true;
     msg.dirty = true;
     msg.txn = nextTxn_++;
     if (TxnProfiler* p = profiling())
@@ -253,7 +252,6 @@ void CacheAgent::sendDataTo(NodeId dst, Addr base, const DataBlock& data,
     msg.requester = dst;
     msg.data = data;
     msg.mask.set(0, kLineSize);
-    msg.hasData = true;
     msg.dirty = dirty;
     msg.exclusive = exclusive;
     msg.txn = txn;
@@ -270,17 +268,16 @@ void CacheAgent::sendDataTo(NodeId dst, Addr base, const DataBlock& data,
     // pull, and concurrent pulls serialize behind each other.
     const Tick start = std::max(curTick(), supplyPortFreeAt_);
     supplyPortFreeAt_ = start + params_.dataSupplyInterval;
-    Message* slot = context().msgPool.acquire();
-    *slot = std::move(msg);
-    queue().scheduleInline(start + params_.dataSupplyLatency,
-                           [this, slot] {
-                               if (TxnProfiler* p = profiling())
-                                   p->hop(slot->prof, TxnStage::kSupplySend,
-                                          name(), curTick());
-                               params_.responseNet->send(std::move(*slot));
-                               context().msgPool.release(slot);
-                           },
-                           EventPriority::kController);
+    Message* slot = context().msgPool.acquire(msg);
+    queue().schedule(start + params_.dataSupplyLatency,
+                     [this, slot] {
+                         if (TxnProfiler* p = profiling())
+                             p->hop(slot->prof, TxnStage::kSupplySend,
+                                    name(), curTick());
+                         params_.responseNet->send(std::move(*slot));
+                         context().msgPool.release(slot);
+                     },
+                     EventPriority::kController);
 }
 
 void CacheAgent::handleForward(const Message& msg)
@@ -294,27 +291,25 @@ void CacheAgent::handleForward(const Message& msg)
         // on arrival in case the line was re-leased meanwhile; grants never
         // extend an active lease, so the wait is bounded.
         if (const Tick hold = holdUntil(msg.addr); hold > curTick()) {
-            Message* m = context().msgPool.acquire();
-            *m = msg;
-            queue().scheduleInline(hold + 1,
-                                   [this, m] {
-                                       handleForward(*m);
-                                       context().msgPool.release(m);
-                                   },
-                                   EventPriority::kController);
+            Message* m = context().msgPool.acquire(msg);
+            queue().schedule(hold + 1,
+                             [this, m] {
+                                 handleForward(*m);
+                                 context().msgPool.release(m);
+                             },
+                             EventPriority::kController);
             break;
         }
         if (params_.snoopTagLatency == 0) {
             handleSnoop(msg);
         } else {
-            Message* m = context().msgPool.acquire();
-            *m = msg;
-            queue().scheduleAfterInline(params_.snoopTagLatency,
-                                        [this, m] {
-                                            handleSnoop(*m);
-                                            context().msgPool.release(m);
-                                        },
-                                        EventPriority::kController);
+            Message* m = context().msgPool.acquire(msg);
+            queue().scheduleAfter(params_.snoopTagLatency,
+                                  [this, m] {
+                                      handleSnoop(*m);
+                                      context().msgPool.release(m);
+                                  },
+                                  EventPriority::kController);
         }
         break;
     case MsgType::kWbAck: {
@@ -510,7 +505,7 @@ void CacheAgent::noteFilled(Addr addr)
     wake(lineAlign(addr));
 }
 
-void CacheAgent::parkRequest(Addr base, Wait why, ParkedRetry retry)
+void CacheAgent::park(Addr base, Wait why, ParkedRetry retry)
 {
     assert(why != Wait::kNone);
     deferrals_.inc();

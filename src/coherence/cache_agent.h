@@ -214,13 +214,7 @@ protected:
     /// parked by another request's retry goes right after that request and
     /// waits for the next replay point. That is exactly the order of
     /// re-running every parked request at every replay point.
-    template <typename Retry>
-    void park(Addr base, Wait why, Retry retry)
-    {
-        static_assert(ParkedRetry::fitsInline<Retry>(),
-                      "a parked retry must fit ParkedRetry's buffer");
-        parkRequest(base, why, ParkedRetry(std::move(retry)));
-    }
+    void park(Addr base, Wait why, ParkedRetry retry);
 
     /// Records a fill of @p addr's line (protocol fill or direct-store
     /// install): the compulsory-miss filter, and a wake for the requests
@@ -274,7 +268,6 @@ private:
                           AccessDone& done);
     void allocateMshr(Addr base, bool exclusive, AccessDone& done);
 
-    void parkRequest(Addr base, Wait why, ParkedRetry retry);
     /// Files parked request @p seq under @p why: kMshrFull by line, kOther
     /// in due_.
     void enlist(std::uint64_t seq, Addr base, Wait why);

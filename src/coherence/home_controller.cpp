@@ -95,10 +95,9 @@ void HomeController::issueMemRead(Addr addr, LineState& ls)
     ls.memReadIssued = true;
     if (TxnProfiler* p = profiling())
         p->hop(ls.req.prof, TxnStage::kDramIssue, name(), curTick());
-    auto done = [this, addr, txn = ls.activeTxn] { onMemData(addr, txn); };
-    static_assert(DramCallback::fitsInline<decltype(done)>(),
-                  "a DRAM read's callback is its completion event");
-    params_.dram->read(addr, std::move(done));
+    params_.dram->read(addr, [this, addr, txn = ls.activeTxn] {
+        onMemData(addr, txn);
+    });
 }
 
 void HomeController::startTransaction(const Message& msg, LineState& ls)
@@ -192,7 +191,6 @@ void HomeController::maybeRespond(Addr addr, LineState& ls)
     data.requester = ls.req.src;
     data.data = params_.store->readLine(addr);
     data.mask.set(0, kLineSize);
-    data.hasData = true;
     data.dirty = false;
     // GetX always grants exclusivity; GetS grants M (conventional E) when no
     // peer held the line. The directory additionally consults its sharer
@@ -230,22 +228,24 @@ void HomeController::processPut(const Message& msg, LineState& ls)
         putsAccepted_.inc();
         ls.owner = kInvalidNode;
         ls.busy = true;
-        params_.dram->write(msg.addr, msg.data, [this, msg] {
+        Message* m = context().msgPool.acquire(msg);
+        params_.dram->write(msg.addr, msg.data, [this, m] {
             if (TxnProfiler* p = profiling()) {
-                p->hop(msg.prof, TxnStage::kDramWrite, name(), curTick());
-                p->hop(msg.prof, TxnStage::kAckSend, name(), curTick());
+                p->hop(m->prof, TxnStage::kDramWrite, name(), curTick());
+                p->hop(m->prof, TxnStage::kAckSend, name(), curTick());
             }
             Message ack;
             ack.type = MsgType::kWbAck;
-            ack.addr = msg.addr;
+            ack.addr = m->addr;
             ack.src = params_.self;
-            ack.dst = msg.src;
-            ack.txn = msg.txn;
-            ack.prof = msg.prof;
+            ack.dst = m->src;
+            ack.txn = m->txn;
+            ack.prof = m->prof;
             params_.forwardNet->send(std::move(ack));
-            LineState& state = line(msg.addr);
+            LineState& state = line(m->addr);
             state.busy = false;
-            popPending(msg.addr, state);
+            popPending(m->addr, state);
+            context().msgPool.release(m);
         });
     } else {
         // Stale: a snoop already moved ownership elsewhere; drop the data.

@@ -98,8 +98,7 @@ public:
     StatRegistry& stats() { return stats_; }
 
     /// Registers the event engine's own counters ("queue.*": schedule calls,
-    /// executed events, peak pending, heap-spilled callbacks) with the stat
-    /// registry. Opt-in, same discipline as enableTracing/enableChecker: the
+    /// executed events, peak pending) with the stat registry. Opt-in, same discipline as enableTracing/enableChecker: the
     /// default stat set — and every byte of stats JSON, results.json and
     /// snapshots derived from it — stays exactly what it always was.
     void enableQueueStats() { ctx_.queue.regStats(stats_); }

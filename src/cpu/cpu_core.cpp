@@ -21,13 +21,13 @@ void CpuCore::run(const CpuProgram& program, InlineCallback onDone)
     program_ = &program;
     pc_ = 0;
     onDone_ = std::move(onDone);
-    queue().scheduleAfterInline(0, [this] { step(); }, EventPriority::kCore);
+    queue().scheduleAfter(0, [this] { step(); }, EventPriority::kCore);
 }
 
 void CpuCore::finishOp()
 {
     ++pc_;
-    queue().scheduleAfterInline(1, [this] { step(); }, EventPriority::kCore);
+    queue().scheduleAfter(1, [this] { step(); }, EventPriority::kCore);
 }
 
 void CpuCore::step()
@@ -45,7 +45,7 @@ void CpuCore::step()
     const CpuOp& op = (*program_)[pc_];
     switch (op.kind) {
     case CpuOp::Kind::kCompute:
-        queue().scheduleAfterInline(op.delay, [this] { finishOp(); },
+        queue().scheduleAfter(op.delay, [this] { finishOp(); },
                               EventPriority::kCore);
         break;
     case CpuOp::Kind::kFence:
@@ -89,7 +89,7 @@ void CpuCore::execStore(const CpuOp& op)
     const TlbResult tr = tlb_.translate(op.vaddr);
     const Tick extra = tr.latency;
     if (tr.translation.dsRegion) {
-        queue().scheduleAfterInline(extra, [this, pa = tr.translation.paddr, op] {
+        queue().scheduleAfter(extra, [this, pa = tr.translation.paddr, op] {
             remoteStore(pa, op);
             finishOp();
         }, EventPriority::kCore);
@@ -101,7 +101,7 @@ void CpuCore::execStore(const CpuOp& op)
         stalledStores_.push_back(op);
         return;
     }
-    queue().scheduleAfterInline(extra, [this, pa = tr.translation.paddr, op] {
+    queue().scheduleAfter(extra, [this, pa = tr.translation.paddr, op] {
         pushStoreBuffer(pa, op);
         finishOp();
     }, EventPriority::kCore);
@@ -134,7 +134,7 @@ void CpuCore::drainStoreEntry(Addr base)
     const Tick lookup = cache_.l1Hit(base)
                             ? params_.l1Latency
                             : params_.l1Latency + params_.l2Latency;
-    queue().scheduleAfterInline(lookup, [this, base] {
+    queue().scheduleAfter(lookup, [this, base] {
         cache_.access(base, /*exclusive=*/true,
                       [this, base](CacheAgent::Line& line) {
                           // Apply every byte combined into the entry so far.
@@ -208,42 +208,50 @@ void CpuCore::flushRsbEntry(std::size_t index)
             dsBacklog_.push_back(std::move(entry));
             return;
         }
-        startDsStore(std::move(entry));
+        startDsStore(entry);
         return;
     }
 
     // Fig. 3: give up any local copy first (I/S/M/MM -> I), then push the
     // line over the dedicated network to the slice that owns the address.
-    cache_.prepareRemoteStore(entry.base, [this, e = std::move(entry)] {
-        Message msg;
-        msg.type = MsgType::kDsPutX;
-        msg.addr = e.base;
-        msg.src = params_.self;
-        msg.dst = params_.homeMap.homeSlice(e.base);
-        msg.requester = params_.self;
-        msg.data = e.data;
-        msg.mask = e.mask;
-        msg.hasData = true;
-        msg.dirty = true;
-        msg.prof = e.prof;
+    Message* m = context().msgPool.acquire(dsPutX(entry));
+    cache_.prepareRemoteStore(entry.base, [this, m] {
         if (TxnProfiler* p = profiling())
-            p->hop(e.prof, TxnStage::kIssue, name(), curTick());
-        params_.dsNet->send(std::move(msg));
+            p->hop(m->prof, TxnStage::kIssue, name(), curTick());
+        params_.dsNet->send(*m);
+        context().msgPool.release(m);
         dsPutxSent_.inc();
     });
 }
 
+Message CpuCore::dsPutX(const RsbEntry& store) const
+{
+    Message msg;
+    msg.type = MsgType::kDsPutX;
+    msg.addr = store.base;
+    msg.src = params_.self;
+    msg.dst = params_.homeMap.homeSlice(store.base);
+    msg.requester = params_.self;
+    msg.data = store.data;
+    msg.mask = store.mask;
+    msg.dirty = true;
+    msg.prof = store.prof;
+    return msg;
+}
+
 // ------------------------------------------------ hardened store delivery --
 
-void CpuCore::startDsStore(RsbEntry entry)
+void CpuCore::startDsStore(const RsbEntry& entry)
 {
-    cache_.prepareRemoteStore(entry.base, [this, e = std::move(entry)] {
+    Message* m = context().msgPool.acquire(dsPutX(entry));
+    cache_.prepareRemoteStore(entry.base, [this, m] {
         const std::uint64_t txn = nextDsTxn_++;
         DsInFlight& f = dsInFlight_[txn];
-        f.base = e.base;
-        f.data = e.data;
-        f.mask = e.mask;
-        f.prof = e.prof;
+        f.base = m->addr;
+        f.data = m->data;
+        f.mask = m->mask;
+        f.prof = m->prof;
+        context().msgPool.release(m);
         sendDsPutX(txn);
     });
 }
@@ -258,18 +266,8 @@ void CpuCore::sendDsPutX(std::uint64_t txn)
         beginDsFallback(txn);
         return;
     }
-    Message msg;
-    msg.type = MsgType::kDsPutX;
-    msg.addr = f.base;
-    msg.src = params_.self;
-    msg.dst = params_.homeMap.homeSlice(f.base);
-    msg.requester = params_.self;
+    Message msg = dsPutX(f);
     msg.txn = txn;
-    msg.data = f.data;
-    msg.mask = f.mask;
-    msg.hasData = true;
-    msg.dirty = true;
-    msg.prof = f.prof;
     if (TxnProfiler* p = profiling())
         p->hop(f.prof, TxnStage::kIssue, name(), curTick());
     params_.dsNet->send(std::move(msg));
@@ -284,7 +282,7 @@ void CpuCore::armDsTimeout(std::uint64_t txn)
     const DsInFlight& f = it->second;
     const Tick wait = params_.dsAckTimeout
                       << std::min<std::uint32_t>(f.retries, 6);
-    queue().scheduleAfterInline(wait,
+    queue().scheduleAfter(wait,
                           [this, txn, seq = f.seq] { onDsTimeout(txn, seq); },
                           EventPriority::kCore);
 }
@@ -336,7 +334,7 @@ void CpuCore::beginDsFallback(std::uint64_t txn)
     // Wait out the maximum-segment-lifetime window first so no copy of the
     // abandoned push is still on the wire when the pull path takes over. A
     // late ack arriving during the window cancels the fallback.
-    queue().scheduleAfterInline(params_.dsMslTicks,
+    queue().scheduleAfter(params_.dsMslTicks,
                           [this, txn] { applyDsFallback(txn); },
                           EventPriority::kCore);
 }
@@ -346,25 +344,27 @@ void CpuCore::applyDsFallback(std::uint64_t txn)
     const auto it = dsInFlight_.find(txn);
     if (it == dsInFlight_.end())
         return; // an ack landed during the drain window and completed it
-    const DsInFlight f = std::move(it->second);
+    // The abandoned push waits in a pooled slot until the line is ours.
+    Message* m = context().msgPool.acquire(dsPutX(it->second));
     dsInFlight_.erase(it);
     dsFallbackStores_.inc();
     if (TxnProfiler* p = profiling())
-        p->hop(f.prof, TxnStage::kFallback, name(), curTick());
+        p->hop(m->prof, TxnStage::kFallback, name(), curTick());
     if (TraceSession* t = tracing(TraceCat::kNet))
-        t->instant(TraceCat::kNet, name(), "ds.fallback", curTick(), f.base);
+        t->instant(TraceCat::kNet, name(), "ds.fallback", curTick(), m->addr);
     // The baseline pull-based write: acquire ownership through the regular
     // coherence protocol and apply the combined bytes locally. The GPU will
     // pull the line back on demand, exactly as under CCSM.
-    cache_.access(f.base, /*exclusive=*/true,
-                  [this, f](CacheAgent::Line& line) {
-                      f.mask.apply(line.data, f.data);
+    cache_.access(m->addr, /*exclusive=*/true,
+                  [this, m](CacheAgent::Line& line) {
+                      m->mask.apply(line.data, m->data);
                       if (CoherenceChecker* c = checking())
-                          c->onStoreApplied(f.base, f.data, f.mask);
+                          c->onStoreApplied(m->addr, m->data, m->mask);
                       recordTransition(CohState::kI, CohEvent::kFallbackStore,
                                        CohState::kMM);
                       if (TxnProfiler* p = profiling())
-                          p->end(f.prof, curTick());
+                          p->end(m->prof, curTick());
+                      context().msgPool.release(m);
                       completeDsStore();
                   });
 }
@@ -374,9 +374,9 @@ void CpuCore::completeDsStore()
     assert(pendingDsAcks_ > 0);
     --pendingDsAcks_;
     if (!dsBacklog_.empty() && dsInFlight_.size() < params_.dsInFlightMax) {
-        RsbEntry e = std::move(dsBacklog_.front());
+        const RsbEntry e = dsBacklog_.front();
         dsBacklog_.pop_front();
-        startDsStore(std::move(e));
+        startDsStore(e);
     }
     if (pendingDsAcks_ == 0)
         runDsDrainWaiters();
@@ -422,7 +422,7 @@ void CpuCore::execLoad(const CpuOp& op)
             break; // partially buffered: let the access path order it
         storeForwards_.inc();
         const std::uint64_t value = entry.data.read(lineOffset(pa), op.size);
-        queue().scheduleAfterInline(tr.latency + params_.l1Latency,
+        queue().scheduleAfter(tr.latency + params_.l1Latency,
                               [this, op, value] {
                                   checkLoadedValue(op, value);
                                   loadLatency_.sample(curTick() - loadStart_);
@@ -439,7 +439,7 @@ void CpuCore::doLocalLoad(Addr pa, const CpuOp& op, Tick extraLatency)
     const Tick lookup = cache_.l1Hit(pa)
                             ? params_.l1Latency
                             : params_.l1Latency + params_.l2Latency;
-    queue().scheduleAfterInline(extraLatency + lookup, [this, pa, op] {
+    queue().scheduleAfter(extraLatency + lookup, [this, pa, op] {
         cache_.access(pa, /*exclusive=*/false,
                       [this, pa, op](CacheAgent::Line& line) {
                           const std::uint64_t value =
@@ -464,7 +464,7 @@ void CpuCore::doUncachedLoad(Addr pa, const CpuOp& op, Tick extraLatency)
             covered = covered && entry.mask.test(lineOffset(pa) + i);
         if (covered) {
             const std::uint64_t value = entry.data.read(lineOffset(pa), op.size);
-            queue().scheduleAfterInline(extraLatency + params_.l1Latency,
+            queue().scheduleAfter(extraLatency + params_.l1Latency,
                                   [this, op, value] {
                                       checkLoadedValue(op, value);
                                       loadLatency_.sample(curTick() - loadStart_);
@@ -493,7 +493,7 @@ void CpuCore::doUncachedLoad(Addr pa, const CpuOp& op, Tick extraLatency)
     ucProf_ = 0;
     if (TxnProfiler* p = profiling())
         ucProf_ = p->begin(TxnKind::kUcRead, lineAlign(pa), name(), curTick());
-    queue().scheduleAfterInline(extraLatency, [this, pa, op] {
+    queue().scheduleAfter(extraLatency, [this, pa, op] {
         pendingUcLoad_ = [this, pa, op](const Message& reply) {
             const std::uint64_t value = reply.data.read(lineOffset(pa), op.size);
             checkLoadedValue(op, value);
@@ -543,7 +543,7 @@ void CpuCore::sendUcRead()
     params_.dsNet->send(std::move(msg));
     const Tick wait = params_.dsAckTimeout
                       << std::min<std::uint32_t>(ucRetries_, 6);
-    queue().scheduleAfterInline(
+    queue().scheduleAfter(
         wait, [this, txn = ucTxn_, seq = ucSeq_] { onUcTimeout(txn, seq); },
         EventPriority::kCore);
 }

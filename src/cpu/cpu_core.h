@@ -122,14 +122,10 @@ private:
     };
 
     /// One hardened store from push until ack / fallback application.
-    struct DsInFlight {
-        Addr base = 0;
-        DataBlock data;
-        ByteMask mask;
+    struct DsInFlight : RsbEntry {
         std::uint32_t retries = 0;
         bool fallbackPending = false; ///< waiting out the drain window
         std::uint64_t seq = 0;        ///< bumped to invalidate armed timeouts
-        std::uint64_t prof = 0;       ///< TxnProfiler span
     };
 
     void step();
@@ -144,6 +140,9 @@ private:
     void remoteStore(Addr pa, const CpuOp& op);
     void flushRsbEntry(std::size_t index);
     void flushAllRsb();
+    /// The kDsPutX that pushes @p store's bytes to the slice owning its
+    /// line (txn 0: the hardened path stamps its own).
+    Message dsPutX(const RsbEntry& store) const;
 
     bool hardened() const { return params_.dsAckTimeout != 0; }
     bool dsNetMarkedDown() const
@@ -151,7 +150,7 @@ private:
         return params_.dsFallback && params_.dsFault != nullptr &&
                params_.dsFault->linkDownNow(curTick());
     }
-    void startDsStore(RsbEntry entry);
+    void startDsStore(const RsbEntry& entry);
     void sendDsPutX(std::uint64_t txn);
     void armDsTimeout(std::uint64_t txn);
     void onDsTimeout(std::uint64_t txn, std::uint64_t seq);

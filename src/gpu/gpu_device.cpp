@@ -24,7 +24,7 @@ void GpuDevice::launch(const KernelDesc& kernel, InlineCallback onDone)
     if (TraceSession* t = tracing(TraceCat::kKernel))
         t->instant(TraceCat::kKernel, name(), "launch", curTick());
 
-    queue().scheduleAfterInline(params_.launchLatency, [this] {
+    queue().scheduleAfter(params_.launchLatency, [this] {
         for (StreamingMultiprocessor* sm : sms_)
             sm->beginKernel(*kernel_, *this);
         onSmIdle(); // zero-block grids complete immediately

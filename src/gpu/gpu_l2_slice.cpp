@@ -52,9 +52,8 @@ void GpuL2Slice::handleGpuMessage(const Message& msg)
     // Charge the front-side tag latency, then serve. The message moves into
     // a pooled slot (the delivery slot we were handed is recycled as soon as
     // this handler returns), so the latency event captures one pointer.
-    Message* m = context().msgPool.acquire();
-    *m = msg;
-    queue().scheduleAfterInline(slice_.tagLatency, [this, m] {
+    Message* m = context().msgPool.acquire(msg);
+    queue().scheduleAfter(slice_.tagLatency, [this, m] {
         switch (m->type) {
         case MsgType::kL1Load:
             serveLoad(*m);
@@ -88,8 +87,10 @@ void GpuL2Slice::serveLoadCoherent(const Message& msg)
 {
     noteDemand(msg.addr, /*exclusive=*/false);
     noteRemoteMiss(msg.addr, /*exclusive=*/false);
-    access(msg.addr, /*exclusive=*/false, [this, msg](Line& line) {
-        sendLoadResp(msg, line.data);
+    Message* m = context().msgPool.acquire(msg);
+    access(msg.addr, /*exclusive=*/false, [this, m](Line& line) {
+        sendLoadResp(*m, line.data);
+        context().msgPool.release(m);
     });
 }
 
@@ -103,7 +104,6 @@ void GpuL2Slice::sendLoadResp(const Message& msg, const DataBlock& data)
     resp.requester = msg.src;
     resp.data = data;
     resp.mask.set(0, kLineSize);
-    resp.hasData = true;
     resp.txn = msg.txn;
     resp.prof = msg.prof;
     if (TxnProfiler* p = profiling())
@@ -121,9 +121,8 @@ void GpuL2Slice::serveStore(const Message& msg)
         tsHolds_.inc();
         noteTransition(stateOf(base), CohEvent::kLeaseHold, stateOf(base),
                        base);
-        Message* m = context().msgPool.acquire();
-        *m = msg;
-        queue().scheduleInline(hold + 1, [this, m] {
+        Message* m = context().msgPool.acquire(msg);
+        queue().schedule(hold + 1, [this, m] {
             serveStore(*m);
             context().msgPool.release(m);
         }, EventPriority::kController);
@@ -131,17 +130,19 @@ void GpuL2Slice::serveStore(const Message& msg)
     }
     noteDemand(msg.addr, /*exclusive=*/true);
     noteRemoteMiss(msg.addr, /*exclusive=*/true);
-    access(msg.addr, /*exclusive=*/true, [this, msg](Line& line) {
-        msg.mask.apply(line.data, msg.data);
+    Message* m = context().msgPool.acquire(msg);
+    access(msg.addr, /*exclusive=*/true, [this, m](Line& line) {
+        m->mask.apply(line.data, m->data);
         if (CoherenceChecker* c = checking())
-            c->onStoreApplied(line.base, msg.data, msg.mask);
+            c->onStoreApplied(line.base, m->data, m->mask);
         Message ack;
         ack.type = MsgType::kL1StoreAck;
-        ack.addr = msg.addr;
+        ack.addr = m->addr;
         ack.src = params().self;
-        ack.dst = msg.src;
-        ack.requester = msg.src;
-        ack.txn = msg.txn;
+        ack.dst = m->src;
+        ack.requester = m->src;
+        ack.txn = m->txn;
+        context().msgPool.release(m);
         slice_.gpuNet->send(std::move(ack));
     });
 }
@@ -150,9 +151,8 @@ void GpuL2Slice::handleDsMessage(const Message& msg)
 {
     if (TxnProfiler* p = profiling())
         p->hop(msg.prof, TxnStage::kSliceArrive, name(), curTick());
-    Message* m = context().msgPool.acquire();
-    *m = msg;
-    queue().scheduleAfterInline(slice_.tagLatency, [this, m] {
+    Message* m = context().msgPool.acquire(msg);
+    queue().scheduleAfter(slice_.tagLatency, [this, m] {
         switch (m->type) {
         case MsgType::kDsPutX:
             if (slice_.harden && !admitDirectStore(*m))
@@ -239,8 +239,7 @@ void GpuL2Slice::serveDirectStore(const Message& msg)
         return;
     // The same line is draining to memory; retry once it is gone so we
     // never hold two copies with different owners.
-    Message* m = context().msgPool.acquire();
-    *m = msg;
+    Message* m = context().msgPool.acquire(msg);
     park(msg.addr, Wait::kOther, [this, m] {
         const Wait why = tryDirectStore(*m);
         if (why == Wait::kNone)
@@ -257,9 +256,8 @@ CacheAgent::Wait GpuL2Slice::tryDirectStore(const Message& msg)
         tsHolds_.inc();
         noteTransition(stateOf(msg.addr), CohEvent::kLeaseHold,
                        stateOf(msg.addr), msg.addr);
-        Message* m = context().msgPool.acquire();
-        *m = msg;
-        queue().scheduleInline(hold + 1, [this, m] {
+        Message* m = context().msgPool.acquire(msg);
+        queue().schedule(hold + 1, [this, m] {
             serveDirectStore(*m);
             context().msgPool.release(m);
         }, EventPriority::kController);
@@ -299,10 +297,12 @@ CacheAgent::Wait GpuL2Slice::tryDirectStore(const Message& msg)
             dsBypassed_.inc();
             if (CoherenceChecker* c = checking())
                 c->onStoreApplied(base, msg.data, msg.mask);
-            slice_.dram->writeMasked(base, msg.data, msg.mask, [this, msg] {
+            Message* m = context().msgPool.acquire(msg);
+            slice_.dram->writeMasked(base, msg.data, msg.mask, [this, m] {
                 if (TxnProfiler* p = profiling())
-                    p->hop(msg.prof, TxnStage::kDramWrite, name(), curTick());
-                sendDsAck(msg);
+                    p->hop(m->prof, TxnStage::kDramWrite, name(), curTick());
+                sendDsAck(*m);
+                context().msgPool.release(m);
             });
             return Wait::kNone;
         }
@@ -333,19 +333,21 @@ CacheAgent::Wait GpuL2Slice::tryDirectStore(const Message& msg)
     // ownership through the protocol (fetch-merge), then overlay the pushed
     // bytes. The line ends MM either way.
     dsMerges_.inc();
-    access(base, /*exclusive=*/true, [this, msg](Line& owned) {
-        msg.mask.apply(owned.data, msg.data);
+    Message* m = context().msgPool.acquire(msg);
+    access(base, /*exclusive=*/true, [this, m](Line& owned) {
+        m->mask.apply(owned.data, m->data);
         const CohState prev = owned.meta.state;
         owned.meta.state = CohState::kMM;
         owned.meta.dsFilled = true;
         if (CoherenceChecker* c = checking())
-            c->onStoreApplied(owned.base, msg.data, msg.mask);
+            c->onStoreApplied(owned.base, m->data, m->mask);
         noteTransition(prev, CohEvent::kRemoteStore, CohState::kMM,
                        owned.base);
         dsFills_.inc();
         if (TxnProfiler* p = profiling())
-            p->hop(msg.prof, TxnStage::kMerge, name(), curTick());
-        sendDsAck(msg);
+            p->hop(m->prof, TxnStage::kMerge, name(), curTick());
+        sendDsAck(*m);
+        context().msgPool.release(m);
     });
     return Wait::kNone;
 }
@@ -373,20 +375,21 @@ void GpuL2Slice::sendDsAck(const Message& msg)
 void GpuL2Slice::serveUncachedRead(const Message& msg)
 {
     ucReads_.inc();
-    access(msg.addr, /*exclusive=*/false, [this, msg](Line& line) {
+    Message* m = context().msgPool.acquire(msg);
+    access(msg.addr, /*exclusive=*/false, [this, m](Line& line) {
         Message resp;
         resp.type = MsgType::kUcData;
-        resp.addr = msg.addr;
+        resp.addr = m->addr;
         resp.src = params().self;
-        resp.dst = msg.src;
-        resp.requester = msg.src;
+        resp.dst = m->src;
+        resp.requester = m->src;
         resp.data = line.data;
         resp.mask.set(0, kLineSize);
-        resp.hasData = true;
-        resp.txn = msg.txn;
-        resp.prof = msg.prof;
+        resp.txn = m->txn;
+        resp.prof = m->prof;
         if (TxnProfiler* p = profiling())
-            p->hop(msg.prof, TxnStage::kSupplySend, name(), curTick());
+            p->hop(m->prof, TxnStage::kSupplySend, name(), curTick());
+        context().msgPool.release(m);
         slice_.dsNet->send(std::move(resp));
     });
 }
@@ -496,7 +499,6 @@ void GpuL2Slice::serveTsRead(const Message& msg)
     resp.requester = msg.src;
     resp.data = line->data;
     resp.mask.set(0, kLineSize);
-    resp.hasData = true;
     resp.txn = expiry; // the lease expiry rides in the txn field
     slice_.dsNet->send(std::move(resp));
 }

@@ -180,7 +180,7 @@ void StreamingMultiprocessor::scheduleIssue(Tick delay)
     if (issueScheduled_)
         return;
     issueScheduled_ = true;
-    queue().scheduleAfterInline(delay, [this] {
+    queue().scheduleAfter(delay, [this] {
         issueScheduled_ = false;
         issue();
     }, EventPriority::kCore);
@@ -263,7 +263,7 @@ void StreamingMultiprocessor::execStep(Warp& warp)
 
 void StreamingMultiprocessor::stepDone(Warp& warp, Tick latency)
 {
-    queue().scheduleAfterInline(latency, [this, &warp] { advanceWarp(warp); },
+    queue().scheduleAfter(latency, [this, &warp] { advanceWarp(warp); },
                           EventPriority::kCore);
 }
 
@@ -410,7 +410,6 @@ bool StreamingMultiprocessor::execStores(Warp& warp)
         st.requester = params_.self;
         st.data = payload.data;
         st.mask = payload.mask;
-        st.hasData = true;
         params_.gpuNet->send(std::move(st));
         ++outstandingStores_;
     }

@@ -29,11 +29,14 @@ struct CacheGeometry {
     std::uint64_t replacementSeed = 1;
 
     /// Why no array can be built with this geometry ("" when one can):
-    /// the size must divide into `ways` ways of kLineSize-byte lines, the
-    /// set count must be a power of two and the replacement policy must
-    /// take the ways. CacheArray and validateConfig both ask here.
+    /// at most 64 ways (victim selection passes a one-word way mask), the
+    /// size must divide into `ways` ways of kLineSize-byte lines, the set
+    /// count must be a power of two and the replacement policy must take
+    /// the ways. CacheArray and validateConfig both ask here.
     std::string problem() const
     {
+        if (ways > ReplacementPolicy::kMaxWays)
+            return "ways must be at most 64";
         const std::uint64_t lines = sizeBytes / kLineSize;
         if (ways == 0 || lines == 0 || lines % ways != 0)
             return "cache size not divisible into ways";
@@ -131,16 +134,13 @@ public:
     Line* selectVictim(Addr a, Pred&& evictable)
     {
         const std::uint32_t set = setIndex(a);
-        std::vector<bool> candidates(geom_.ways, false);
-        bool any = false;
+        std::uint64_t candidates = 0;
         for (std::uint32_t w = 0; w < geom_.ways; ++w) {
             Line& line = at(set, w);
-            if (line.valid && evictable(line)) {
-                candidates[w] = true;
-                any = true;
-            }
+            if (line.valid && evictable(line))
+                candidates |= std::uint64_t{1} << w;
         }
-        if (!any)
+        if (candidates == 0)
             return nullptr;
         return &at(set, policy_->victim(set, candidates));
     }

@@ -80,15 +80,15 @@ void Dram::write(Addr addr, const DataBlock& data, DramCallback done)
     p->addr = addr;
     p->data = data;
     p->done = std::move(done);
-    queue().scheduleInline(when,
-                           [this, p] {
-                               store_.writeLine(p->addr, p->data);
-                               DramCallback cb = std::move(p->done);
-                               writePool_.release(p);
-                               if (cb)
-                                   cb();
-                           },
-                           EventPriority::kController);
+    queue().schedule(when,
+                     [this, p] {
+                         store_.writeLine(p->addr, p->data);
+                         DramCallback cb = std::move(p->done);
+                         writePool_.release(p);
+                         if (cb)
+                             cb();
+                     },
+                     EventPriority::kController);
 }
 
 void Dram::writeMasked(Addr addr, const DataBlock& data, const ByteMask& mask,
@@ -103,15 +103,15 @@ void Dram::writeMasked(Addr addr, const DataBlock& data, const ByteMask& mask,
     p->data = data;
     p->mask = mask;
     p->done = std::move(done);
-    queue().scheduleInline(when,
-                           [this, p] {
-                               store_.writeMasked(p->addr, p->data, p->mask);
-                               DramCallback cb = std::move(p->done);
-                               writePool_.release(p);
-                               if (cb)
-                                   cb();
-                           },
-                           EventPriority::kController);
+    queue().schedule(when,
+                     [this, p] {
+                         store_.writeMasked(p->addr, p->data, p->mask);
+                         DramCallback cb = std::move(p->done);
+                         writePool_.release(p);
+                         if (cb)
+                             cb();
+                     },
+                     EventPriority::kController);
 }
 
 void Dram::regStats(StatRegistry& registry)

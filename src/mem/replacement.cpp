@@ -45,24 +45,20 @@ std::unique_ptr<ReplacementPolicy> ReplacementPolicy::create(ReplacementKind kin
     throw std::invalid_argument("unknown replacement kind");
 }
 
-std::uint32_t LruPolicy::victim(std::uint32_t set, const std::vector<bool>& candidates)
+std::uint32_t LruPolicy::victim(std::uint32_t set, std::uint64_t candidates)
 {
-    assert(candidates.size() == ways_);
+    assert(candidates != 0 && "victim() requires at least one candidate");
+    // Forward scan, strict "<": the lowest-index oldest way. Any fixed rule
+    // works, we just need determinism.
     std::uint32_t best = ways_;
-    std::uint64_t bestStamp = ~0ull;
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        if (!candidates[w])
-            continue;
-        if (stamp_[index(set, w)] <= bestStamp) {
-            // "<=" + forward scan -> highest-index oldest way; any fixed rule
-            // works, we just need determinism.
-            if (stamp_[index(set, w)] < bestStamp || best == ways_) {
-                best = w;
-                bestStamp = stamp_[index(set, w)];
-            }
+    std::uint64_t bestStamp = 0;
+    for (; candidates != 0; candidates &= candidates - 1) {
+        const auto w = static_cast<std::uint32_t>(std::countr_zero(candidates));
+        if (best == ways_ || stamp_[index(set, w)] < bestStamp) {
+            best = w;
+            bestStamp = stamp_[index(set, w)];
         }
     }
-    assert(best < ways_ && "victim() requires at least one candidate");
     return best;
 }
 
@@ -92,9 +88,9 @@ void TreePlruPolicy::touch(std::uint32_t set, std::uint32_t way)
 }
 
 std::uint32_t TreePlruPolicy::victim(std::uint32_t set,
-                                     const std::vector<bool>& candidates)
+                                     std::uint64_t candidates)
 {
-    assert(candidates.size() == ways_);
+    assert(candidates != 0 && "victim() requires at least one candidate");
     const std::size_t base = static_cast<std::size_t>(set) * nodesPerSet_;
     std::uint32_t node = 0;
     std::uint32_t lo = 0;
@@ -105,33 +101,22 @@ std::uint32_t TreePlruPolicy::victim(std::uint32_t set,
         node = 2 * node + (right ? 2 : 1);
         (right ? lo : hi) = mid;
     }
-    if (candidates[lo])
+    if ((candidates >> lo) & 1)
         return lo;
     // PLRU choice is pinned: fall back to the first candidate way.
-    for (std::uint32_t w = 0; w < ways_; ++w)
-        if (candidates[w])
-            return w;
-    assert(false && "victim() requires at least one candidate");
-    return 0;
+    return static_cast<std::uint32_t>(std::countr_zero(candidates));
 }
 
-std::uint32_t RandomPolicy::victim(std::uint32_t set, const std::vector<bool>& candidates)
+std::uint32_t RandomPolicy::victim(std::uint32_t set, std::uint64_t candidates)
 {
     static_cast<void>(set);
-    assert(candidates.size() == ways_);
-    std::uint32_t n = 0;
-    for (std::uint32_t w = 0; w < ways_; ++w)
-        n += candidates[w] ? 1u : 0u;
-    assert(n > 0 && "victim() requires at least one candidate");
-    std::uint64_t pick = rng_.below(n);
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        if (!candidates[w])
-            continue;
-        if (pick == 0)
-            return w;
-        --pick;
-    }
-    return 0;
+    assert(candidates != 0 && "victim() requires at least one candidate");
+    // The pick-th candidate in way order.
+    for (std::uint64_t pick = rng_.below(
+             static_cast<std::uint64_t>(std::popcount(candidates)));
+         pick != 0; --pick)
+        candidates &= candidates - 1;
+    return static_cast<std::uint32_t>(std::countr_zero(candidates));
 }
 
 } // namespace dscoh

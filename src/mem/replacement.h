@@ -1,8 +1,9 @@
 // Cache replacement policies.
 //
 // A policy owns its own per-set/per-way state; the CacheArray informs it of
-// touches and fills and asks it for a victim among the candidate ways (a mask
-// excludes ways that are pinned by in-flight transactions).
+// touches and fills and asks it for a victim among the candidate ways (a
+// way mask, bit w for way w, excludes ways pinned by in-flight
+// transactions).
 #pragma once
 
 #include <algorithm>
@@ -38,10 +39,13 @@ public:
     virtual void touch(std::uint32_t set, std::uint32_t way) = 0;
     virtual void fill(std::uint32_t set, std::uint32_t way) { touch(set, way); }
 
-    /// Chooses a victim way among those with candidates[way] == true.
+    /// At most this many ways: a candidate mask is one word.
+    static constexpr std::uint32_t kMaxWays = 64;
+
+    /// Chooses a victim way among those whose bit is set in @p candidates.
     /// Precondition: at least one candidate.
     virtual std::uint32_t victim(std::uint32_t set,
-                                 const std::vector<bool>& candidates) = 0;
+                                 std::uint64_t candidates) = 0;
 
     std::uint32_t sets() const { return sets_; }
     std::uint32_t ways() const { return ways_; }
@@ -77,7 +81,7 @@ public:
     }
 
     std::uint32_t victim(std::uint32_t set,
-                         const std::vector<bool>& candidates) override;
+                         std::uint64_t candidates) override;
 
     void snapSave(snap::SnapWriter& w) const override { snapState(*this, w); }
     void snapRestore(snap::SnapReader& r) override { snapState(*this, r); }
@@ -115,7 +119,7 @@ public:
 
     void touch(std::uint32_t set, std::uint32_t way) override;
     std::uint32_t victim(std::uint32_t set,
-                         const std::vector<bool>& candidates) override;
+                         std::uint64_t candidates) override;
 
     void snapSave(snap::SnapWriter& w) const override { snapState(*this, w); }
     void snapRestore(snap::SnapReader& r) override { snapState(*this, r); }
@@ -154,7 +158,7 @@ public:
 
     void touch(std::uint32_t, std::uint32_t) override {}
     std::uint32_t victim(std::uint32_t set,
-                         const std::vector<bool>& candidates) override;
+                         std::uint64_t candidates) override;
 
     void snapSave(snap::SnapWriter& w) const override { snapState(*this, w); }
     void snapRestore(snap::SnapReader& r) override { snapState(*this, r); }

@@ -84,8 +84,7 @@ struct Message {
     std::uint64_t txn = 0;           ///< requester-assigned id, for debugging
 
     DataBlock data;
-    ByteMask mask;        ///< valid bytes for partial writes; full for kData
-    bool hasData = false;
+    ByteMask mask; ///< valid bytes for partial writes; full for kData
 
     // kData / kSnpResp bookkeeping.
     bool exclusive = false;    ///< kData: no other sharer exists, grantee may take M

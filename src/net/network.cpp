@@ -160,13 +160,10 @@ void Network::deliver(Message msg, Tick extraDelay)
     if (CoherenceChecker* c = checking())
         c->onMessageSent();
 
-    // Move the message into a pooled slot and capture only the pointer: the
-    // delivery closure stays inline in the event entry and the message body
-    // is written exactly once, with the slot recycled as soon as the handler
-    // returns.
-    Message* slot = context().msgPool.acquire();
-    *slot = std::move(msg);
-    queue().scheduleInline(
+    // The message waits in a pooled slot and the delivery closure captures
+    // only the pointer; the slot is recycled as soon as the handler returns.
+    Message* slot = context().msgPool.acquire(msg);
+    queue().schedule(
         arrival,
         [this, slot] {
             if (CoherenceChecker* c = checking())

@@ -45,17 +45,17 @@ void EpochSampler::takeSample()
 
 void EpochSampler::arm()
 {
-    queue_.scheduleAfterInline(params_.epochTicks,
-                               [this] {
-                                   takeSample();
-                                   // Re-arm only while the simulation still
-                                   // has work: a lone sampler event must not
-                                   // keep the queue spinning forever after
-                                   // the run drains.
-                                   if (queue_.pending() > 0)
-                                       arm();
-                               },
-                               EventPriority::kStats);
+    queue_.scheduleAfter(params_.epochTicks,
+                         [this] {
+                             takeSample();
+                             // Re-arm only while the simulation still
+                             // has work: a lone sampler event must not
+                             // keep the queue spinning forever after
+                             // the run drains.
+                             if (queue_.pending() > 0)
+                                 arm();
+                         },
+                         EventPriority::kStats);
 }
 
 void EpochSampler::writeJson(std::ostream& os) const

@@ -231,7 +231,6 @@ void EventQueue::regStats(StatRegistry& registry)
     registry.registerCounter("queue.schedule_calls", &scheduled_);
     registry.registerCounter("queue.executed_events", &executed_);
     registry.registerCounter("queue.peak_pending", &peakPending_);
-    registry.registerCounter("queue.heap_spilled_callbacks", &heapSpills_);
 }
 
 } // namespace dscoh

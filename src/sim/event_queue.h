@@ -15,8 +15,8 @@
 // (priority, key, seq) and executed in order; events a callback schedules
 // for the tick being drained are ordered-inserted into the unexecuted tail.
 // This preserves exactly the total order the old global priority_queue
-// produced. Callbacks are InlineCallbacks, so captures up to 64 bytes never
-// touch the heap; spills are counted.
+// produced. Callbacks are InlineCallbacks: a capture of up to 64 bytes is
+// stored in the entry itself, and a bigger one does not compile.
 #pragma once
 
 #include <array>
@@ -58,8 +58,6 @@ public:
         assert(when >= now_ && "cannot schedule into the past");
         const std::uint64_t key = shuffleTies_ ? tieRng_.next() : seq_;
         scheduled_.inc();
-        if (cb.onHeap())
-            heapSpills_.inc();
         if (inTick_ && when == now_) {
             scheduleSameTick(when, std::move(cb), prio, key);
         } else if (when - now_ < kWheelSlots) {
@@ -92,27 +90,6 @@ public:
                        EventPriority prio = EventPriority::kDefault)
     {
         schedule(now_ + delay, std::move(cb), prio);
-    }
-
-    /// Hot-path variant: statically proves the capture fits the callback's
-    /// inline buffer, so the site can never regress into a per-event heap
-    /// allocation. Use on every scheduling site inside the simulation loop.
-    template <typename F>
-    void scheduleInline(Tick when, F&& f,
-                        EventPriority prio = EventPriority::kDefault)
-    {
-        static_assert(InlineCallback::fitsInline<F>(),
-                      "hot-path event capture must fit InlineCallback's "
-                      "inline buffer — shrink the capture or pool the "
-                      "payload (see sim/object_pool.h)");
-        schedule(when, Callback(std::forward<F>(f)), prio);
-    }
-
-    template <typename F>
-    void scheduleAfterInline(Tick delay, F&& f,
-                             EventPriority prio = EventPriority::kDefault)
-    {
-        scheduleInline(now_ + delay, std::forward<F>(f), prio);
     }
 
     /// Current simulated time.
@@ -157,10 +134,6 @@ public:
 
     std::uint64_t scheduleCalls() const { return scheduled_.value(); }
     std::uint64_t peakPending() const { return peakPending_.value(); }
-    /// Callbacks whose capture outgrew the inline buffer (see
-    /// InlineCallback). Zero on every built-in workload; a regression here
-    /// means a scheduling site started allocating per event.
-    std::uint64_t heapSpilledCallbacks() const { return heapSpills_.value(); }
 
 private:
     template <class Self, class Ar>
@@ -179,8 +152,8 @@ private:
         ar.flag(self.shuffleTies_);
         ar.nested(self.tieRng_);
         // The derived counters are not part of the frozen snapshot layout.
-        // schedule_calls mirrors the insertion sequence exactly; peak/spills
-        // restart (and are restored through the StatRegistry when registered).
+        // schedule_calls mirrors the insertion sequence exactly; the peak
+        // restarts (and is restored through the StatRegistry when registered).
         if constexpr (Ar::kLoading)
             self.scheduled_.set(self.seq_);
     }
@@ -260,7 +233,6 @@ private:
     Counter executed_;
     Counter scheduled_;
     Counter peakPending_;
-    Counter heapSpills_;
 };
 
 } // namespace dscoh

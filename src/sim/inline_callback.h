@@ -1,16 +1,17 @@
-// Small-buffer-optimized type-erased callback: the simulated machine's one
-// owning callback type.
+// Small-buffer type-erased callback: the simulated machine's one owning
+// callback type.
 //
 // The event queue executes tens of millions of callbacks per simulated run;
 // std::function's allocation behavior (heap for any capture beyond ~16 bytes)
 // made every network delivery and most controller steps pay a malloc/free
-// pair. BasicInlineCallback<R(Args...)> stores captures up to its inline size
-// inside the object itself — enough for every hot site in the simulator —
-// and falls back to the heap only for oversized or throwing-move captures.
+// pair. BasicInlineCallback<R(Args...)> stores every capture inside the
+// object itself and never allocates: a capture that is too big for the
+// buffer, or whose move may throw, does not convert (the constructor's
+// requires-clause), so it fails to compile at the site that built it. A
+// site that must carry a bulky payload (a Message, a pushed line) parks it
+// in a pooled slot and captures the slot pointer (see sim/object_pool.h).
 // InlineCallback is the void() form with the 64-byte buffer the event queue
-// uses. The queue counts spills (queue.heap_spilled_callbacks) so a capture
-// that silently outgrows the buffer shows up in the stats, and the hot sites
-// additionally static_assert the fit via EventQueue::scheduleInline.
+// uses.
 #pragma once
 
 #include <cassert>
@@ -28,17 +29,17 @@ class BasicInlineCallback;
 template <typename R, typename... Args, std::size_t InlineSize>
 class BasicInlineCallback<R(Args...), InlineSize> {
 public:
-    /// Inline capture budget. The default is sized to the largest hot event
-    /// capture in the tree ([this, pa, op] in the CPU core: 8 + 8 +
-    /// sizeof(CpuOp)=48 bytes); anything bigger belongs in a pooled slot
-    /// (see sim/object_pool.h).
+    /// Capture budget. The default is sized to the largest event capture in
+    /// the tree ([this, pa, op] in the CPU core: 8 + 8 + sizeof(CpuOp)=48
+    /// bytes); anything bigger belongs in a pooled slot (see
+    /// sim/object_pool.h).
     static constexpr std::size_t kInlineSize = InlineSize;
     static constexpr std::size_t kInlineAlign = alignof(std::max_align_t);
 
-    /// True when a callable of type F would live in the inline buffer.
-    /// Inline storage additionally requires a noexcept move constructor:
-    /// queue containers relocate entries while reheapifying, and those
-    /// operations must not throw half-way through.
+    /// True when a callable of type F can be stored: it fits the buffer and
+    /// has a noexcept move constructor (queue containers relocate entries
+    /// while reheapifying, and those operations must not throw half-way
+    /// through).
     template <typename F>
     static constexpr bool fitsInline()
     {
@@ -49,21 +50,16 @@ public:
 
     BasicInlineCallback() = default;
 
-    template <typename F,
-              typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<F>, BasicInlineCallback>>>
+    template <typename F>
+        requires(!std::is_same_v<std::decay_t<F>, BasicInlineCallback> &&
+                 fitsInline<F>())
     BasicInlineCallback(F&& f) // NOLINT: implicit by design, mirrors std::function
     {
         using D = std::decay_t<F>;
         static_assert(std::is_invocable_r_v<R, D&, Args...>,
                       "callback must be invocable with the signature");
-        if constexpr (fitsInline<F>()) {
-            ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
-            ops_ = &InlineModel<D>::kOps;
-        } else {
-            ::new (static_cast<void*>(storage_)) D*(new D(std::forward<F>(f)));
-            ops_ = &HeapModel<D>::kOps;
-        }
+        ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
+        ops_ = &Model<D>::kOps;
     }
 
     BasicInlineCallback(BasicInlineCallback&& other) noexcept
@@ -97,10 +93,6 @@ public:
 
     explicit operator bool() const { return ops_ != nullptr; }
 
-    /// True when the capture spilled to a heap allocation (too big or a
-    /// throwing move). The queue surfaces this as a counter.
-    bool onHeap() const { return ops_ != nullptr && ops_->heap; }
-
 private:
     struct Ops {
         R (*invoke)(void* storage, Args&&... args);
@@ -111,14 +103,13 @@ private:
         /// destructor of the common case is a load and a taken-predictable
         /// branch.
         void (*destroy)(void* storage) noexcept;
-        bool heap;
-        /// True when a move is a plain byte copy of the storage: trivially
-        /// copyable inline captures, and the heap model's stored pointer.
+        /// True when a move is a plain byte copy of the storage (trivially
+        /// copyable captures).
         bool trivialMove;
     };
 
     template <typename D>
-    struct InlineModel {
+    struct Model {
         static D* self(void* s)
         {
             return std::launder(static_cast<D*>(s));
@@ -136,26 +127,8 @@ private:
         static void destroy(void* s) noexcept { self(s)->~D(); }
         static constexpr Ops kOps{
             &invoke, &relocate,
-            std::is_trivially_destructible_v<D> ? nullptr : &destroy, false,
+            std::is_trivially_destructible_v<D> ? nullptr : &destroy,
             std::is_trivially_copyable_v<D>};
-    };
-
-    template <typename D>
-    struct HeapModel {
-        static D* self(void* s)
-        {
-            return *std::launder(static_cast<D**>(s));
-        }
-        static R invoke(void* s, Args&&... args)
-        {
-            return static_cast<R>((*self(s))(std::forward<Args>(args)...));
-        }
-        static void relocate(void* dst, void* src) noexcept
-        {
-            ::new (dst) D*(self(src));
-        }
-        static void destroy(void* s) noexcept { delete self(s); }
-        static constexpr Ops kOps{&invoke, &relocate, &destroy, true, true};
     };
 
     /// Moves @p other's stored state (ops_ already copied) and empties it.

@@ -1,15 +1,18 @@
-// Freelist arena for hot-path payload objects.
+// Freelist arena for payload objects held across a delay.
 //
-// The event engine keeps captures small (see inline_callback.h) by moving
-// bulky payloads — network Messages, pending DRAM writes — into pooled slots
-// and capturing only the slot pointer. Slots come from chunked arrays owned
-// by the pool, so steady-state simulation performs no allocation at all on
-// the message path: acquire/release are a vector push/pop.
+// A callback on the simulated machine must fit InlineCallback's buffer (see
+// inline_callback.h), so every payload bigger than a few words (a network
+// Message, a line pushed by a store, a pending DRAM write) waits in a
+// pooled slot, and the callback captures only the slot pointer: a raw
+// pointer, so moving an event or an MSHR target stays one memcpy. The
+// callback that consumes the payload releases the slot. Slots come from
+// chunked arrays owned by the pool, so steady-state simulation performs no
+// allocation for them: acquire/release are a vector push/pop.
 //
-// The pool hands out *stale* slots: the caller assigns the full object on
-// acquire. Slots lost to EventQueue::clear() (events dropped between
-// independent simulations) simply stay owned by their chunk; the memory is
-// reclaimed when the pool dies with its SimContext.
+// acquire() hands out a *stale* slot: the caller assigns the full object.
+// Slots lost to EventQueue::clear() (events dropped between independent
+// simulations) simply stay owned by their chunk; the memory is reclaimed
+// when the pool dies with its SimContext.
 #pragma once
 
 #include <cstddef>
@@ -36,10 +39,21 @@ public:
         return slot;
     }
 
+    /// A slot holding a copy of @p value.
+    T* acquire(const T& value)
+    {
+        T* slot = acquire();
+        *slot = value;
+        return slot;
+    }
+
     void release(T* slot) { free_.push_back(slot); }
 
     /// Total slots ever created (for tests and sizing diagnostics).
     std::size_t capacity() const { return chunks_.size() * kChunk; }
+
+    /// Slots acquired and not yet released.
+    std::size_t inUse() const { return capacity() - free_.size(); }
 
 private:
     static constexpr std::size_t kChunk = 128;

@@ -138,7 +138,6 @@ struct ParkFixture : ::testing::Test {
         for (std::uint32_t off = 0; off < bytes; off += 8)
             m.data.write(off, value, 8);
         m.mask.set(0, bytes);
-        m.hasData = true;
         m.dirty = true;
         slice.handleDsMessage(m);
     }

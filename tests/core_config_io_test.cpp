@@ -152,6 +152,15 @@ TEST(ConfigIo, RefusesTreePlruWithNonPowerOfTwoWays)
               "requires power-of-two ways >= 2");
 }
 
+TEST(ConfigIo, RefusesMoreThan64Ways)
+{
+    // 2 MiB in 128 ways is 128 sets, which passes every other rule; victim
+    // selection passes a one-word way mask.
+    EXPECT_EQ(refusal("cpu-l2-ways = 64\n"), "");
+    EXPECT_EQ(refusal("cpu-l2-ways = 128\n"),
+              "'cpu-l2-size' / 'cpu-l2-ways': ways must be at most 64");
+}
+
 TEST(ConfigIo, RefusesZeroSms)
 {
     EXPECT_EQ(refusal("num-sms = 0\n"), "'num-sms' must be at least 1");

@@ -1,8 +1,9 @@
 // Direct-store delivery hardening, end to end: under injected DS-network
 // faults the ACK/timeout/retransmit machinery (and, past the retry budget,
 // the pull-based fallback path) must keep producer/consumer runs correct —
-// zero check failures, no invariant violations, a clean oracle — while the
-// hardening counters prove the recovery actually exercised.
+// zero check failures, no invariant violations, a clean oracle, every
+// msgPool slot back — while the hardening counters prove the recovery
+// actually exercised.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -25,6 +26,9 @@ struct HardenedResult {
     std::uint64_t fallbackLoads = 0;
     std::uint64_t dupSquashed = 0;
     std::uint64_t nacks = 0;
+    /// msgPool slots still held once the run drained (the fallback path
+    /// parks the abandoned push in one).
+    std::size_t slotsInUse = 0;
 };
 
 /// CPU produces @p words 8-byte values, a kernel checks them all, and with
@@ -75,6 +79,7 @@ HardenedResult runHardened(const std::function<void(SystemConfig&)>& tweak,
     HardenedResult r;
     r.metrics = sys.metrics();
     r.violations = sys.checkCoherenceInvariants();
+    r.slotsInUse = sys.context().msgPool.inUse();
     r.oracleClean = checker.clean();
     if (!r.oracleClean) {
         std::ostringstream os;
@@ -100,6 +105,7 @@ void expectClean(const HardenedResult& r)
     EXPECT_TRUE(r.violations.empty())
         << (r.violations.empty() ? "" : r.violations.front());
     EXPECT_TRUE(r.oracleClean) << r.oracleDump;
+    EXPECT_EQ(r.slotsInUse, 0u);
 }
 
 TEST(DsHardening, RetransmitRecoversFromDrops)

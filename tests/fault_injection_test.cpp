@@ -133,7 +133,6 @@ TEST_F(FaultNetFixture, CorruptionIsDetectableByChecksum)
     for (std::uint32_t i = 0; i < kLineSize; i += 8)
         m.data.write(i, 0xabcd0000ull + i, 8);
     m.mask.set(0, kLineSize);
-    m.hasData = true;
     net.send(m);
     queue.run();
 

@@ -5,7 +5,8 @@
 namespace dscoh {
 namespace {
 
-std::vector<bool> all(std::uint32_t ways) { return std::vector<bool>(ways, true); }
+/// The candidate mask with every one of @p ways ways set.
+std::uint64_t all(std::uint32_t ways) { return (std::uint64_t{1} << ways) - 1; }
 
 TEST(Replacement, KindParsing)
 {
@@ -33,8 +34,7 @@ TEST(Lru, RespectsCandidateMask)
     LruPolicy lru(1, 4);
     for (std::uint32_t w = 0; w < 4; ++w)
         lru.touch(0, w);
-    std::vector<bool> mask{false, false, true, true};
-    EXPECT_EQ(lru.victim(0, mask), 2u);
+    EXPECT_EQ(lru.victim(0, 0b1100), 2u);
 }
 
 TEST(Lru, SetsAreIndependent)
@@ -71,8 +71,7 @@ TEST(TreePlru, FallsBackWhenChoicePinned)
     for (std::uint32_t w = 0; w < 4; ++w)
         plru.touch(0, w);
     // Only way 3 is a candidate; whatever the tree says, we must get 3.
-    std::vector<bool> mask{false, false, false, true};
-    EXPECT_EQ(plru.victim(0, mask), 3u);
+    EXPECT_EQ(plru.victim(0, 0b1000), 3u);
 }
 
 TEST(TreePlru, NeverPicksNonCandidate)
@@ -82,10 +81,8 @@ TEST(TreePlru, NeverPicksNonCandidate)
     for (int i = 0; i < 500; ++i) {
         const auto set = static_cast<std::uint32_t>(rng.below(4));
         plru.touch(set, static_cast<std::uint32_t>(rng.below(8)));
-        std::vector<bool> mask(8, false);
         const auto cand = static_cast<std::uint32_t>(rng.below(8));
-        mask[cand] = true;
-        EXPECT_EQ(plru.victim(set, mask), cand);
+        EXPECT_EQ(plru.victim(set, std::uint64_t{1} << cand), cand);
     }
 }
 
@@ -106,9 +103,8 @@ TEST(Random, DeterministicForSeedAndUniformish)
 TEST(Random, HonorsCandidates)
 {
     RandomPolicy p(1, 4, 5);
-    std::vector<bool> mask{false, true, false, false};
     for (int i = 0; i < 50; ++i)
-        EXPECT_EQ(p.victim(0, mask), 1u);
+        EXPECT_EQ(p.victim(0, 0b0010), 1u);
 }
 
 TEST(Factory, CreatesRequestedKind)

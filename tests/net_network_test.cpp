@@ -86,7 +86,6 @@ TEST_F(NetFixture, PayloadSurvivesTransit)
     Message m = mkMsg(MsgType::kData, 0, 1, 0x1240);
     m.data.write(16, 0xfeedface, 4);
     m.mask.set(16, 4);
-    m.hasData = true;
     net.send(m);
     queue.run();
     ASSERT_EQ(receivedAt1.size(), 1u);

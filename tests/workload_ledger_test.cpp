@@ -8,7 +8,10 @@
 // Columns, summed over the run's stat counters matched as
 // perfbench/layers.py matches them: simulated ticks, queue.executed_events, queue.schedule_calls,
 // parked cache requests (*.deferrals), SM lane accesses (global_loads +
-// global_stores) and SM coalesced_transactions.
+// global_stores) and SM coalesced_transactions. The last column,
+// stats_crc32, is snap::crc32 of the run's results.json job object without
+// its queue.* counters (dscoh_sweep never registers those), so a moved
+// metric or stat counter fails the row even when every count holds.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -18,6 +21,8 @@
 #include <string>
 #include <string_view>
 
+#include "exp/experiment_engine.h"
+#include "snap/serializer.h"
 #include "workloads/runner.h"
 
 namespace dscoh {
@@ -65,6 +70,27 @@ struct Mode {
     const char* label;
 };
 
+/// crc32 of @p r's job object, byte for byte as dscoh_sweep writes it into
+/// results.json, with the queue.* counters left out.
+std::uint32_t statsCrc32(WorkloadRunResult r)
+{
+    std::erase_if(r.statCounters, [](const auto& counter) {
+        return counter.first.starts_with("queue.");
+    });
+    ExperimentResult job;
+    job.job.code = r.code;
+    job.job.size = r.size;
+    job.job.mode = r.mode;
+    job.ok = true;
+    job.run = std::move(r);
+    std::ostringstream os;
+    writeResultsJson(os, {job});
+    const std::string doc = os.str();
+    const std::size_t open = doc.find('{', doc.find("\"results\""));
+    const std::size_t close = doc.rfind('}', doc.rfind(']'));
+    return snap::crc32(doc.data() + open, close + 1 - open);
+}
+
 Row countRow(const std::string& code, Mode mode)
 {
     WorkloadRun run(WorkloadRegistry::instance().get(code), InputSize::kSmall,
@@ -88,7 +114,7 @@ Row countRow(const std::string& code, Mode mode)
     row << code << '\t' << mode.label << '\t' << r.metrics.ticks << '\t'
         << r.statCounters.at("queue.executed_events") << '\t'
         << r.statCounters.at("queue.schedule_calls") << '\t' << parked << '\t'
-        << lanes << '\t' << coalesced;
+        << lanes << '\t' << coalesced << '\t' << statsCrc32(r);
     return row.str();
 }
 
