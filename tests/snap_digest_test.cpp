@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/config_io.h"
+#include "ledger_rows.h"
 #include "obs/epoch_sampler.h"
 #include "snap/serializer.h"
 #include "workloads/runner.h"
@@ -44,43 +45,20 @@ void PrintTo(const DigestRow& row, std::ostream* os)
     *os << row.name;
 }
 
-std::vector<std::string> split(const std::string& text, char sep)
-{
-    std::vector<std::string> parts;
-    std::istringstream in(text);
-    std::string part;
-    while (std::getline(in, part, sep))
-        parts.push_back(part);
-    return parts;
-}
-
-/// Every data row; '#' lines are comments and the first other line is the
-/// column header.
+/// Every data row of the ledger.
 std::vector<DigestRow> loadLedger()
 {
-    std::ifstream in(DSCOH_GOLDEN_DIR "/snapshot_digests.tsv");
     std::vector<DigestRow> rows;
-    bool header = true;
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.empty() || line[0] == '#')
-            continue;
-        if (header) {
-            header = false;
-            continue;
-        }
-        const std::vector<std::string> f = split(line, '\t');
-        if (f.size() != 10)
-            continue; // counted by LedgerCoversEverySectionKind
+    for (const std::vector<std::string>& f :
+         ledger::rows(DSCOH_GOLDEN_DIR "/snapshot_digests.tsv", 10))
         rows.push_back(DigestRow{f[0], f[1], f[2], f[3], f[4], f[5], f[6],
                                  f[7], f[8], f[9]});
-    }
     return rows;
 }
 
 bool hasObserver(const DigestRow& row, const std::string& name)
 {
-    for (const std::string& o : split(row.observers, ','))
+    for (const std::string& o : ledger::split(row.observers, ','))
         if (o == name || o.rfind(name + "=", 0) == 0)
             return true;
     return false;
@@ -88,7 +66,7 @@ bool hasObserver(const DigestRow& row, const std::string& name)
 
 Tick epochTicksOf(const DigestRow& row)
 {
-    for (const std::string& o : split(row.observers, ','))
+    for (const std::string& o : ledger::split(row.observers, ','))
         if (o.rfind("epochs=", 0) == 0)
             return std::stoull(o.substr(7));
     return 0;
@@ -112,7 +90,7 @@ std::string writeSnapshot(const DigestRow& row)
         throw std::runtime_error(error);
     if (row.keys != "-") {
         std::string text;
-        for (const std::string& kv : split(row.keys, ';'))
+        for (const std::string& kv : ledger::split(row.keys, ';'))
             text += kv + "\n";
         if (!applyConfigText(text, &cfg, &error))
             throw std::runtime_error(error);
