@@ -86,20 +86,14 @@ void CoherenceChecker::record(const char* category, const std::string& what,
     violations_.push_back(std::move(v));
 }
 
-void CoherenceChecker::onTransition(const std::string& agent, Addr base,
-                                    CohState from, CohEvent event, CohState to,
-                                    Tick now)
+void CoherenceChecker::onTransition(Addr base, CohEvent event, Tick now)
 {
-    static_cast<void>(agent);
-    static_cast<void>(from);
-    static_cast<void>(event);
     ++transitions_;
     ++activity_;
     // Transitions that end in I or a dataless transient cannot create a new
     // violation on their own, but the cheap full-line re-check keeps the
     // reporting immediate, so run it unconditionally.
     checkLine(base, to_string(event), now);
-    static_cast<void>(to);
 }
 
 void CoherenceChecker::onMshrAllocate(const std::string& agent, Addr base,

@@ -4,7 +4,8 @@
 // same way a TraceSession does: null by default, one pointer test per hook
 // when off, so a checker-less simulation is byte-identical to a build
 // without the subsystem. When on, every protocol transition re-validates
-// the lines involved:
+// its line across every agent, after the new state has landed (a cache
+// agent writes a line's state in CacheAgent::moveTo, then reports it):
 //
 //  - single-writer / multiple-reader: at most one owner (MM/M/O, or a
 //    writeback draining as MI_A/OI_A) per line across the CPU agent and
@@ -81,8 +82,9 @@ public:
     void setBackingStore(const BackingStore* store);
 
     // --- hooks (hot paths; every caller guards with `if (checking())`) ---
-    void onTransition(const std::string& agent, Addr base, CohState from,
-                      CohEvent event, CohState to, Tick now);
+    /// A line's state changed (or a stateless edge was taken) on @p event:
+    /// re-checks @p base's copies across every agent.
+    void onTransition(Addr base, CohEvent event, Tick now);
     void onMshrAllocate(const std::string& agent, Addr base, Tick now);
     void onMshrRelease(const std::string& agent, Addr base, Tick now);
     /// A store's bytes were applied at a coherent agent (the global

@@ -49,12 +49,71 @@ CacheAgent::CacheAgent(std::string name, SimContext& ctx, const Params& params)
 void CacheAgent::noteTransition(CohState from, CohEvent event, CohState to,
                                 Addr base)
 {
-    recordTransition(from, event, to);
+    if (TransitionCoverage* cov = context().coverage)
+        cov->record(from, event, to);
     if (TraceSession* t = tracing(TraceCat::kCoherence))
         t->transition(name(), to_string(event), to_string(from), to_string(to),
                       curTick(), base);
     if (CoherenceChecker* c = checking())
-        c->onTransition(name(), base, from, event, to, curTick());
+        c->onTransition(base, event, curTick());
+}
+
+void CacheAgent::moveTo(Line& line, CohEvent event, CohState to)
+{
+    const CohState from = line.meta.state;
+    const Addr base = line.base;
+    if (canRead(from) && !canRead(to))
+        onInvalidate(base);
+    if (to == CohState::kI)
+        array_.invalidate(line);
+    else
+        line.meta.state = to;
+    noteTransition(from, event, to, base);
+}
+
+void CacheAgent::moveToWriteback(Line& line, CohEvent event)
+{
+    const CohState from = line.meta.state;
+    const Addr base = line.base;
+    assert(needsWriteback(from));
+    assert(!inWriteback(base) && !writebackBufferFull());
+    const CohState buffered =
+        from == CohState::kMM ? CohState::kMI_A : CohState::kOI_A;
+    const DataBlock& data =
+        wbb_.emplace(base, WbEntry{buffered, line.data}).first->second.data;
+    onInvalidate(base);
+    array_.invalidate(line);
+    // Fig. 3's edge: an eviction enters the buffer's transient, a remote
+    // store leaves the CPU in I.
+    noteTransition(from, event,
+                   event == CohEvent::kEvict ? buffered : CohState::kI, base);
+    writebacks_.inc();
+
+    Message msg;
+    msg.type = MsgType::kPut;
+    msg.addr = base;
+    msg.src = params_.self;
+    msg.dst = homeFor(base);
+    msg.requester = params_.self;
+    msg.data = data;
+    msg.mask.set(0, kLineSize);
+    msg.dirty = true;
+    msg.txn = nextTxn_++;
+    if (TxnProfiler* p = profiling())
+        msg.prof = p->begin(TxnKind::kWriteback, base, name(), curTick());
+    params_.requestNet->send(std::move(msg));
+}
+
+void CacheAgent::moveWriteback(Addr base, CohEvent event, CohState to)
+{
+    const auto it = wbb_.find(base);
+    assert(it != wbb_.end() && "no writeback to move");
+    const CohState from = it->second.state;
+    if (to == CohState::kI)
+        wbb_.erase(it);
+    else
+        it->second.state = to;
+    noteTransition(from, event, to, base);
 }
 
 bool CacheAgent::probeHit(Addr addr, bool exclusive) const
@@ -112,9 +171,7 @@ CacheAgent::Wait CacheAgent::startTransaction(Line* existing, Addr base,
         // Upgrade from S/M/O (stores are not allowed in M, per the paper, so
         // M also upgrades through GetX). Data stays readable while SM_D.
         assert(exclusive && canRead(existing->meta.state));
-        noteTransition(existing->meta.state, CohEvent::kStore,
-                       CohState::kSM_D, base);
-        existing->meta.state = CohState::kSM_D;
+        moveTo(*existing, CohEvent::kStore, CohState::kSM_D);
         upgrades_.inc();
         allocateMshr(base, exclusive, done);
         getxIssued_.inc();
@@ -128,11 +185,9 @@ CacheAgent::Wait CacheAgent::startTransaction(Line* existing, Addr base,
     Line* way = makeRoom(base);
     if (way == nullptr)
         return Wait::kOther; // every way in the set is pinned
-    Line& line = array_.install(*way, base);
-    line.meta.state = exclusive ? CohState::kIM_D : CohState::kIS_D;
-    noteTransition(CohState::kI,
-                   exclusive ? CohEvent::kStore : CohEvent::kLoad,
-                   line.meta.state, base);
+    moveTo(array_.install(*way, base),
+           exclusive ? CohEvent::kStore : CohEvent::kLoad,
+           exclusive ? CohState::kIM_D : CohState::kIS_D);
     allocateMshr(base, exclusive, done);
     std::uint64_t prof = 0;
     if (TxnProfiler* p = profiling())
@@ -182,45 +237,11 @@ CacheAgent::Line* CacheAgent::makeRoom(Addr addr)
     if (victim == nullptr)
         return nullptr;
 
-    onInvalidate(victim->base);
-    if (needsWriteback(victim->meta.state)) {
-        noteTransition(victim->meta.state, CohEvent::kEvict,
-                       victim->meta.state == CohState::kMM ? CohState::kMI_A
-                                                           : CohState::kOI_A,
-                       victim->base);
-        issueWriteback(victim->base, victim->data, victim->meta.state);
-    } else {
-        noteTransition(victim->meta.state, CohEvent::kEvict, CohState::kI,
-                       victim->base);
-    }
-    array_.invalidate(*victim);
+    if (needsWriteback(victim->meta.state))
+        moveToWriteback(*victim, CohEvent::kEvict);
+    else
+        moveTo(*victim, CohEvent::kEvict, CohState::kI);
     return victim;
-}
-
-void CacheAgent::issueWriteback(Addr base, const DataBlock& data,
-                                CohState fromState)
-{
-    assert(needsWriteback(fromState));
-    assert(!inWriteback(base) && !writebackBufferFull());
-    WbEntry entry;
-    entry.state = fromState == CohState::kMM ? CohState::kMI_A : CohState::kOI_A;
-    entry.data = data;
-    wbb_.emplace(base, std::move(entry));
-    writebacks_.inc();
-
-    Message msg;
-    msg.type = MsgType::kPut;
-    msg.addr = base;
-    msg.src = params_.self;
-    msg.dst = homeFor(base);
-    msg.requester = params_.self;
-    msg.data = data;
-    msg.mask.set(0, kLineSize);
-    msg.dirty = true;
-    msg.txn = nextTxn_++;
-    if (TxnProfiler* p = profiling())
-        msg.prof = p->begin(TxnKind::kWriteback, base, name(), curTick());
-    params_.requestNet->send(std::move(msg));
 }
 
 void CacheAgent::sendToHome(MsgType type, Addr base, bool ownerFlag,
@@ -315,11 +336,7 @@ void CacheAgent::handleForward(const Message& msg)
     case MsgType::kWbAck: {
         if (params_.injectBug == InjectedBug::kDropWbAck)
             break; // deliberate bug: the writeback entry wedges forever
-        const auto it = wbb_.find(msg.addr);
-        assert(it != wbb_.end() && "WbAck for unknown writeback");
-        noteTransition(it->second.state, CohEvent::kWbAck, CohState::kI,
-                       msg.addr);
-        wbb_.erase(it);
+        moveWriteback(msg.addr, CohEvent::kWbAck, CohState::kI);
         if (TxnProfiler* p = profiling()) {
             p->hop(msg.prof, TxnStage::kAckArrive, name(), curTick());
             p->end(msg.prof, curTick());
@@ -352,11 +369,8 @@ void CacheAgent::handleSnoop(const Message& msg)
                        wantsExclusive, msg.txn, msg.prof);
             suppliedData = true;
             wasSharer = true;
-            if (wantsExclusive) {
-                noteTransition(entry.state, CohEvent::kSnpGetX,
-                               CohState::kII_A, base);
-                entry.state = CohState::kII_A;
-            }
+            if (wantsExclusive)
+                moveWriteback(base, CohEvent::kSnpGetX, CohState::kII_A);
         }
     } else if (Line* line = array_.find(base)) {
         switch (line->meta.state) {
@@ -371,35 +385,22 @@ void CacheAgent::handleSnoop(const Message& msg)
             if (wantsExclusive) {
                 if (params_.injectBug == InjectedBug::kSkipSnoopInvalidate)
                     break; // deliberate bug: keep a second "exclusive" copy
-                noteTransition(line->meta.state, CohEvent::kSnpGetX,
-                               CohState::kI, base);
-                onInvalidate(base);
-                array_.invalidate(*line);
+                moveTo(*line, CohEvent::kSnpGetX, CohState::kI);
             } else {
-                noteTransition(line->meta.state, CohEvent::kSnpGetS,
-                               CohState::kO, base);
-                line->meta.state = CohState::kO;
+                moveTo(*line, CohEvent::kSnpGetS, CohState::kO);
             }
             break;
         case CohState::kS:
             wasSharer = true;
-            if (wantsExclusive) {
-                noteTransition(CohState::kS, CohEvent::kSnpGetX,
-                               CohState::kI, base);
-                onInvalidate(base);
-                array_.invalidate(*line);
-            }
+            if (wantsExclusive)
+                moveTo(*line, CohEvent::kSnpGetX, CohState::kI);
             break;
         case CohState::kSM_D:
             // Our upgrade lost the race: the competing GetX invalidates our
             // S copy and our transaction degrades to a full miss.
             wasSharer = true;
-            if (wantsExclusive) {
-                noteTransition(CohState::kSM_D, CohEvent::kSnpGetX,
-                               CohState::kIM_D, base);
-                onInvalidate(base);
-                line->meta.state = CohState::kIM_D;
-            }
+            if (wantsExclusive)
+                moveTo(*line, CohEvent::kSnpGetX, CohState::kIM_D);
             break;
         case CohState::kIS_D:
         case CohState::kIM_D:
@@ -458,11 +459,8 @@ void CacheAgent::handleData(const Message& msg)
         next = msg.exclusive ? CohState::kM : CohState::kS;
     else
         next = CohState::kMM;
-    // State is committed before noteTransition so the checker's line scan
-    // sees the post-transition world.
-    line->meta.state = next;
     line->meta.dsFilled = false;
-    noteTransition(prev, CohEvent::kFill, next, msg.addr);
+    moveTo(*line, CohEvent::kFill, next);
     fills_.inc();
     noteFilled(msg.addr);
     onFill(*line);

@@ -14,6 +14,12 @@
 //
 // Network side: handleForward (snoops, writeback acks, from home) and
 // handleResponse (data). Wired up by the System builder.
+//
+// Every change of a line's state goes through moveTo() (the array) or its
+// writeback-buffer legs, moveToWriteback() and moveWriteback(). Each writes
+// the new state first and then notes the transition, so the coverage
+// table, the trace and the checker see every change, and see it after it
+// landed.
 #pragma once
 
 #include <cstdint>
@@ -95,6 +101,15 @@ public:
 
     void regStats(StatRegistry& registry) override;
 
+    /// Tells this context's observers about a protocol transition: the
+    /// attached TransitionCoverage, the TraceSession (when it records
+    /// coherence events) and the CoherenceChecker. moveTo() and its
+    /// writeback legs call it for every state change; callers use it
+    /// directly only for edges that change no line (hits, lease and
+    /// delivery-hardening events, remote-miss markers).
+    void noteTransition(CohState from, CohEvent event, CohState to,
+                        Addr base);
+
     /// Debug/verification: invokes @p fn for every valid line (stable or
     /// transient) in the array.
     template <typename Fn>
@@ -155,9 +170,9 @@ public:
     }
 
 protected:
-    /// Hook: a line was filled (protocol fill or direct-store install).
+    /// Hook: a protocol fill landed (the CPU agent refills its L1 filter).
     virtual void onFill(Line& line) { static_cast<void>(line); }
-    /// Hook: a line is leaving the array (eviction or snoop-invalidate);
+    /// Hook: a line stops being readable here (moveTo, moveToWriteback);
     /// upper non-coherent levels (CPU L1 filter) must drop their copy.
     virtual void onInvalidate(Addr base) { static_cast<void>(base); }
     /// Hook: latest tick until which @p base is frozen by a granted
@@ -221,9 +236,19 @@ protected:
     /// parked on it.
     void noteFilled(Addr addr);
 
-    /// Sends a Put (writeback) for an MM/O line's data and parks it in the
-    /// writeback buffer. Precondition: !inWriteback(base) and WBB not full.
-    void issueWriteback(Addr base, const DataBlock& data, CohState fromState);
+    /// Moves @p line to @p to on @p event; kI drops it from the array.
+    /// When the line stops being readable, upper non-coherent levels are
+    /// told first (onInvalidate). Then the transition is noted.
+    void moveTo(Line& line, CohEvent event, CohState to);
+
+    /// moveTo's writeback-buffer leg: an MM/O @p line leaves the array for
+    /// the buffer as MI_A/OI_A, and its Put goes to the home once the edge
+    /// (MI_A/OI_A on an eviction, I on a remote store) is noted.
+    /// Precondition: !inWriteback(base) and the buffer is not full.
+    void moveToWriteback(Line& line, CohEvent event);
+    /// Moves @p base's buffer entry to @p to on @p event: II_A when a
+    /// snoop takes the line away, kI (the entry is freed) on its WbAck.
+    void moveWriteback(Addr base, CohEvent event, CohState to);
 
     bool writebackBufferFull() const
     {
@@ -231,13 +256,6 @@ protected:
     }
 
     const Params& params() const { return params_; }
-
-    /// Records a protocol transition into the thread-local
-    /// TransitionCoverage, (when enabled) this context's TraceSession and
-    /// (when attached) the context's CoherenceChecker — every transition
-    /// site in the agent and its subclasses goes through here.
-    void noteTransition(CohState from, CohEvent event, CohState to,
-                        Addr base);
 
 private:
     struct MshrTarget {

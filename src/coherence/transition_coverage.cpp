@@ -1,82 +1,6 @@
 #include "coherence/transition_coverage.h"
 
-#include <atomic>
-#include <mutex>
-
 namespace dscoh {
-
-namespace {
-
-std::atomic<bool> g_processWide{false};
-
-/// Leaky function-local singleton: worker threads flush from their
-/// thread_local destructors, which may run during process teardown after
-/// static destruction has begun — a heap-allocated aggregate is immune to
-/// destruction-order problems.
-struct Aggregate {
-    std::mutex mutex;
-    TransitionCoverage::Counts counts;
-};
-
-Aggregate& aggregate()
-{
-    static Aggregate* agg = new Aggregate;
-    return *agg;
-}
-
-} // namespace
-
-TransitionCoverage::~TransitionCoverage()
-{
-    if (processWideEnabled())
-        flushToAggregate();
-}
-
-void TransitionCoverage::enableProcessWide()
-{
-    g_processWide.store(true, std::memory_order_relaxed);
-}
-
-void TransitionCoverage::disableProcessWide()
-{
-    g_processWide.store(false, std::memory_order_relaxed);
-}
-
-bool TransitionCoverage::processWideEnabled()
-{
-    return g_processWide.load(std::memory_order_relaxed);
-}
-
-void TransitionCoverage::flushToAggregate()
-{
-    if (counts_.empty())
-        return;
-    Aggregate& agg = aggregate();
-    const std::lock_guard<std::mutex> lock(agg.mutex);
-    for (const auto& [key, n] : counts_)
-        agg.counts[key] += n;
-    counts_.clear();
-}
-
-TransitionCoverage::Counts TransitionCoverage::aggregateSnapshot()
-{
-    Aggregate& agg = aggregate();
-    Counts merged;
-    {
-        const std::lock_guard<std::mutex> lock(agg.mutex);
-        merged = agg.counts;
-    }
-    for (const auto& [key, n] : instance().counts_)
-        merged[key] += n;
-    return merged;
-}
-
-void TransitionCoverage::resetAggregate()
-{
-    Aggregate& agg = aggregate();
-    const std::lock_guard<std::mutex> lock(agg.mutex);
-    agg.counts.clear();
-}
 
 const char* to_string(CohEvent e)
 {

@@ -1,13 +1,13 @@
-// Protocol transition coverage: a global, zero-cost-when-unused recorder of
-// (state, event) -> state edges taken by the cache agents. The test suite
-// uses it to prove the implementation exercises every stable transition of
-// the paper's Fig. 3, including the remote-store extension.
+// Protocol transition coverage: a per-run table of the (state, event) ->
+// state edges the cache agents take, attached to a System like the trace
+// and the checker. The test suite uses it to prove the implementation
+// exercises every stable transition of the paper's Fig. 3, including the
+// remote-store extension.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <ostream>
-#include <string>
 #include <tuple>
 
 #include "coherence/protocol.h"
@@ -43,58 +43,15 @@ enum class CohEvent : std::uint8_t {
 
 const char* to_string(CohEvent e);
 
-/// Per-thread transition recorder. Disabled (and free) unless a test or
-/// tool enables it; the simulator's hot paths only pay a branch.
-///
-/// instance() is thread_local rather than process-wide: a simulation records
-/// into the recorder of the thread it runs on, so concurrent simulations
-/// (ExperimentEngine workers) never contend or race on coverage state. Tests
-/// drive the simulation on their own thread and observe the same instance
-/// they enabled, exactly as before.
-///
-/// enable() is therefore invisible to ExperimentEngine workers with
-/// --jobs > 1: each worker thread has its own (disabled) instance. To
-/// collect coverage across a parallel sweep, call enableProcessWide()
-/// instead: every thread's instance then records locally (still
-/// contention-free), and each worker flushes its counts into a mutex-guarded
-/// process aggregate when the thread exits — ExperimentEngine joins its
-/// workers inside run(), so aggregateSnapshot() is complete as soon as
-/// run() returns. The snapshot also merges the calling thread's live
-/// counts, covering the single-threaded (run-on-caller) path.
+/// Counts the (state, event) -> state edges one run's cache agents take.
+/// The caller owns the table and attaches it to a System
+/// (System::attachCoverage); unattached, each transition costs the agents
+/// one pointer test. A table sums the runs of every System it is attached
+/// to; Systems that run at once on different threads need a table each.
 class TransitionCoverage {
 public:
-    using Key = std::tuple<CohState, CohEvent, CohState>;
-    using Counts = std::map<Key, std::uint64_t>;
-
-    static TransitionCoverage& instance()
-    {
-        static thread_local TransitionCoverage coverage;
-        return coverage;
-    }
-
-    ~TransitionCoverage();
-
-    void enable() { enabled_ = true; }
-    void disable() { enabled_ = false; }
-    void reset() { counts_.clear(); }
-
-    /// Makes every thread's instance record (ExperimentEngine --jobs > 1
-    /// included) and arms the exit-time flush into the process aggregate.
-    static void enableProcessWide();
-    static void disableProcessWide();
-    static bool processWideEnabled();
-    /// Aggregate of all flushed (exited) threads plus the calling thread's
-    /// live counts. Call after ExperimentEngine::run() returns.
-    static Counts aggregateSnapshot();
-    static void resetAggregate();
-    /// Moves this thread's counts into the aggregate now (also done
-    /// automatically when the thread exits while process-wide is enabled).
-    void flushToAggregate();
-
     void record(CohState from, CohEvent event, CohState to)
     {
-        if (!enabled_ && !processWideEnabled())
-            return;
         ++counts_[std::make_tuple(from, event, to)];
     }
 
@@ -114,15 +71,8 @@ public:
     void dump(std::ostream& os) const;
 
 private:
-    TransitionCoverage() = default;
-    bool enabled_ = false;
-    Counts counts_;
+    using Key = std::tuple<CohState, CohEvent, CohState>;
+    std::map<Key, std::uint64_t> counts_;
 };
-
-/// Shorthand used at the transition sites.
-inline void recordTransition(CohState from, CohEvent event, CohState to)
-{
-    TransitionCoverage::instance().record(from, event, to);
-}
 
 } // namespace dscoh

@@ -1,7 +1,7 @@
 #include "core/system.h"
 
+#include <algorithm>
 #include <iomanip>
-#include <map>
 #include <sstream>
 #include <stdexcept>
 
@@ -701,58 +701,70 @@ std::vector<std::string> System::checkCoherenceInvariants() const
                                  " controller not quiescent");
     }
 
+    // Every valid line of every coherent agent (0 is the CPU, i + 1 is
+    // slice i), sorted by address and then agent, the CPU-then-slice order
+    // the reports list a line's copies in. (An agent holds a line once.)
     struct Copy {
-        std::string agent;
+        Addr base;
+        std::size_t agent;
         CohState state;
         const DataBlock* data;
     };
-    std::map<Addr, std::vector<Copy>> copies;
-
-    const auto collect = [&copies](const CacheAgent& agent,
-                                   const std::string& label) {
-        agent.forEachLine([&copies, &label](const CacheAgent::Line& line) {
-            copies[line.base].push_back(Copy{label, line.meta.state, &line.data});
+    std::vector<Copy> copies;
+    const auto collect = [&copies](const CacheAgent& agent, std::size_t i) {
+        agent.forEachLine([&copies, i](const CacheAgent::Line& line) {
+            copies.push_back(Copy{line.base, i, line.meta.state, &line.data});
         });
     };
-    collect(*cpuAgent_, "cpu");
+    collect(*cpuAgent_, 0);
     for (std::size_t i = 0; i < slices_.size(); ++i)
-        collect(*slices_[i], sliceCheckerLabel(i));
+        collect(*slices_[i], i + 1);
+    std::sort(copies.begin(), copies.end(), [](const Copy& a, const Copy& b) {
+        return a.base != b.base ? a.base < b.base : a.agent < b.agent;
+    });
 
-    for (const auto& [addr, lineCopies] : copies) {
+    for (auto first = copies.begin(); first != copies.end();) {
+        const Addr addr = first->base;
+        const auto last =
+            std::find_if(first, copies.end(),
+                         [addr](const Copy& c) { return c.base != addr; });
+        const auto report = [&violations, addr](const std::string& what) {
+            std::ostringstream line;
+            line << "line 0x" << std::hex << addr << what;
+            violations.push_back(line.str());
+        };
         int owners = 0;
         int exclusives = 0;
         bool anyTransient = false;
-        for (const Copy& c : lineCopies) {
-            if (!isStable(c.state))
+        for (auto c = first; c != last; ++c) {
+            if (!isStable(c->state))
                 anyTransient = true;
-            if (isOwner(c.state))
+            if (isOwner(c->state))
                 ++owners;
-            if (c.state == CohState::kMM || c.state == CohState::kM)
+            if (c->state == CohState::kMM || c->state == CohState::kM)
                 ++exclusives;
         }
-        std::ostringstream where;
-        where << std::hex << addr;
         if (anyTransient) {
-            violations.push_back("line 0x" + where.str() +
-                                 " still transient in a quiesced system");
-            continue;
-        }
-        if (owners > 1)
-            violations.push_back("line 0x" + where.str() +
-                                 " has multiple owners");
-        if (exclusives > 0 && lineCopies.size() > 1)
-            violations.push_back("line 0x" + where.str() +
-                                 " exclusive with other copies present");
-        if (owners == 0) {
-            // No owner: every shared copy must match memory.
-            const DataBlock& mem = store_->readLine(addr);
-            for (const Copy& c : lineCopies) {
-                if (!(*c.data == mem))
-                    violations.push_back("line 0x" + where.str() + " at " +
-                                         c.agent +
-                                         " diverges from memory with no owner");
+            report(" still transient in a quiesced system");
+        } else {
+            if (owners > 1)
+                report(" has multiple owners");
+            if (exclusives > 0 && last - first > 1)
+                report(" exclusive with other copies present");
+            if (owners == 0) {
+                // No owner: every shared copy must match memory.
+                const DataBlock& mem = store_->readLine(addr);
+                for (auto c = first; c != last; ++c) {
+                    if (*c->data == mem)
+                        continue;
+                    const std::string agent =
+                        c->agent == 0 ? "cpu" : sliceCheckerLabel(c->agent - 1);
+                    report(" at " + agent +
+                           " diverges from memory with no owner");
+                }
             }
         }
+        first = last;
     }
     return violations;
 }

@@ -85,6 +85,15 @@ public:
     /// The attached profiler, or nullptr when profiling is off.
     TxnProfiler* txnProfiler() { return ctx_.txnprof.get(); }
 
+    /// Attaches @p coverage (owned by the caller, who keeps it alive while
+    /// this System runs) to count every protocol transition; nullptr
+    /// detaches it. Without this call each transition costs one pointer
+    /// test for it.
+    void attachCoverage(TransitionCoverage* coverage)
+    {
+        ctx_.coverage = coverage;
+    }
+
     /// Attaches an EpochSampler recording the selected counters every
     /// params.epochTicks into a time series. System ownership makes the
     /// series snapshot-state: it travels in the checkpoint and a restored

@@ -1,8 +1,6 @@
 #include "cpu/cpu_cache_agent.h"
 
 #include <cassert>
-
-#include "coherence/transition_coverage.h"
 #include <utility>
 
 namespace dscoh {
@@ -90,21 +88,14 @@ CacheAgent::Wait CpuCacheAgent::tryRemoteStore(Addr base,
         if (writebackBufferFull())
             return Wait::kOther;
         remoteStoreWritebacks_.inc();
-        noteTransition(lineHit->meta.state, CohEvent::kRemoteStore,
-                       CohState::kI, base);
-        onInvalidate(base);
-        issueWriteback(base, lineHit->data, lineHit->meta.state);
-        array().invalidate(*lineHit);
+        moveToWriteback(*lineHit, CohEvent::kRemoteStore);
         // The WbAck drains the writeback buffer; the retry then takes the
         // line==nullptr fast path and fires ready().
         return Wait::kOther;
     }
 
     // S or M: clean, silently droppable (Fig. 3: S/M --RemoteStore--> I).
-    noteTransition(lineHit->meta.state, CohEvent::kRemoteStore, CohState::kI,
-                   base);
-    onInvalidate(base);
-    array().invalidate(*lineHit);
+    moveTo(*lineHit, CohEvent::kRemoteStore, CohState::kI);
     ready();
     return Wait::kNone;
 }

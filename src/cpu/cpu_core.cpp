@@ -360,8 +360,9 @@ void CpuCore::applyDsFallback(std::uint64_t txn)
                       m->mask.apply(line.data, m->data);
                       if (CoherenceChecker* c = checking())
                           c->onStoreApplied(m->addr, m->data, m->mask);
-                      recordTransition(CohState::kI, CohEvent::kFallbackStore,
-                                       CohState::kMM);
+                      cache_.noteTransition(CohState::kI,
+                                            CohEvent::kFallbackStore,
+                                            CohState::kMM, line.base);
                       if (TxnProfiler* p = profiling())
                           p->end(m->prof, curTick());
                       context().msgPool.release(m);

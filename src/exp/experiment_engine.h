@@ -3,10 +3,10 @@
 // The paper's evaluation is 22 benchmarks x 2 input sizes x 2 coherence
 // modes; every figure/table is a batch of fully independent simulations.
 // Each System owns its whole universe (SimContext: event queue + observers;
-// per-object RNGs; thread-local transition coverage), so independent runs
-// can execute concurrently with no synchronisation. The ExperimentEngine
-// shards a job list across a thread pool and returns results in submission
-// order — output is bit-identical whether it ran on 1 thread or N.
+// per-object RNGs), so independent runs can execute concurrently with no
+// synchronisation. The ExperimentEngine shards a job list across a thread
+// pool and returns results in submission order — output is bit-identical
+// whether it ran on 1 thread or N.
 #pragma once
 
 #include <atomic>
@@ -106,16 +106,6 @@ public:
     /// Runs the batch, sharding across the pool. Results land in submission
     /// order. A throwing job fails only its own slot (ok == false); the
     /// pool and all other jobs are unaffected.
-    ///
-    /// Transition coverage: TransitionCoverage::instance() is thread_local,
-    /// so enable() on the calling thread sees nothing from a multi-threaded
-    /// run — the workers record into their own (disabled) instances. To
-    /// collect coverage across a sweep, call
-    /// TransitionCoverage::enableProcessWide() before run() and read
-    /// TransitionCoverage::aggregateSnapshot() after it returns: run()
-    /// joins its workers, and each flushes its counts into the process
-    /// aggregate at thread exit (the caller's own counts merge into the
-    /// snapshot too, covering the threads<=1 run-on-caller path).
     std::vector<ExperimentResult> run(const std::vector<ExperimentJob>& jobs) const;
 
     /// run() with journaling / resume / produce-cache options. Results are

@@ -1,10 +1,9 @@
 #include "gpu/gpu_l2_slice.h"
 
 #include <cassert>
+#include <utility>
 
 #include "check/coherence_checker.h"
-#include "coherence/transition_coverage.h"
-#include <utility>
 
 namespace dscoh {
 
@@ -51,44 +50,45 @@ void GpuL2Slice::handleGpuMessage(const Message& msg)
         p->hop(msg.prof, TxnStage::kSliceArrive, name(), curTick());
     // Charge the front-side tag latency, then serve. The message moves into
     // a pooled slot (the delivery slot we were handed is recycled as soon as
-    // this handler returns), so the latency event captures one pointer.
+    // this handler returns), so the latency event captures one pointer. The
+    // serve path owns the slot from here on and releases it once served.
     Message* m = context().msgPool.acquire(msg);
     queue().scheduleAfter(slice_.tagLatency, [this, m] {
         switch (m->type) {
         case MsgType::kL1Load:
-            serveLoad(*m);
+            serveLoad(m);
             break;
         case MsgType::kL1Store:
-            serveStore(*m);
+            serveStore(m);
             break;
         default:
             assert(false && "unexpected GPU-network message at L2 slice");
+            context().msgPool.release(m);
         }
-        context().msgPool.release(m);
     }, EventPriority::kController);
 }
 
-void GpuL2Slice::serveLoad(const Message& msg)
+void GpuL2Slice::serveLoad(Message* m)
 {
     // Timestamp fast path (multi-GPU): a read of a remotely-homed line
     // that misses locally may ride a lease instead of pulling through the
     // remote home directory.
-    if (slice_.tsLeaseTicks != 0 && remoteHomed(msg.addr) &&
-        !probeHit(msg.addr, /*exclusive=*/false)) {
-        if (tryServeLeased(msg))
-            return;
-        startTsRead(msg);
+    if (slice_.tsLeaseTicks != 0 && remoteHomed(m->addr) &&
+        !probeHit(m->addr, /*exclusive=*/false)) {
+        if (tryServeLeased(*m))
+            context().msgPool.release(m);
+        else
+            startTsRead(m);
         return;
     }
-    serveLoadCoherent(msg);
+    serveLoadCoherent(m);
 }
 
-void GpuL2Slice::serveLoadCoherent(const Message& msg)
+void GpuL2Slice::serveLoadCoherent(Message* m)
 {
-    noteDemand(msg.addr, /*exclusive=*/false);
-    noteRemoteMiss(msg.addr, /*exclusive=*/false);
-    Message* m = context().msgPool.acquire(msg);
-    access(msg.addr, /*exclusive=*/false, [this, m](Line& line) {
+    noteDemand(m->addr, /*exclusive=*/false);
+    noteRemoteMiss(m->addr, /*exclusive=*/false);
+    access(m->addr, /*exclusive=*/false, [this, m](Line& line) {
         sendLoadResp(*m, line.data);
         context().msgPool.release(m);
     });
@@ -111,9 +111,9 @@ void GpuL2Slice::sendLoadResp(const Message& msg, const DataBlock& data)
     slice_.gpuNet->send(std::move(resp));
 }
 
-void GpuL2Slice::serveStore(const Message& msg)
+void GpuL2Slice::serveStore(Message* m)
 {
-    const Addr base = lineAlign(msg.addr);
+    const Addr base = lineAlign(m->addr);
     if (const Tick hold = holdUntil(base); hold > curTick()) {
         // A granted lease freezes the line: remote leaseholders may keep
         // serving their copy until the epoch expires, so the write waits
@@ -121,17 +121,13 @@ void GpuL2Slice::serveStore(const Message& msg)
         tsHolds_.inc();
         noteTransition(stateOf(base), CohEvent::kLeaseHold, stateOf(base),
                        base);
-        Message* m = context().msgPool.acquire(msg);
-        queue().schedule(hold + 1, [this, m] {
-            serveStore(*m);
-            context().msgPool.release(m);
-        }, EventPriority::kController);
+        queue().schedule(hold + 1, [this, m] { serveStore(m); },
+                         EventPriority::kController);
         return;
     }
-    noteDemand(msg.addr, /*exclusive=*/true);
-    noteRemoteMiss(msg.addr, /*exclusive=*/true);
-    Message* m = context().msgPool.acquire(msg);
-    access(msg.addr, /*exclusive=*/true, [this, m](Line& line) {
+    noteDemand(m->addr, /*exclusive=*/true);
+    noteRemoteMiss(m->addr, /*exclusive=*/true);
+    access(m->addr, /*exclusive=*/true, [this, m](Line& line) {
         m->mask.apply(line.data, m->data);
         if (CoherenceChecker* c = checking())
             c->onStoreApplied(line.base, m->data, m->mask);
@@ -307,22 +303,19 @@ CacheAgent::Wait GpuL2Slice::tryDirectStore(const Message& msg)
             return Wait::kNone;
         }
         Line& installed = array().install(*way, base);
+        installed.meta.dsFilled = true;
+        installed.data = msg.data;
+        if (CoherenceChecker* c = checking())
+            c->onStoreApplied(base, msg.data, msg.mask);
         // The push writes through to DRAM in the background, so the line is
         // installed exclusive-clean (M): memory stays current, the eviction
         // is silent, and a later GPU store upgrades exactly like a store to
         // any other clean resident line. (Fig. 3 shows I->MM; our variant
         // write-through push makes M the faithful state — see DESIGN.md.)
-        installed.meta.state = CohState::kM;
-        installed.meta.dsFilled = true;
-        installed.data = msg.data;
-        if (CoherenceChecker* c = checking())
-            c->onStoreApplied(base, msg.data, msg.mask);
-        noteTransition(CohState::kI, CohEvent::kRemoteStore, CohState::kM,
-                       base);
+        moveTo(installed, CohEvent::kRemoteStore, CohState::kM);
         slice_.dram->writeMasked(base, msg.data, msg.mask);
         noteFilled(base);
         dsFills_.inc();
-        onFill(installed);
         if (TxnProfiler* p = profiling())
             p->hop(msg.prof, TxnStage::kInstall, name(), curTick());
         sendDsAck(msg);
@@ -336,13 +329,10 @@ CacheAgent::Wait GpuL2Slice::tryDirectStore(const Message& msg)
     Message* m = context().msgPool.acquire(msg);
     access(base, /*exclusive=*/true, [this, m](Line& owned) {
         m->mask.apply(owned.data, m->data);
-        const CohState prev = owned.meta.state;
-        owned.meta.state = CohState::kMM;
         owned.meta.dsFilled = true;
         if (CoherenceChecker* c = checking())
             c->onStoreApplied(owned.base, m->data, m->mask);
-        noteTransition(prev, CohEvent::kRemoteStore, CohState::kMM,
-                       owned.base);
+        moveTo(owned, CohEvent::kRemoteStore, CohState::kMM);
         dsFills_.inc();
         if (TxnProfiler* p = profiling())
             p->hop(m->prof, TxnStage::kMerge, name(), curTick());
@@ -441,11 +431,11 @@ bool GpuL2Slice::tryServeLeased(const Message& msg)
     return true;
 }
 
-void GpuL2Slice::startTsRead(const Message& msg)
+void GpuL2Slice::startTsRead(Message* m)
 {
-    const Addr base = lineAlign(msg.addr);
+    const Addr base = lineAlign(m->addr);
     auto& waiting = tsWaiting_[base];
-    waiting.push_back(msg);
+    waiting.push_back(m);
     if (waiting.size() > 1)
         return; // a kTsRead for this line is already in flight
     tsReads_.inc();
@@ -507,14 +497,14 @@ void GpuL2Slice::handleTsData(const Message& msg)
 {
     const Addr base = msg.addr;
     const Tick expiry = msg.txn;
-    std::vector<Message> waiting = std::move(tsWaiting_[base]);
+    std::vector<Message*> waiting = std::move(tsWaiting_[base]);
     tsWaiting_.erase(base);
     if (curTick() >= expiry) {
         // The grant expired in flight; its data may already be stale.
         tsExpired_.inc();
         noteTransition(CohState::kI, CohEvent::kTsExpire, CohState::kI,
                        base);
-        for (const Message& w : waiting)
+        for (Message* w : waiting)
             serveLoadCoherent(w);
         return;
     }
@@ -523,14 +513,15 @@ void GpuL2Slice::handleTsData(const Message& msg)
     LeasedLine& lease = tsLeased_[base];
     lease.data = msg.data;
     lease.expiry = expiry;
-    for (const Message& w : waiting) {
+    for (Message* w : waiting) {
         accesses_.inc();
         misses_.inc();
         tsHits_.inc();
         if (CoherenceChecker* c = checking())
             c->onLeaseServe(name(), base, lease.data, lease.expiry,
                             curTick());
-        sendLoadResp(w, lease.data);
+        sendLoadResp(*w, lease.data);
+        context().msgPool.release(w);
     }
 }
 
@@ -539,9 +530,9 @@ void GpuL2Slice::handleTsNack(const Message& msg)
     const Addr base = msg.addr;
     tsFallbacks_.inc();
     noteTransition(CohState::kI, CohEvent::kTsFallback, CohState::kI, base);
-    std::vector<Message> waiting = std::move(tsWaiting_[base]);
+    std::vector<Message*> waiting = std::move(tsWaiting_[base]);
     tsWaiting_.erase(base);
-    for (const Message& w : waiting)
+    for (Message* w : waiting)
         serveLoadCoherent(w);
 }
 
@@ -555,11 +546,6 @@ void GpuL2Slice::noteRemoteMiss(Addr addr, bool exclusive)
                    exclusive ? CohEvent::kRemoteGetX : CohEvent::kRemoteGetS,
                    exclusive ? CohState::kIM_D : CohState::kIS_D,
                    lineAlign(addr));
-}
-
-void GpuL2Slice::onFill(Line& line)
-{
-    static_cast<void>(line);
 }
 
 void GpuL2Slice::regStats(StatRegistry& registry)

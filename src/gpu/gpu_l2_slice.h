@@ -3,9 +3,10 @@
 // Each slice is a coherent CacheAgent for the (interleaved) addresses it
 // owns. Its front side serves the SM L1s over the GPU-internal network, and
 // it is the landing zone for the paper's direct stores: a DsPutX installs
-// the pushed line as MM (Fig. 3, I -> MM via the blue transition), falling
-// back to a DRAM write when the set has no evictable way (the paper's "if
-// the GPU L2 cache is full, the system writes data to DRAM").
+// the pushed line (Fig. 3's blue I -> MM transition; M here, since the push
+// writes through to DRAM), falling back to a DRAM write when the set has no
+// evictable way (the paper's "if the GPU L2 cache is full, the system
+// writes data to DRAM").
 #pragma once
 
 #include <deque>
@@ -81,7 +82,6 @@ public:
     void snapRestore(snap::SnapReader& r) override { snapState(*this, r); }
 
 protected:
-    void onFill(Line& line) override;
     /// Granted-lease freeze (write stall / snoop hold / eviction pin in the
     /// base agent). The injected cross-shard bug reports no hold.
     Tick holdUntil(Addr base) const override;
@@ -105,8 +105,10 @@ private:
         });
     }
 
-    void serveLoad(const Message& msg);
-    void serveStore(const Message& msg);
+    // The L1 request paths take the msgPool slot the request arrived in
+    // and release it exactly once, when the request is served.
+    void serveLoad(Message* m);
+    void serveStore(Message* m);
     void maybePrefetch(Addr missAddr);
     void serveDirectStore(const Message& msg);
     /// One attempt at serveDirectStore(); blocked only while the line is
@@ -130,13 +132,13 @@ private:
     bool tryServeLeased(const Message& msg);
     /// Park the load and (for the first waiter) send kTsRead to the home
     /// slice.
-    void startTsRead(const Message& msg);
+    void startTsRead(Message* m);
     /// Home-slice side: grant a lease on an owned stable line, else NACK.
     void serveTsRead(const Message& msg);
     void handleTsData(const Message& msg);
     void handleTsNack(const Message& msg);
     /// The pre-sharding load path (demand counters + coherent access).
-    void serveLoadCoherent(const Message& msg);
+    void serveLoadCoherent(Message* m);
     void sendLoadResp(const Message& msg, const DataBlock& data);
     /// Record the Fig. 3 cross-shard request edge when a coherent miss
     /// targets a remotely-homed line.
@@ -162,8 +164,9 @@ private:
     /// and re-grants reply with the same expiry (a lease never extends),
     /// so every hold is bounded by the first grant.
     std::unordered_map<Addr, Tick> tsGranted_;
-    /// Loads parked on an in-flight kTsRead, replayed on kTsData/kTsNack.
-    std::unordered_map<Addr, std::vector<Message>> tsWaiting_;
+    /// Loads parked on an in-flight kTsRead (their msgPool slots),
+    /// replayed on kTsData/kTsNack.
+    std::unordered_map<Addr, std::vector<Message*>> tsWaiting_;
 
     Counter accesses_;
     Counter misses_;

@@ -1,10 +1,14 @@
 // One simulation's private universe.
 //
 // A SimContext bundles the EventQueue that drives a simulated machine with
-// the (optional) TraceSession its components record structured events into. Every System owns exactly one; nothing
-// inside a context is shared with any other context, which is the invariant
-// the parallel ExperimentEngine relies on: independent simulations may run
-// concurrently on different threads with no synchronisation at all.
+// the optional observers its components report to: the TraceSession, the
+// CoherenceChecker, the TxnProfiler and the TransitionCoverage table. Every
+// System owns exactly one; nothing inside a context is shared with any
+// other context, which is the invariant the parallel ExperimentEngine
+// relies on: independent simulations may run concurrently on different
+// threads with no synchronisation at all. (The coverage table is the
+// caller's: one table must not be attached to two Systems that run at
+// once.)
 #pragma once
 
 #include <memory>
@@ -47,6 +51,11 @@ struct SimContext {
     /// profiling is off at the same one-pointer-test cost as tracing; see
     /// System::enableTxnProfiler().
     std::unique_ptr<TxnProfiler> txnprof;
+
+    /// Fig. 3 edge counts, owned by the caller. Null (the default) means
+    /// no coverage is recorded, at the same one-pointer-test cost; see
+    /// System::attachCoverage().
+    TransitionCoverage* coverage = nullptr;
 };
 
 } // namespace dscoh

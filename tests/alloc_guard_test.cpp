@@ -75,10 +75,10 @@ TEST_P(AllocationGuard, StaysUnderItsBoundAndReturnsEverySlot)
 
 INSTANTIATE_TEST_SUITE_P(
     Small, AllocationGuard,
-    ::testing::Values(Case{"VA", CoherenceMode::kCcsm, 298.11},
-                      Case{"VA", CoherenceMode::kDirectStore, 203.54},
-                      Case{"NN", CoherenceMode::kCcsm, 219.42},
-                      Case{"NN", CoherenceMode::kDirectStore, 102.79}),
+    ::testing::Values(Case{"VA", CoherenceMode::kCcsm, 254.20},
+                      Case{"VA", CoherenceMode::kDirectStore, 165.62},
+                      Case{"NN", CoherenceMode::kCcsm, 182.98},
+                      Case{"NN", CoherenceMode::kDirectStore, 73.99}),
     [](const ::testing::TestParamInfo<Case>& p) {
         return std::string(p.param.code) +
                (p.param.mode == CoherenceMode::kCcsm ? "_ccsm" : "_ds");

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <thread>
 
 #include "coherence/transition_coverage.h"
 #include "core/system.h"
@@ -14,20 +16,12 @@ namespace {
 
 class Fig3Coverage : public ::testing::Test {
 protected:
-    void SetUp() override
-    {
-        TransitionCoverage::instance().reset();
-        TransitionCoverage::instance().enable();
-    }
-    void TearDown() override
-    {
-        TransitionCoverage::instance().disable();
-        TransitionCoverage::instance().reset();
-    }
+    /// The edges of every System this test attaches it to.
+    TransitionCoverage cov_;
 
-    static bool covered(CohState from, CohEvent e, CohState to)
+    bool covered(CohState from, CohEvent e, CohState to) const
     {
-        return TransitionCoverage::instance().covered(from, e, to);
+        return cov_.covered(from, e, to);
     }
 };
 
@@ -35,6 +29,7 @@ TEST_F(Fig3Coverage, BaselineProtocolEdges)
 {
     // Directed CPU sequences cover the conventional MOESI edges.
     System sys(SystemConfig::paper(CoherenceMode::kCcsm));
+    sys.attachCoverage(&cov_);
     const Addr a = sys.allocateArray(8 * kLineSize, false);
 
     CpuProgram prog;
@@ -71,6 +66,7 @@ TEST_F(Fig3Coverage, SnoopAndWritebackEdges)
     // Two agents fighting over lines: covers owner downgrades,
     // invalidations and the writeback path.
     System sys(SystemConfig::paper(CoherenceMode::kCcsm));
+    sys.attachCoverage(&cov_);
     const Addr arr = sys.allocateArray(64 * kLineSize, true);
 
     // CPU produces (MM at CPU), GPU reads (MM --SnpGetS--> O at CPU), GPU
@@ -121,6 +117,7 @@ TEST_F(Fig3Coverage, EvictionAndWritebackAckEdges)
 {
     // Conflict misses on a tiny system flush dirty lines through MI_A.
     System sys(SystemConfig::paper(CoherenceMode::kCcsm));
+    sys.attachCoverage(&cov_);
     // Stride by the CPU L2 set count so one set overflows: 2 MB / 8 ways /
     // 128 B = 2048 sets; 32 strides span 8 MB.
     const Addr arr = sys.allocateArray(33ull * 2048 * kLineSize, false);
@@ -141,6 +138,7 @@ TEST_F(Fig3Coverage, RemoteStoreEdges)
     // The paper's bold edges: remote stores leave the CPU in I from every
     // starting state; the blue edge installs at the slice.
     System sys(SystemConfig::paper(CoherenceMode::kDirectStore));
+    sys.attachCoverage(&cov_);
     const Addr ds = sys.allocateArray(16 * kLineSize, true);
 
     CpuProgram produce;
@@ -185,15 +183,59 @@ TEST_F(Fig3Coverage, RemoteStoreEdges)
     EXPECT_EQ(sys.cpuCache().stateOf(paM), CohState::kI);
 }
 
+/// Runs @p code small under @p mode with @p cov attached and returns the
+/// table's dump.
+std::string coveredRun(const char* code, CoherenceMode mode,
+                       TransitionCoverage& cov)
+{
+    WorkloadRun run(WorkloadRegistry::instance().get(code), InputSize::kSmall,
+                    mode);
+    run.system().attachCoverage(&cov);
+    run.run();
+    std::ostringstream os;
+    cov.dump(os);
+    return os.str();
+}
+
 TEST_F(Fig3Coverage, DumpListsTransitions)
 {
-    runWorkload(WorkloadRegistry::instance().get("VA"), InputSize::kSmall,
-                CoherenceMode::kDirectStore);
-    std::ostringstream os;
-    TransitionCoverage::instance().dump(os);
-    const std::string text = os.str();
+    const std::string text =
+        coveredRun("VA", CoherenceMode::kDirectStore, cov_);
     EXPECT_NE(text.find("I --RemoteStore--> M"), std::string::npos);
-    EXPECT_GT(TransitionCoverage::instance().distinctTransitions(), 5u);
+    EXPECT_GT(cov_.distinctTransitions(), 5u);
+}
+
+TEST(TransitionCoverage, ConcurrentSystemsEachRecordOnlyTheirOwnRun)
+{
+    // Reference tables, one run each, on this thread.
+    TransitionCoverage ccsmRef;
+    TransitionCoverage dsRef;
+    const std::string ccsmText =
+        coveredRun("VA", CoherenceMode::kCcsm, ccsmRef);
+    const std::string dsText =
+        coveredRun("VA", CoherenceMode::kDirectStore, dsRef);
+    // Only a direct-store run installs pushed lines at the slice.
+    EXPECT_TRUE(dsRef.covered(CohState::kI, CohEvent::kRemoteStore,
+                              CohState::kM));
+    EXPECT_FALSE(ccsmRef.covered(CohState::kI, CohEvent::kRemoteStore,
+                                 CohState::kM));
+
+    // The same two runs at once, on two threads, each with its own table:
+    // each table holds exactly its own run's counts.
+    TransitionCoverage ccsmCov;
+    TransitionCoverage dsCov;
+    std::string ccsmSeen;
+    std::string dsSeen;
+    std::thread ccsm([&] {
+        ccsmSeen = coveredRun("VA", CoherenceMode::kCcsm, ccsmCov);
+    });
+    std::thread ds([&] {
+        dsSeen = coveredRun("VA", CoherenceMode::kDirectStore, dsCov);
+    });
+    ccsm.join();
+    ds.join();
+    EXPECT_EQ(ccsmSeen, ccsmText);
+    EXPECT_EQ(dsSeen, dsText);
 }
 
 } // namespace

@@ -21,24 +21,11 @@ namespace {
 constexpr std::uint32_t kCpuWays = 8;
 constexpr Addr kCpuSetStride = 2048ull * kLineSize;
 
-class Fig3GapReport : public ::testing::Test {
-protected:
-    void SetUp() override
-    {
-        TransitionCoverage::instance().reset();
-        TransitionCoverage::instance().enable();
-    }
-    void TearDown() override
-    {
-        TransitionCoverage::instance().disable();
-        TransitionCoverage::instance().reset();
-    }
-};
-
 /// Cold misses, fills, hits and upgrades on a single agent.
-void runBaselineScenario()
+void runBaselineScenario(TransitionCoverage& cov)
 {
     System sys(SystemConfig::paper(CoherenceMode::kCcsm));
+    sys.attachCoverage(&cov);
     const Addr a = sys.allocateArray(4 * kLineSize, false);
     CpuProgram prog;
     prog.push_back(cpuStore(a, 1, 4));            // I -> IM_D -> MM
@@ -56,9 +43,10 @@ void runBaselineScenario()
 
 /// CPU and GPU contending: sharer fills, snoop downgrades/invalidations,
 /// upgrades out of S and O.
-void runContentionScenario()
+void runContentionScenario(TransitionCoverage& cov)
 {
     System sys(SystemConfig::paper(CoherenceMode::kCcsm));
+    sys.attachCoverage(&cov);
     // Lines 0..31 are CPU-produced, 32..63 GPU-produced, 64.. untouched
     // (so cold CPU loads of them land M, not S).
     const Addr arr = sys.allocateArray(80 * kLineSize, true);
@@ -138,9 +126,10 @@ void runContentionScenario()
 /// Replacement out of every stable state: silent drops of S and M, dirty
 /// writebacks out of MM and O, and their acks — plus the owner self-loop
 /// O --SnpGetS--> O when a re-reader finds the evicted-then-refetched line.
-void runEvictionScenario()
+void runEvictionScenario(TransitionCoverage& cov)
 {
     System sys(SystemConfig::paper(CoherenceMode::kCcsm));
+    sys.attachCoverage(&cov);
     // One CPU set, kCpuWays + 1 conflicting lines per wave.
     const std::uint32_t lines = kCpuWays + 1;
     const Addr arr =
@@ -213,9 +202,10 @@ void runEvictionScenario()
 
 /// The direct-store extension: CPU-side remote-store edges out of every
 /// stable state and the slice-side install/merge edges.
-void runDirectStoreScenario()
+void runDirectStoreScenario(TransitionCoverage& cov)
 {
     System sys(SystemConfig::paper(CoherenceMode::kDirectStore));
+    sys.attachCoverage(&cov);
     const Addr ds = sys.allocateArray(8 * kLineSize, true);
 
     CpuProgram produce; // full lines install at the slice; CPU stays I
@@ -232,6 +222,7 @@ void runDirectStoreScenario()
     // CPU never caches it). prepareRemoteStore is an agent-level method, so
     // set the states up in a CCSM system and drive it directly there.
     System ccsm(SystemConfig::paper(CoherenceMode::kCcsm));
+    ccsm.attachCoverage(&cov);
     const Addr heap = ccsm.allocateArray(8 * kLineSize, true);
     CpuProgram setup;
     setup.push_back(cpuStore(heap, 1, 4)); // line 0 -> MM
@@ -278,10 +269,11 @@ void runDirectStoreScenario()
 /// (I --FallbackStore--> MM), a corrupted push is nacked in place
 /// (I --CorruptPush--> I), and a retransmit crossing a lost ack is squashed
 /// at the slice as an already-served duplicate (MM --DupPush--> MM).
-void runHardenedDeliveryScenario()
+void runHardenedDeliveryScenario(TransitionCoverage& cov)
 {
-    const auto pushLines = [](SystemConfig cfg) {
+    const auto pushLines = [&cov](SystemConfig cfg) {
         System sys(std::move(cfg));
+        sys.attachCoverage(&cov);
         const Addr ds = sys.allocateArray(2 * kLineSize, true);
         CpuProgram p;
         for (std::uint32_t i = 0; i < 2 * kLineSize / 4; ++i)
@@ -324,13 +316,14 @@ void runHardenedDeliveryScenario()
 /// The multi-GPU edges: cross-shard request routing (RemoteGetS/RemoteGetX)
 /// and the timestamp fast path (TsGrant out of M and MM, TsFill, TsExpire,
 /// TsFallback, and the write hold against an active lease).
-void runMultiGpuScenario()
+void runMultiGpuScenario(TransitionCoverage& cov)
 {
     SystemConfig cfg = SystemConfig::paper(CoherenceMode::kDirectStore);
     cfg.numGpus = 2;
     cfg.shardPolicy = ShardPolicy::kPage;
     cfg.tsLeaseTicks = 100'000;
     System sys(cfg);
+    sys.attachCoverage(&cov);
 
     // One page homed at GPU 0; GPU 1 is the remote reader throughout.
     const Addr arr = sys.allocateArrayHomed(kPageSize, 0);
@@ -412,22 +405,26 @@ void runMultiGpuScenario()
     EXPECT_TRUE(sys.checkCoherenceInvariants().empty());
 }
 
-TEST_F(Fig3GapReport, AllStableEdgesCovered)
+TEST(Fig3GapReport, AllStableEdgesCovered)
 {
-    // Real workloads first (broad, incidental coverage)...
-    runWorkload(WorkloadRegistry::instance().get("VA"), InputSize::kSmall,
-                CoherenceMode::kCcsm);
-    runWorkload(WorkloadRegistry::instance().get("VA"), InputSize::kSmall,
-                CoherenceMode::kDirectStore);
+    // One table gathers every run's edges. Real workloads first (broad,
+    // incidental coverage)...
+    TransitionCoverage cov;
+    for (const CoherenceMode mode :
+         {CoherenceMode::kCcsm, CoherenceMode::kDirectStore}) {
+        WorkloadRun run(WorkloadRegistry::instance().get("VA"),
+                        InputSize::kSmall, mode);
+        run.system().attachCoverage(&cov);
+        run.run();
+    }
     // ...then directed scenarios for the edges workloads rarely take.
-    runBaselineScenario();
-    runContentionScenario();
-    runEvictionScenario();
-    runDirectStoreScenario();
-    runHardenedDeliveryScenario();
-    runMultiGpuScenario();
+    runBaselineScenario(cov);
+    runContentionScenario(cov);
+    runEvictionScenario(cov);
+    runDirectStoreScenario(cov);
+    runHardenedDeliveryScenario(cov);
+    runMultiGpuScenario(cov);
 
-    const TransitionCoverage& cov = TransitionCoverage::instance();
     std::vector<const Fig3Edge*> gaps;
     for (const Fig3Edge& e : kFig3StableEdges)
         if (!cov.covered(e.from, e.event, e.to))
@@ -442,7 +439,7 @@ TEST_F(Fig3GapReport, AllStableEdgesCovered)
     EXPECT_TRUE(gaps.empty()) << report.str();
 }
 
-TEST_F(Fig3GapReport, TableIsWellFormed)
+TEST(Fig3GapReport, TableIsWellFormed)
 {
     // Every table entry must be unique; the race list must not duplicate
     // the stable list.

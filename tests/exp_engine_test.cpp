@@ -9,7 +9,6 @@
 #include <stdexcept>
 #include <tuple>
 
-#include "coherence/transition_coverage.h"
 #include "exp/experiment_engine.h"
 #include "sim/errors.h"
 
@@ -211,54 +210,6 @@ TEST(ExperimentEngine, JsonContainsEveryRunAndParses)
     writeResultsJson(again, readResultsJson(path));
     EXPECT_EQ(again.str(), json);
     std::remove(path.c_str());
-}
-
-TEST(ExperimentEngine, ThreadLocalCoverageIsInvisibleToWorkers)
-{
-    // Documented pitfall: enable() only arms the calling thread's recorder,
-    // so a --jobs > 1 sweep records nothing into it. This test pins that
-    // behaviour down so the docs stay honest.
-    TransitionCoverage::instance().reset();
-    TransitionCoverage::instance().enable();
-    ExperimentEngine engine(3);
-    engine.run(smallBatch());
-    EXPECT_EQ(TransitionCoverage::instance().distinctTransitions(), 0u);
-    TransitionCoverage::instance().disable();
-    TransitionCoverage::instance().reset();
-}
-
-TEST(ExperimentEngine, ProcessWideCoverageMergesAcrossWorkers)
-{
-    // enableProcessWide() is the supported way to collect coverage from a
-    // parallel sweep: workers record into their own thread_local instances
-    // and flush into the process aggregate when run() joins them.
-    TransitionCoverage::resetAggregate();
-    TransitionCoverage::instance().reset();
-    TransitionCoverage::enableProcessWide();
-    ExperimentEngine engine(3);
-    const auto results = engine.run(smallBatch());
-    TransitionCoverage::disableProcessWide();
-    for (const ExperimentResult& r : results)
-        ASSERT_TRUE(r.ok) << r.error;
-
-    const TransitionCoverage::Counts merged =
-        TransitionCoverage::aggregateSnapshot();
-    EXPECT_GT(merged.size(), 5u);
-    const auto storeMiss = merged.find(std::make_tuple(
-        CohState::kI, CohEvent::kStore, CohState::kIM_D));
-    ASSERT_NE(storeMiss, merged.end());
-    EXPECT_GT(storeMiss->second, 0u);
-
-    // Serial (run-on-caller) sweeps land in the same snapshot: the caller's
-    // live counts merge in without waiting for a thread exit.
-    TransitionCoverage::resetAggregate();
-    TransitionCoverage::instance().reset();
-    TransitionCoverage::enableProcessWide();
-    ExperimentEngine(1).run(smallBatch());
-    TransitionCoverage::disableProcessWide();
-    EXPECT_EQ(TransitionCoverage::aggregateSnapshot(), merged);
-    TransitionCoverage::instance().reset();
-    TransitionCoverage::resetAggregate();
 }
 
 TEST(ExperimentEngine, PreCancelledJobFailsAsCancelledNotCrashed)
